@@ -102,6 +102,7 @@ def parse_circuit(
     tables = tables or {}
     declared: int | None = None
     instructions: list[Instruction] = []
+    lines: list[int] = []  # source line of each instruction, for range errors
     measure_all_line: int | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -131,8 +132,7 @@ def parse_circuit(
             if len(tokens) < 2:
                 raise ParseError("u2 needs a target qubit", line_no)
             targets = (_parse_target(tokens[1], line_no),)
-            params = _parse_u2_params(tokens[2:], line_no)
-            instructions.append(Instruction("U2", targets, params=params))
+            ins = Instruction("U2", targets, params=_parse_u2_params(tokens[2:], line_no))
         elif opcode in _TARGET_COUNTS:
             targets = _parse_targets(tokens[1:], line_no)
             if len(targets) != _TARGET_COUNTS[opcode]:
@@ -140,7 +140,7 @@ def parse_circuit(
                     f"{word} takes {_TARGET_COUNTS[opcode]} target(s), got {len(targets)}",
                     line_no,
                 )
-            instructions.append(Instruction(opcode, targets))
+            ins = Instruction(opcode, targets)
         elif opcode == "ORACLE":
             if len(tokens) < 3:
                 raise ParseError("oracle needs a table name and targets", line_no)
@@ -155,35 +155,24 @@ def parse_circuit(
                     f"{table.arity + 1} targets, got {len(targets)}",
                     line_no,
                 )
-            instructions.append(Instruction("ORACLE", targets, table=name))
+            ins = Instruction("ORACLE", targets, table=name)
         elif opcode == "MEASURE":
             targets = _parse_targets(tokens[1:], line_no)
             if not targets:
                 measure_all_line = line_no
-            instructions.append(Instruction("MEASURE", targets))
+            ins = Instruction("MEASURE", targets)
         else:
             raise ParseError(f"unknown opcode {word!r}", line_no)
+        instructions.append(ins)
+        lines.append(line_no)
 
     used = [t for ins in instructions for t in ins.targets]
     num_qubits = declared if declared is not None else (max(used) + 1 if used else 0)
-    _check_targets_in_range(text, instructions, num_qubits)
-    return CircuitProgram(num_qubits=num_qubits, instructions=tuple(instructions))
-
-
-def _check_targets_in_range(text: str, instructions, num_qubits: int) -> None:
-    # Re-walk the source so range errors carry the right line number.
-    index = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens or tokens[0].lower() == "qubits":
-            continue
-        ins = instructions[index]
-        index += 1
+    for ins, line_no in zip(instructions, lines):
         for t in ins.targets:
             if t >= num_qubits:
-                raise ParseError(
-                    f"target {t} out of range for {num_qubits} qubits", line_no
-                )
+                raise ParseError(f"target {t} out of range for {num_qubits} qubits", line_no)
+    return CircuitProgram(num_qubits=num_qubits, instructions=tuple(instructions))
 
 
 def render_circuit(program: CircuitProgram) -> str:

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .gates import TruthTable
 from .inequalities import (
+    MAX_EVENTS,
     BellSetting,
     EventDistribution,
     bell_violation,
@@ -54,6 +55,9 @@ from .state import (
 
 # --- deterministic JSON rendering -----------------------------------------
 
+_STRING_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"'}
+_STRING_ESCAPES.update({c: f"\\u{c:04x}" for c in range(0x20)})
+
 
 def _json(value) -> str:
     if value is None:
@@ -67,7 +71,7 @@ def _json(value) -> str:
     if isinstance(value, Fraction):
         return f'"{value}"'
     if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return '"' + value.translate(_STRING_ESCAPES) + '"'
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json(v) for v in value) + "]"
     if isinstance(value, dict):
@@ -114,6 +118,8 @@ def load_truth_table(path: str) -> TruthTable:
         arity = int(first[0][2:])
     except ValueError:
         raise ParseError(f"bad arity {first[0]!r}", first_no) from None
+    if arity < 1:
+        raise ParseError(f"arity must be at least 1, got {arity}", first_no)
     entries: dict[int, int] = {}
     for line_no, tokens in lines[1:]:
         if len(tokens) != 2:
@@ -171,6 +177,10 @@ def load_distribution(path: str) -> EventDistribution:
     if not lines:
         raise ParseError("distribution file is empty", None)
     width = len(lines[0][1][0])
+    if width > MAX_EVENTS:
+        raise ParseError(
+            f"atom pattern of {width} events exceeds the cap of {MAX_EVENTS}", lines[0][0]
+        )
     atoms = [Fraction(0)] * (1 << width)
     seen: set[int] = set()
     for line_no, tokens in lines:
@@ -197,7 +207,7 @@ def _cmd_run(args) -> dict:
     if args.max_qubits > DEFAULT_QUBIT_CAP:
         print(
             f"ketsim: warning: --max-qubits {args.max_qubits} needs up to "
-            f"{16 * (1 << args.max_qubits) / 2**20:.0f} MiB of amplitudes",
+            f"{1 << (args.max_qubits - 16)} MiB of amplitudes",
             file=sys.stderr,
         )
     tables = {}

@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import CapacityExceeded, DimensionMismatch, InvalidInput
-from .state import StateVector
+from .state import StateVector, _check_qubits, _packed_bits
 
 DENSE_DIM_CAP = 1024
 
@@ -167,15 +167,36 @@ def _check_dense_dim(dim: int) -> None:
         )
 
 
+def _contract(g: np.ndarray, targets: list[int], tensor: np.ndarray) -> np.ndarray:
+    """Apply gate ``g`` to the ``targets`` axes of ``tensor``.
+
+    The leading axes of ``tensor`` are qubits, qubit 0 first; a trailing
+    axis (the columns of a matrix) is carried along untouched.  The first
+    target is the gate's high-order qubit.
+    """
+    k = len(targets)
+    tensor_gate = g.reshape([2] * (2 * k))
+    moved = np.tensordot(tensor_gate, tensor, axes=(list(range(k, 2 * k)), targets))
+    rest = [q for q in range(tensor.ndim) if q not in set(targets)]
+    order = np.argsort(targets + rest)
+    return np.transpose(moved, order)
+
+
+def _embed(g: np.ndarray, targets: list[int], n: int) -> np.ndarray:
+    # The columns of the identity, each a basis state, pass through the kernel.
+    _check_qubits(targets, n)
+    dim = 1 << n
+    _check_dense_dim(dim)
+    columns = identity(dim).reshape([2] * n + [dim])
+    return _contract(g, targets, columns).reshape(dim, dim)
+
+
 def embed_single(g: np.ndarray, i: int, n: int) -> np.ndarray:
     """Extend a 1-qubit gate to act on qubit ``i`` of an n-qubit register."""
     g = np.asarray(g, dtype=np.complex128)
     if g.shape != (2, 2):
         raise DimensionMismatch(f"embed_single needs a 2x2 gate, got {g.shape}")
-    if not 0 <= i < n:
-        raise InvalidInput(f"qubit index {i} out of range for {n} qubits")
-    _check_dense_dim(1 << n)
-    return np.kron(np.kron(identity(1 << i), g), identity(1 << (n - 1 - i)))
+    return _embed(g, [i], n)
 
 
 def embed_two(g: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
@@ -187,26 +208,7 @@ def embed_two(g: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
     g = np.asarray(g, dtype=np.complex128)
     if g.shape != (4, 4):
         raise DimensionMismatch(f"embed_two needs a 4x4 gate, got {g.shape}")
-    if i == j:
-        raise InvalidInput("embed_two requires two distinct qubits")
-    for q in (i, j):
-        if not 0 <= q < n:
-            raise InvalidInput(f"qubit index {q} out of range for {n} qubits")
-    dim = 1 << n
-    _check_dense_dim(dim)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    pos_i = n - 1 - i
-    pos_j = n - 1 - j
-    clear = ~((1 << pos_i) | (1 << pos_j))
-    for col in range(dim):
-        gate_col = 2 * ((col >> pos_i) & 1) + ((col >> pos_j) & 1)
-        base = col & clear
-        for bi in (0, 1):
-            for bj in (0, 1):
-                value = g[2 * bi + bj, gate_col]
-                if value != 0:
-                    out[base | (bi << pos_i) | (bj << pos_j), col] = value
-    return out
+    return _embed(g, [i, j], n)
 
 
 def apply(g: np.ndarray, s: StateVector) -> StateVector:
@@ -230,21 +232,20 @@ def apply_gate_at(g: np.ndarray, targets: Sequence[int], s: StateVector) -> Stat
     """
     targets = list(targets)
     k = len(targets)
-    if len(set(targets)) != k or k == 0:
-        raise InvalidInput("targets must be distinct and nonempty")
     n = s.num_qubits
-    for q in targets:
-        if not 0 <= q < n:
-            raise InvalidInput(f"qubit index {q} out of range for {n} qubits")
+    _check_qubits(targets, n)
     g = np.asarray(g, dtype=np.complex128)
     if g.shape != (1 << k, 1 << k):
         raise DimensionMismatch(f"gate shape {g.shape} does not act on {k} qubits")
-    tensor_state = s.amplitudes.reshape([2] * n)
-    tensor_gate = g.reshape([2] * (2 * k))
-    moved = np.tensordot(tensor_gate, tensor_state, axes=(list(range(k, 2 * k)), targets))
-    rest = [q for q in range(n) if q not in set(targets)]
-    order = np.argsort(targets + rest)
-    return StateVector(np.transpose(moved, order).reshape(-1))
+    return StateVector(_contract(g, targets, s.amplitudes.reshape([2] * n)).reshape(-1))
+
+
+def _oracle_permutation(f: TruthTable, targets: list[int], n: int) -> np.ndarray:
+    # Basis index b maps to b with the output bit xored by f(input bits);
+    # the map is its own inverse, so it serves as gather and scatter alike.
+    x = _packed_bits(n, targets[:-1])
+    flips = np.asarray(f.outputs, dtype=np.intp)[x] << (n - 1 - targets[-1])
+    return np.arange(1 << n) ^ flips
 
 
 def oracle_from_truth_table(f: TruthTable) -> np.ndarray:
@@ -252,13 +253,9 @@ def oracle_from_truth_table(f: TruthTable) -> np.ndarray:
 
     The result is a 0/1 permutation matrix and its own inverse.
     """
-    dim = 1 << (f.arity + 1)
-    _check_dense_dim(dim)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        x, y = col >> 1, col & 1
-        out[(x << 1) | (y ^ f.outputs[x]), col] = 1.0
-    return out
+    n = f.arity + 1
+    _check_dense_dim(1 << n)
+    return identity(1 << n)[_oracle_permutation(f, list(range(n)), n)]
 
 
 def apply_oracle_at(f: TruthTable, targets: Sequence[int], s: StateVector) -> StateVector:
@@ -272,18 +269,8 @@ def apply_oracle_at(f: TruthTable, targets: Sequence[int], s: StateVector) -> St
         raise InvalidInput(
             f"oracle of arity {f.arity} needs {f.arity + 1} targets, got {len(targets)}"
         )
-    if len(set(targets)) != len(targets):
-        raise InvalidInput("targets must be distinct")
-    n = s.num_qubits
-    for q in targets:
-        if not 0 <= q < n:
-            raise InvalidInput(f"qubit index {q} out of range for {n} qubits")
-    idx = np.arange(s.dim)
-    x = np.zeros(s.dim, dtype=np.intp)
-    for q in targets[:-1]:
-        x = (x << 1) | ((idx >> (n - 1 - q)) & 1)
-    flips = np.asarray(f.outputs, dtype=np.intp)[x] << (n - 1 - targets[-1])
-    return StateVector(s.amplitudes[idx ^ flips])
+    _check_qubits(targets, s.num_qubits)
+    return StateVector(s.amplitudes[_oracle_permutation(f, targets, s.num_qubits)])
 
 
 def walsh_hadamard(n: int) -> np.ndarray:

@@ -59,23 +59,28 @@ class EventDistribution:
         return 1 - self.atom_probs[0]
 
 
-def _check_events(d: EventDistribution, subset: Iterable[int]) -> frozenset[int]:
-    subset = frozenset(subset)
-    if any(not 1 <= i <= d.num_events for i in subset):
+def _event_mask(d: EventDistribution, events: Iterable[int]) -> int:
+    """Atom bit mask of the listed 1-based events."""
+    events = frozenset(events)
+    if any(not 1 <= i <= d.num_events for i in events):
         raise InvalidInput(f"event indices must lie in [1, {d.num_events}]")
-    return subset
-
-
-def marginal(d: EventDistribution, subset: Iterable[int]) -> Fraction:
-    """Probability that every event in ``subset`` occurs; 1 for the empty set."""
-    subset = _check_events(d, subset)
     mask = 0
-    for i in subset:
+    for i in events:
         mask |= 1 << (d.num_events - i)
+    return mask
+
+
+def _joint_prob(d: EventDistribution, mask: int) -> Fraction:
+    # P(all events of ``mask``): the atoms whose index has every mask bit set.
     return sum(
         (p for b, p in enumerate(d.atom_probs) if b & mask == mask),
         start=Fraction(0),
     )
+
+
+def marginal(d: EventDistribution, subset: Iterable[int]) -> Fraction:
+    """Probability that every event in ``subset`` occurs; 1 for the empty set."""
+    return _joint_prob(d, _event_mask(d, subset))
 
 
 def _check_unit_interval(values: Sequence[Rational]) -> list[Fraction]:
@@ -103,12 +108,10 @@ def boole_intersection_bounds(p: Sequence[Rational]) -> tuple[Fraction, Fraction
 
 def poincare_union(d: EventDistribution) -> Fraction:
     """Inclusion-exclusion: alternating sum of all intersection marginals."""
-    n = d.num_events
     total = Fraction(0)
-    for selector in range(1, 1 << n):
-        subset = [i for i in range(1, n + 1) if selector & (1 << (n - i))]
-        term = marginal(d, subset)
-        total += term if len(subset) % 2 else -term
+    for mask in range(1, 1 << d.num_events):
+        term = _joint_prob(d, mask)
+        total += term if mask.bit_count() % 2 else -term
     return total
 
 
@@ -136,10 +139,7 @@ def complement_events(d: EventDistribution, complemented: Iterable[int]) -> Even
     Complementing event i flips its truth bit in every atom, so the atoms
     are relabeled by xor with the corresponding mask.
     """
-    subset = _check_events(d, complemented)
-    mask = 0
-    for i in subset:
-        mask |= 1 << (d.num_events - i)
+    mask = _event_mask(d, complemented)
     relabeled = [Fraction(0)] * len(d.atom_probs)
     for b, p in enumerate(d.atom_probs):
         relabeled[b ^ mask] = p
@@ -155,11 +155,7 @@ def bonferroni_variants(d: EventDistribution, complemented: Iterable[int]) -> Fr
     complement patterns generates the full family of independent
     inequalities; the n = 3 instances are the classical Bell inequalities.
     """
-    subset = _check_events(d, complemented)
-    mask = 0
-    for i in subset:
-        mask |= 1 << (d.num_events - i)
-    return _bonferroni_of_relabeled(d, mask)
+    return _bonferroni_of_relabeled(d, _event_mask(d, complemented))
 
 
 # --- strategy feasibility for the three-experiment correlation targets ---

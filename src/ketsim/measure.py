@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .rng import RngStream
-from .state import StateVector, index_to_bits, probabilities
+from .state import StateVector, _check_qubits, _packed_bits, index_to_bits, probabilities
 
 ZERO_BRANCH_EPS = 1e-15
 
@@ -86,19 +86,8 @@ def measure_subset(s: StateVector, qubits: Sequence[int], rng: RngStream) -> Mea
     renormalized projection of ``s`` onto the observed pattern.
     """
     qubits = list(qubits)
-    n = s.num_qubits
-    if not qubits:
-        raise InvalidInput("measure_subset needs at least one qubit")
-    if len(set(qubits)) != len(qubits):
-        raise InvalidInput("measured qubits must be distinct")
-    for q in qubits:
-        if not 0 <= q < n:
-            raise InvalidInput(f"qubit index {q} out of range for {n} qubits")
-
-    idx = np.arange(s.dim)
-    pattern = np.zeros(s.dim, dtype=np.intp)
-    for q in qubits:
-        pattern = (pattern << 1) | ((idx >> (n - 1 - q)) & 1)
+    _check_qubits(qubits, s.num_qubits)
+    pattern = _packed_bits(s.num_qubits, qubits)
     weights = np.zeros(1 << len(qubits))
     np.add.at(weights, pattern, np.abs(s.amplitudes) ** 2)
 

@@ -79,6 +79,25 @@ def index_to_bits(index: int, num_qubits: int) -> tuple[int, ...]:
     return tuple((index >> (num_qubits - 1 - i)) & 1 for i in range(num_qubits))
 
 
+def _check_qubits(qubits: Sequence[int], n: int) -> None:
+    """Reject an empty, repeating or out-of-range list of qubit indices."""
+    if not qubits or len(set(qubits)) != len(qubits):
+        raise InvalidInput("targets must be distinct and nonempty")
+    for q in qubits:
+        if not 0 <= q < n:
+            raise InvalidInput(f"qubit index {q} out of range for {n} qubits")
+
+
+def _packed_bits(n: int, qubits: Sequence[int]) -> np.ndarray:
+    """For every basis index of n qubits, the listed qubits' bits packed
+    into one integer, first listed most significant."""
+    idx = np.arange(1 << n)
+    packed = np.zeros(1 << n, dtype=np.intp)
+    for q in qubits:
+        packed = (packed << 1) | ((idx >> (n - 1 - q)) & 1)
+    return packed
+
+
 def ket(bits: Sequence[int], cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     """Computational basis state |bits>, e.g. ket([1, 0]) = |10>."""
     bits = list(bits)

@@ -77,6 +77,19 @@ class TestRunCommand:
         assert code == 1
         assert payload["error"]["kind"] == "InvalidInput"
 
+    def test_huge_max_qubits_only_warns(self, capsys):
+        argv = ["run", str(FIXTURES / "bell_pair.qc"), "--shots", "8", "--max-qubits", "1100"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["shots"] == 8
+        assert f"needs up to {1 << 1084} MiB" in captured.err
+
+    def test_control_characters_escaped_in_error(self, capsys):
+        code, payload = run_json(capsys, "run", "no\tsuch\n.qc")
+        assert code == 1
+        assert "no\tsuch\n.qc" in payload["error"]["detail"]
+
     def test_max_qubits_cap(self, capsys, tmp_path):
         circuit = tmp_path / "wide.qc"
         circuit.write_text("qubits 8\nx 0\nmeasure\n")
@@ -130,6 +143,14 @@ class TestDeutschJozsaCommand:
         assert payload["measured_bits"] != "000"
         assert payload["oracle_calls"] == 1
 
+    def test_arity_below_one_rejected(self, capsys, tmp_path):
+        table = tmp_path / "neg.tbl"
+        table.write_text("n=-1\n")
+        code, payload = run_json(capsys, "deutsch-jozsa", "--table", str(table))
+        assert code == 1
+        assert payload["error"]["kind"] == "ParseError"
+        assert payload["error"]["detail"].startswith("line 1:")
+
     def test_promise_violation_exit_code(self, capsys):
         code, payload = run_json(
             capsys, "deutsch-jozsa", "--table", str(FIXTURES / "unbalanced_n2.tbl")
@@ -168,6 +189,12 @@ class TestBellCommand:
         assert payload["value"] == pytest.approx(-1.125, abs=1e-12)
         assert payload["excess"] == pytest.approx(0.125, abs=1e-12)
 
+    def test_stray_argument_with_tab(self, capsys):
+        code, payload = run_json(capsys, "bell", "--angles", "0,0,0,0", "x\ty")
+        assert code == 1
+        assert payload["error"]["kind"] == "InvalidInput"
+        assert "x\ty" in payload["error"]["detail"]
+
     def test_angle_count_checked(self, capsys):
         code, payload = run_json(capsys, "bell", "--angles", "1,2,3")
         assert code == 1
@@ -191,6 +218,15 @@ class TestBoundsCommand:
         assert code == 1
         assert payload["error"]["kind"] == "InvalidInput"
         assert "1/16" in payload["error"]["detail"]
+
+    @pytest.mark.parametrize("width", [11, 40])
+    def test_pattern_wider_than_event_cap(self, capsys, tmp_path, width):
+        dist = tmp_path / "wide.dist"
+        dist.write_text("0" * width + " 1\n")
+        code, payload = run_json(capsys, "bounds", "--dist", str(dist))
+        assert code == 1
+        assert payload["error"]["kind"] == "ParseError"
+        assert payload["error"]["detail"].startswith("line 1:")
 
 
 class TestExitCodes:

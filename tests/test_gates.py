@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -179,17 +180,23 @@ class TestBellPair:
             bell_pair(2, 0)
 
 
-def _move_pair_front(i: int, j: int, n: int) -> np.ndarray:
-    """Permutation matrix sending qubits (i, j) to the two front positions."""
+def _move_front(targets, n: int) -> np.ndarray:
+    """Permutation matrix sending the listed qubits, in order, to the front."""
     dim = 1 << n
     perm = np.zeros((dim, dim), dtype=complex)
-    rest = [q for q in range(n) if q not in (i, j)]
+    rest = [q for q in range(n) if q not in targets]
     for b in range(dim):
         bits = [(b >> (n - 1 - q)) & 1 for q in range(n)]
-        new_bits = [bits[i], bits[j]] + [bits[q] for q in rest]
+        new_bits = [bits[q] for q in targets] + [bits[q] for q in rest]
         target = int("".join(map(str, new_bits)), 2)
         perm[target, b] = 1
     return perm
+
+
+def _kron_oracle(g: np.ndarray, targets, n: int) -> np.ndarray:
+    """Dense action of ``g`` on ``targets``, built without the package kernels."""
+    perm = _move_front(targets, n)
+    return perm.T @ kron_chain(g, np.eye(1 << (n - len(targets)))) @ perm
 
 
 class TestEmbeddings:
@@ -251,14 +258,10 @@ class TestEmbeddings:
 
     def test_two_matches_permuted_kron_oracle(self):
         rng = RngStream(6)
-        for n in (3, 4):
-            for _ in range(5):
-                i, j = rng.next_u64() % n, rng.next_u64() % n
-                if i == j:
-                    continue
+        for n in (2, 3, 4):
+            for i, j in itertools.permutations(range(n), 2):
                 g = np.kron(random_u2(rng), random_u2(rng)) @ cnot()
-                perm = _move_pair_front(i, j, n)
-                expected = perm.T @ np.kron(g, identity(1 << (n - 2))) @ perm
+                expected = _kron_oracle(g, (i, j), n)
                 assert np.allclose(embed_two(g, i, j, n), expected, atol=1e-13)
 
     def test_two_same_qubit_rejected(self):
@@ -295,24 +298,17 @@ class TestApplyGateAt:
         assert np.array_equal(got.amplitudes, ket([1, 1]).amplitudes)
 
     def test_matches_dense_embedding_oracle(self):
+        # every ordered target tuple of 1, 2 and 3 qubits on up to 4 qubits
         rng = RngStream(9)
-        for n in range(2, 6):
-            for _ in range(8):
-                s = rand_state(n, rng)
-                g1 = random_u2(rng)
-                i = int(rng.next_u64() % n)
-                dense = apply(embed_single(g1, i, n), s)
-                fast = apply_gate_at(g1, [i], s)
-                assert np.max(np.abs(dense.amplitudes - fast.amplitudes)) <= 1e-12
-
-                g2 = haar_random_unitary(4, rng)
-                j = int(rng.next_u64() % n)
-                k = int(rng.next_u64() % n)
-                if j == k:
-                    continue
-                dense = apply(embed_two(g2, j, k, n), s)
-                fast = apply_gate_at(g2, [j, k], s)
-                assert np.max(np.abs(dense.amplitudes - fast.amplitudes)) <= 1e-12
+        fixed = {1: hadamard(), 2: cnot(), 3: toffoli_unitary()}
+        for n in range(1, 5):
+            s = rand_state(n, rng)
+            for k in range(1, min(n, 3) + 1):
+                for targets in itertools.permutations(range(n), k):
+                    for g in (fixed[k], haar_random_unitary(1 << k, rng)):
+                        dense = _kron_oracle(g, targets, n) @ s.amplitudes
+                        fast = apply_gate_at(g, list(targets), s)
+                        assert np.max(np.abs(dense - fast.amplitudes)) <= 1e-12
 
     def test_duplicate_targets_rejected(self):
         with pytest.raises(InvalidInput):
