@@ -205,9 +205,13 @@ def load_distribution(path: str) -> EventDistribution:
 
 def _cmd_run(args) -> dict:
     if args.max_qubits > DEFAULT_QUBIT_CAP:
+        # 16 bytes per amplitude; past 2**64 bytes print the power, whose
+        # decimal digits can exceed what Python will format
+        exponent = args.max_qubits - 16
+        size = 1 << exponent if exponent <= 44 else f"2**{exponent}"
         print(
             f"ketsim: warning: --max-qubits {args.max_qubits} needs up to "
-            f"{1 << (args.max_qubits - 16)} MiB of amplitudes",
+            f"{size} MiB of amplitudes",
             file=sys.stderr,
         )
     tables = {}

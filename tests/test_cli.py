@@ -77,13 +77,16 @@ class TestRunCommand:
         assert code == 1
         assert payload["error"]["kind"] == "InvalidInput"
 
-    def test_huge_max_qubits_only_warns(self, capsys):
-        argv = ["run", str(FIXTURES / "bell_pair.qc"), "--shots", "8", "--max-qubits", "1100"]
+    @pytest.mark.parametrize(
+        "cap, size", [("24", "256"), ("60", str(1 << 44)), ("1100", "2**1084"), ("20000", "2**19984")]
+    )
+    def test_huge_max_qubits_only_warns(self, capsys, cap, size):
+        argv = ["run", str(FIXTURES / "bell_pair.qc"), "--shots", "8", "--max-qubits", cap]
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 0
         assert json.loads(captured.out)["shots"] == 8
-        assert f"needs up to {1 << 1084} MiB" in captured.err
+        assert f"--max-qubits {cap} needs up to {size} MiB" in captured.err
 
     def test_control_characters_escaped_in_error(self, capsys):
         code, payload = run_json(capsys, "run", "no\tsuch\n.qc")

@@ -258,7 +258,7 @@ class TestEmbeddings:
 
     def test_two_matches_permuted_kron_oracle(self):
         rng = RngStream(6)
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             for i, j in itertools.permutations(range(n), 2):
                 g = np.kron(random_u2(rng), random_u2(rng)) @ cnot()
                 expected = _kron_oracle(g, (i, j), n)
@@ -298,10 +298,10 @@ class TestApplyGateAt:
         assert np.array_equal(got.amplitudes, ket([1, 1]).amplitudes)
 
     def test_matches_dense_embedding_oracle(self):
-        # every ordered target tuple of 1, 2 and 3 qubits on up to 4 qubits
+        # every ordered target tuple of 1, 2 and 3 qubits on up to 5 qubits
         rng = RngStream(9)
         fixed = {1: hadamard(), 2: cnot(), 3: toffoli_unitary()}
-        for n in range(1, 5):
+        for n in range(1, 6):
             s = rand_state(n, rng)
             for k in range(1, min(n, 3) + 1):
                 for targets in itertools.permutations(range(n), k):
