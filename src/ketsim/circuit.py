@@ -55,10 +55,6 @@ class CircuitProgram:
     num_qubits: int
     instructions: tuple[Instruction, ...] = field(default_factory=tuple)
 
-    @property
-    def has_measurement(self) -> bool:
-        return any(ins.opcode == "MEASURE" for ins in self.instructions)
-
 
 def _parse_target(token: str, line: int) -> int:
     try:
@@ -194,39 +190,38 @@ def render_circuit(program: CircuitProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-_FIXED_GATES = {
+# gate constructors, called with the instruction's params (empty but for u2)
+_GATES = {
     "X": pauli_x,
     "Y": pauli_y,
     "Z": pauli_z,
     "H": hadamard,
     "CNOT": cnot,
     "TOFFOLI": toffoli_unitary,
+    "U2": u2_from_params,
 }
 
 
 def _run_trajectory(
-    program: CircuitProgram,
+    instructions: tuple[Instruction, ...],
     tables: Mapping[str, TruthTable],
+    state: StateVector,
     rng: RngStream,
 ) -> tuple[str, StateVector]:
-    state = ket([0] * program.num_qubits, cap=program.num_qubits)
+    """Run ``instructions`` from ``state``; one uniform per measurement."""
     recorded: list[str] = []
-    for ins in program.instructions:
-        if ins.opcode in _FIXED_GATES:
-            state = apply_gate_at(_FIXED_GATES[ins.opcode](), list(ins.targets), state)
-        elif ins.opcode == "U2":
-            state = apply_gate_at(u2_from_params(*ins.params), list(ins.targets), state)
-        elif ins.opcode == "ORACLE":
-            state = apply_oracle_at(tables[ins.table], list(ins.targets), state)
-        elif ins.opcode == "MEASURE":
+    for ins in instructions:
+        if ins.opcode == "MEASURE":
             if ins.targets:
                 outcome = measure_subset(state, list(ins.targets), rng)
             else:
                 outcome = measure_all(state, rng)
             state = outcome.collapsed
             recorded.append("".join(map(str, outcome.bits)))
-        else:  # pragma: no cover - parser admits no other opcode
-            raise InvalidInput(f"unknown opcode {ins.opcode!r}")
+        elif ins.opcode == "ORACLE":
+            state = apply_oracle_at(tables[ins.table], list(ins.targets), state)
+        else:
+            state = apply_gate_at(_GATES[ins.opcode](*ins.params), list(ins.targets), state)
     return "".join(recorded), state
 
 
@@ -242,23 +237,27 @@ def run_program(
     Without measurements the (deterministic) final state is returned and
     ``shots`` is irrelevant.  With measurements, ``shots`` independent
     trajectories are run off one seeded stream and the counts of the
-    concatenated measured bits are returned.
+    concatenated measured bits are returned.  Draws happen only at
+    measurements, so the prefix before the first one is simulated once.
     """
     tables = tables or {}
-    if program.num_qubits == 0:
+    n = program.num_qubits
+    if n == 0:
         raise InvalidInput("program declares no qubits")
-    if program.num_qubits > cap:
-        raise CapacityExceeded(
-            f"{program.num_qubits} qubits exceeds the cap of {cap}"
-        )
+    if n > cap:
+        raise CapacityExceeded(f"{n} qubits exceeds the cap of {cap}")
     if shots < 1:
         raise InvalidInput("shots must be at least 1")
+    ops = [ins.opcode for ins in program.instructions]
+    first = ops.index("MEASURE") if "MEASURE" in ops else len(ops)
+    prefix, rest = program.instructions[:first], program.instructions[first:]
     rng = RngStream(seed)
-    if not program.has_measurement:
-        _, state = _run_trajectory(program, tables, rng)
+    # |0...0> is built in the call so that no local keeps it alive
+    _, state = _run_trajectory(prefix, tables, ket([0] * n, cap=n), rng)
+    if not rest:
         return state
     counts: dict[str, int] = {}
     for _ in range(shots):
-        pattern, _ = _run_trajectory(program, tables, rng)
+        pattern, _ = _run_trajectory(rest, tables, state, rng)
         counts[pattern] = counts.get(pattern, 0) + 1
     return Histogram(shots=shots, seed=seed, counts=dict(sorted(counts.items())))

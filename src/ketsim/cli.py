@@ -95,29 +95,42 @@ def _matrix_entries(m: np.ndarray) -> list:
 # --- input file formats ----------------------------------------------------
 
 
-def _data_lines(path: str) -> list[tuple[int, list[str]]]:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
+
+
+def _data_lines(path: str) -> list[tuple[int, list[str]]]:
     lines = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             lines.append((line_no, tokens))
     return lines
 
 
+def _header(
+    lines: list[tuple[int, list[str]]], kind: str, key: str, what: str
+) -> tuple[int, int]:
+    """The integer of a ``<key>=<int>`` header alone on the first data line,
+    and that line's number (1 for an empty file)."""
+    line_no, tokens = lines[0] if lines else (1, [""])
+    if not tokens[0].startswith(f"{key}="):
+        raise ParseError(f"{kind} must start with {key}=<{what}>", line_no)
+    if len(tokens) > 1:
+        raise ParseError(f"unexpected {tokens[1]!r} after {tokens[0]!r}", line_no)
+    try:
+        return int(tokens[0][len(key) + 1:]), line_no
+    except ValueError:
+        raise ParseError(f"bad {what} {tokens[0]!r}", line_no) from None
+
+
 def load_truth_table(path: str) -> TruthTable:
     """Table file: first line ``n=<arity>``, then 2**n lines ``x f(x)``."""
     lines = _data_lines(path)
-    if not lines or not lines[0][1][0].startswith("n="):
-        raise ParseError("truth table file must start with n=<arity>", 1)
-    first_no, first = lines[0]
-    try:
-        arity = int(first[0][2:])
-    except ValueError:
-        raise ParseError(f"bad arity {first[0]!r}", first_no) from None
+    arity, first_no = _header(lines, "truth table file", "n", "arity")
     if arity < 1:
         raise ParseError(f"arity must be at least 1, got {arity}", first_no)
     entries: dict[int, int] = {}
@@ -143,15 +156,9 @@ def load_truth_table(path: str) -> TruthTable:
 def load_matrix(path: str) -> np.ndarray:
     """Matrix file: first line ``d=<D>``, then D rows of D ``re,im`` pairs."""
     lines = _data_lines(path)
-    if not lines or not lines[0][1][0].startswith("d="):
-        raise ParseError("matrix file must start with d=<dimension>", 1)
-    first_no, first = lines[0]
-    try:
-        dim = int(first[0][2:])
-    except ValueError:
-        raise ParseError(f"bad dimension {first[0]!r}", first_no) from None
+    dim, _ = _header(lines, "matrix file", "d", "dimension")
     if dim < 1 or len(lines) != dim + 1:
-        raise ParseError(f"expected {dim} matrix rows", lines[-1][0] if lines else 1)
+        raise ParseError(f"expected {dim} matrix rows", lines[-1][0])
     out = np.zeros((dim, dim), dtype=np.complex128)
     for row, (line_no, tokens) in enumerate(lines[1:]):
         if len(tokens) != dim:
@@ -220,11 +227,7 @@ def _cmd_run(args) -> dict:
         if not sep:
             raise InvalidInput(f"--table expects NAME=FILE, got {item!r}")
         tables[name] = load_truth_table(path)
-    try:
-        text = Path(args.circuit).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {args.circuit}: {exc}") from exc
-    program = parse_circuit(text, tables)
+    program = parse_circuit(_read_text(args.circuit), tables)
     result = run_program(
         program, tables, shots=args.shots, seed=args.seed, cap=args.max_qubits
     )

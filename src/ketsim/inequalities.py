@@ -264,7 +264,8 @@ def quantum_pair_probs(alpha: float, beta: float) -> PairProbs:
     """
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise InvalidInput("angles must be finite")
-    half = (alpha - beta) / 2.0
+    # halve first: alpha - beta can overflow to inf for finite angles
+    half = alpha / 2.0 - beta / 2.0
     same = 0.5 * math.sin(half) ** 2
     diff = 0.5 * math.cos(half) ** 2
     return PairProbs(pp=same, pm=diff, mp=diff, mm=same, p1_plus=0.5, p2_plus=0.5)

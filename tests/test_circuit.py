@@ -12,11 +12,23 @@ from ketsim import (
     RngStream,
     StateVector,
     TruthTable,
+    apply_gate_at,
+    apply_oracle_at,
     bell_pair,
+    cnot,
+    hadamard,
+    ket,
+    measure_all,
+    measure_subset,
     parse_circuit,
+    pauli_x,
+    pauli_y,
+    pauli_z,
     render_circuit,
     run_program,
     states_equivalent,
+    toffoli_unitary,
+    u2_from_params,
 )
 
 TABLES = {"f": TruthTable(1, (0, 1)), "g2": TruthTable(2, (0, 1, 1, 0))}
@@ -174,3 +186,91 @@ class TestRun:
         program = parse_circuit("qubits 6\nx 0")
         with pytest.raises(CapacityExceeded):
             run_program(program, cap=4)
+
+
+GATES = {"X": pauli_x, "Y": pauli_y, "Z": pauli_z, "H": hadamard, "CNOT": cnot,
+         "TOFFOLI": toffoli_unitary, "U2": u2_from_params}
+
+
+def _random_program(rng: RngStream, index: int) -> CircuitProgram:
+    """Gates, u2 and oracles with subset measurements anywhere; even programs
+    open with a Hadamard layer, most end in a bare ``measure`` and every
+    fourth in a subset one."""
+    n = 3 + index % 3
+
+    def distinct(k):
+        targets = []
+        while len(targets) < k:
+            t = int(rng.next_u64() % n)
+            if t not in targets:
+                targets.append(t)
+        return tuple(targets)
+
+    instructions = [Instruction("H", (q,)) for q in range(n)] if index % 2 == 0 else []
+    for _ in range(4 + int(rng.next_u64() % 10)):
+        kind = rng.next_u64() % 10
+        if kind < 2:
+            instructions.append(Instruction("MEASURE", distinct(1 + int(rng.next_u64() % 2))))
+        elif kind < 3:
+            name = "f" if rng.next_u64() % 2 else "g2"
+            instructions.append(
+                Instruction("ORACLE", distinct(TABLES[name].arity + 1), table=name)
+            )
+        elif kind < 4:
+            params = tuple(rng.uniform() * 6.4 - 3.2 for _ in range(4))
+            instructions.append(Instruction("U2", distinct(1), params=params))
+        else:
+            op = ("X", "Y", "Z", "H", "H", "CNOT", "TOFFOLI")[rng.next_u64() % 7]
+            instructions.append(Instruction(op, distinct({"CNOT": 2, "TOFFOLI": 3}.get(op, 1))))
+    tail = Instruction("MEASURE", distinct(2) if index % 4 == 3 else ())
+    return CircuitProgram(n, (*instructions, tail))
+
+
+def _replay_counts(program, tables, shots, seed):
+    """Independent oracle: every shot rebuilds |0...0> and replays the whole
+    program, drawing from one stream in program order."""
+    rng = RngStream(seed)
+    counts = {}
+    for _ in range(shots):
+        state = ket([0] * program.num_qubits)
+        bits = ""
+        for ins in program.instructions:
+            targets = list(ins.targets)
+            if ins.opcode == "MEASURE":
+                if targets:
+                    outcome = measure_subset(state, targets, rng)
+                else:
+                    outcome = measure_all(state, rng)
+                state = outcome.collapsed
+                bits += "".join(map(str, outcome.bits))
+            elif ins.opcode == "ORACLE":
+                state = apply_oracle_at(tables[ins.table], targets, state)
+            else:
+                state = apply_gate_at(GATES[ins.opcode](*ins.params), targets, state)
+        counts[bits] = counts.get(bits, 0) + 1
+    return counts
+
+
+class TestExecutor:
+    @pytest.mark.parametrize("index", range(24))
+    def test_matches_per_shot_replay(self, index):
+        program = _random_program(RngStream(100 + index), index)
+        shots, seed = 40, 7 * index
+        hist = run_program(program, TABLES, shots=shots, seed=seed)
+        assert hist.counts == _replay_counts(program, TABLES, shots, seed)
+        assert list(hist.counts) == sorted(hist.counts)
+
+    def test_prefix_simulated_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return apply_gate_at(*args)
+
+        monkeypatch.setattr("ketsim.circuit.apply_gate_at", counting)
+        program = parse_circuit(
+            "qubits 3\nh 0\ncnot 0 1\nu2 2 a=0.1 b=0.2 c=0.3 d=0.4\ntoffoli 0 1 2\nmeasure"
+        )
+        hist = run_program(program, shots=50, seed=3)
+        assert sum(hist.counts.values()) == 50
+        assert len(calls) == 4

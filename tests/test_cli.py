@@ -203,6 +203,11 @@ class TestBellCommand:
         assert code == 1
         assert payload["error"]["kind"] == "InvalidInput"
 
+    def test_huge_finite_angles(self, capsys):
+        code, payload = run_json(capsys, "bell", "--angles", "1e308,1e308,-1e308,0")
+        assert code == 0
+        assert math.isfinite(payload["value"]) and math.isfinite(payload["excess"])
+
 
 class TestBoundsCommand:
     def test_uniform_distribution(self, capsys):
@@ -230,6 +235,46 @@ class TestBoundsCommand:
         assert code == 1
         assert payload["error"]["kind"] == "ParseError"
         assert payload["error"]["detail"].startswith("line 1:")
+
+
+# (subcommand, file option) of every subcommand that reads an input file
+FILE_COMMANDS = [
+    ("run", None),
+    ("deutsch-jozsa", "--table"),
+    ("decompose", "--matrix"),
+    ("bounds", "--dist"),
+]
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command, option", FILE_COMMANDS)
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path, command, option):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"qubits 1\n\xff\n")
+        argv = [command, str(path)] if option is None else [command, option, str(path)]
+        code, payload = run_json(capsys, *argv)
+        assert code == 1
+        assert payload["error"]["kind"] == "InvalidInput"
+        assert payload["error"]["detail"].startswith(f"cannot read {path}")
+
+    @pytest.mark.parametrize(
+        "command, option, text, detail",
+        [
+            ("deutsch-jozsa", "--table", "", "line 1: truth table file must start with n=<arity>"),
+            ("deutsch-jozsa", "--table", "# c\n\nx=2\n", "line 3: truth table file must"),
+            ("deutsch-jozsa", "--table", "# c\nn=1 junk\n0 1\n1 0\n", "line 2: unexpected 'junk'"),
+            ("decompose", "--matrix", "", "line 1: matrix file must start with d=<dimension>"),
+            ("decompose", "--matrix", "# c\n\nx=2\n", "line 3: matrix file must"),
+            ("decompose", "--matrix", "d=1 junk\n1,0\n", "line 1: unexpected 'junk'"),
+        ],
+    )
+    def test_header_errors_name_their_line(self, capsys, tmp_path, command, option, text, detail):
+        path = tmp_path / "header.txt"
+        path.write_text(text)
+        code, payload = run_json(capsys, command, option, str(path))
+        assert code == 1
+        assert payload["error"]["kind"] == "ParseError"
+        assert payload["error"]["detail"].startswith(detail)
 
 
 class TestExitCodes:

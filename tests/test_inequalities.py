@@ -285,6 +285,12 @@ class TestQuantumPairProbs:
             assert abs(p.pp + p.pm + p.mp + p.mm - 1.0) <= 1e-12
             assert p.p1_plus == p.p2_plus == 0.5
 
+    def test_huge_finite_angles(self):
+        # alpha - beta overflows to inf here, alpha / 2 - beta / 2 does not
+        p = quantum_pair_probs(1e308, -1e308)
+        assert all(math.isfinite(v) for v in p)
+        assert abs(p.pp + p.pm + p.mp + p.mm - 1.0) <= 1e-12
+
 
 class TestBellExpression:
     def test_all_zero(self):
