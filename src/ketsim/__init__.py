@@ -80,6 +80,7 @@ from .inequalities import (
     bell_expression,
     bell_violation,
     bonferroni_lower,
+    bonferroni_variant_table,
     bonferroni_variants,
     boole_intersection_bounds,
     boole_union_bounds,

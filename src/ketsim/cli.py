@@ -11,6 +11,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +33,7 @@ from .inequalities import (
     EventDistribution,
     bell_violation,
     bonferroni_lower,
-    bonferroni_variants,
+    bonferroni_variant_table,
     boole_intersection_bounds,
     boole_union_bounds,
     marginal,
@@ -174,6 +175,15 @@ def load_matrix(path: str) -> np.ndarray:
     return out
 
 
+#: Caps on a distribution file's rationals: characters per token, size of
+#: the decimal exponent, digits of the atoms' common denominator.  Python
+#: prints no int of over 4300 digits; within these caps no result does, nor
+#: the residual of a failing sum.
+MAX_RATIONAL_CHARS = 100
+MAX_EXPONENT = 100
+MAX_DENOMINATOR_DIGITS = 4000
+
+
 def load_distribution(path: str) -> EventDistribution:
     """Distribution file: lines ``bitpattern numerator/denominator``.
 
@@ -200,10 +210,23 @@ def load_distribution(path: str) -> EventDistribution:
         if index in seen:
             raise ParseError(f"duplicate atom {pattern!r}", line_no)
         seen.add(index)
+        if len(value) > MAX_RATIONAL_CHARS:
+            raise ParseError(f"rational exceeds {MAX_RATIONAL_CHARS} characters", line_no)
         try:
+            # checked first: Fraction would build 10**exponent
+            if abs(int(value.lower().partition("e")[2] or 0)) > MAX_EXPONENT:
+                raise ParseError(f"exponent of {value!r} exceeds {MAX_EXPONENT}", line_no)
             atoms[index] = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational {value!r}", line_no) from None
+    # bounded before EventDistribution, whose residual must stay printable
+    scale, limit = 1, 10**MAX_DENOMINATOR_DIGITS
+    for atom in atoms:
+        scale = math.lcm(scale, atom.denominator)
+        if scale >= limit:
+            raise InvalidInput(
+                f"common denominator of the atoms exceeds {MAX_DENOMINATOR_DIGITS} digits"
+            )
     return EventDistribution(width, tuple(atoms))
 
 
@@ -314,11 +337,6 @@ def _cmd_bounds(args) -> dict:
     singles = list(dist.event_probs())
     lower_u, upper_u = boole_union_bounds(singles)
     lower_i, upper_i = boole_intersection_bounds(singles)
-    variants = {}
-    for selector in range(1, 1 << n):
-        pattern = format(selector, f"0{n}b")
-        subset = [i + 1 for i, ch in enumerate(pattern) if ch == "1"]
-        variants[pattern] = bonferroni_variants(dist, subset)
     return {
         "num_events": n,
         "event_probs": singles,
@@ -328,7 +346,9 @@ def _cmd_bounds(args) -> dict:
         "boole_intersection": {"lower": lower_i, "upper": upper_i},
         "poincare_union": poincare_union(dist),
         "bonferroni_lower": bonferroni_lower(dist),
-        "bonferroni_variants": variants,
+        "bonferroni_variants": {
+            format(m, f"0{n}b"): v for m, v in enumerate(bonferroni_variant_table(dist)) if m
+        },
     }
 
 

@@ -1,10 +1,11 @@
 """Exact-rational probability bounds and the Bell-inequality machinery.
 
 Everything combinatorial (Boole and Bonferroni bounds, inclusion-
-exclusion, the strategy-mix feasibility system) runs in ``fractions
-.Fraction`` arithmetic, so the classical contradictions come out as exact
-fractions rather than approximations.  Floating point enters only where
-trigonometry does, in the quantum pair probabilities.
+exclusion, the strategy-mix feasibility system) is exact: ``fractions
+.Fraction`` arithmetic, or Python ints over the atoms' common denominator
+for the distribution transforms, so the classical contradictions come out
+as exact fractions rather than approximations.  Floating point enters
+only where trigonometry does, in the quantum pair probabilities.
 
 Atom convention: a distribution over n binary events stores one
 probability per truth assignment, indexed so that event i (1-based) is
@@ -18,6 +19,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvalidInput
@@ -43,12 +45,16 @@ class EventDistribution:
             raise InvalidInput(f"{n} events need {1 << n} atoms, got {len(atoms)}")
         if any(a < 0 for a in atoms):
             raise InvalidInput("atom probabilities must be nonnegative")
-        total = sum(atoms)
-        if total != 1:
+        scale = math.lcm(*(a.denominator for a in atoms))
+        scaled = [a.numerator * (scale // a.denominator) for a in atoms]
+        if sum(scaled) != scale:
             raise InvalidInput(
-                f"atom probabilities must sum to 1 exactly; residual {total - 1}"
+                "atom probabilities must sum to 1 exactly; "
+                f"residual {Fraction(sum(scaled) - scale, scale)}"
             )
         object.__setattr__(self, "atom_probs", atoms)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_scaled", scaled)
 
     def event_probs(self) -> tuple[Fraction, ...]:
         """Individual probabilities p_1 ... p_n."""
@@ -57,6 +63,42 @@ class EventDistribution:
     def union_prob(self) -> Fraction:
         """P(at least one event): everything except the all-false atom."""
         return 1 - self.atom_probs[0]
+
+    @cached_property
+    def _marginals(self) -> list[int]:
+        # Superset sums: entry m totals the scaled atoms that have every bit
+        # of m set, the joint probability of m's events.
+        return _butterflies(self._scaled, lambda low, high: (low + high, high))
+
+    @cached_property
+    def _variants(self) -> tuple[Fraction, ...]:
+        # An atom with exactly k true events lies in k single marginals and
+        # C(k, 2) pair marginals, so it enters the Bonferroni bound with
+        # weight w(k) = k - C(k, 2).  Complementing the events of mask m
+        # relabels atom b as b ^ m, so entry m is the xor convolution
+        # sum_b a_b w(|b ^ m|): a pointwise product between two Walsh-Hadamard
+        # transforms, and transforming twice multiplies by 2**n.
+        n = self.num_events
+        weights = [k - k * (k - 1) // 2 for k in map(int.bit_count, range(1 << n))]
+        spectrum = [x * y for x, y in zip(_walsh_hadamard(self._scaled), _walsh_hadamard(weights))]
+        return tuple(Fraction(v >> n, self._scale) for v in _walsh_hadamard(spectrum))
+
+
+def _butterflies(values: Iterable[int], pair) -> list[int]:
+    """Replace each index pair (i, i | bit), for every bit, by ``pair`` of
+    their entries: the fast zeta and Walsh-Hadamard transforms."""
+    out = list(values)
+    bit = 1
+    while bit < len(out):
+        for i in range(len(out)):
+            if not i & bit:
+                out[i], out[i | bit] = pair(out[i], out[i | bit])
+        bit <<= 1
+    return out
+
+
+def _walsh_hadamard(values: Iterable[int]) -> list[int]:
+    return _butterflies(values, lambda low, high: (low + high, low - high))
 
 
 def _event_mask(d: EventDistribution, events: Iterable[int]) -> int:
@@ -70,17 +112,9 @@ def _event_mask(d: EventDistribution, events: Iterable[int]) -> int:
     return mask
 
 
-def _joint_prob(d: EventDistribution, mask: int) -> Fraction:
-    # P(all events of ``mask``): the atoms whose index has every mask bit set.
-    return sum(
-        (p for b, p in enumerate(d.atom_probs) if b & mask == mask),
-        start=Fraction(0),
-    )
-
-
 def marginal(d: EventDistribution, subset: Iterable[int]) -> Fraction:
     """Probability that every event in ``subset`` occurs; 1 for the empty set."""
-    return _joint_prob(d, _event_mask(d, subset))
+    return Fraction(d._marginals[_event_mask(d, subset)], d._scale)
 
 
 def _check_unit_interval(values: Sequence[Rational]) -> list[Fraction]:
@@ -108,29 +142,17 @@ def boole_intersection_bounds(p: Sequence[Rational]) -> tuple[Fraction, Fraction
 
 def poincare_union(d: EventDistribution) -> Fraction:
     """Inclusion-exclusion: alternating sum of all intersection marginals."""
-    total = Fraction(0)
-    for mask in range(1, 1 << d.num_events):
-        term = _joint_prob(d, mask)
-        total += term if mask.bit_count() % 2 else -term
-    return total
-
-
-def _bonferroni_of_relabeled(d: EventDistribution, mask: int) -> Fraction:
-    # An atom with exactly k true events lies in k single marginals and
-    # C(k, 2) pair marginals, so it enters the bound with weight k - C(k, 2).
-    n = d.num_events
-    groups = [Fraction(0)] * (n + 1)
-    for b, p in enumerate(d.atom_probs):
-        groups[(b ^ mask).bit_count()] += p
-    return sum(
-        ((k - k * (k - 1) // 2) * g for k, g in enumerate(groups)),
-        start=Fraction(0),
+    table = d._marginals
+    total = sum(
+        table[mask] if mask.bit_count() % 2 else -table[mask]
+        for mask in range(1, len(table))
     )
+    return Fraction(total, d._scale)
 
 
 def bonferroni_lower(d: EventDistribution) -> Fraction:
     """Lower bound sum p_i - sum_{i<j} p_ij on the union probability."""
-    return _bonferroni_of_relabeled(d, 0)
+    return d._variants[0]
 
 
 def complement_events(d: EventDistribution, complemented: Iterable[int]) -> EventDistribution:
@@ -140,10 +162,8 @@ def complement_events(d: EventDistribution, complemented: Iterable[int]) -> Even
     are relabeled by xor with the corresponding mask.
     """
     mask = _event_mask(d, complemented)
-    relabeled = [Fraction(0)] * len(d.atom_probs)
-    for b, p in enumerate(d.atom_probs):
-        relabeled[b ^ mask] = p
-    return EventDistribution(d.num_events, tuple(relabeled))
+    relabeled = tuple(d.atom_probs[b ^ mask] for b in range(1 << d.num_events))
+    return EventDistribution(d.num_events, relabeled)
 
 
 def bonferroni_variants(d: EventDistribution, complemented: Iterable[int]) -> Fraction:
@@ -155,7 +175,13 @@ def bonferroni_variants(d: EventDistribution, complemented: Iterable[int]) -> Fr
     complement patterns generates the full family of independent
     inequalities; the n = 3 instances are the classical Bell inequalities.
     """
-    return _bonferroni_of_relabeled(d, _event_mask(d, complemented))
+    return d._variants[_event_mask(d, complemented)]
+
+
+def bonferroni_variant_table(d: EventDistribution) -> tuple[Fraction, ...]:
+    """Every Bonferroni variant at once: entry m complements the events
+    whose bits are set in atom mask m, so entry 0 is ``bonferroni_lower``."""
+    return d._variants
 
 
 # --- strategy feasibility for the three-experiment correlation targets ---

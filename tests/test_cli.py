@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -226,6 +228,42 @@ class TestBoundsCommand:
         assert code == 1
         assert payload["error"]["kind"] == "InvalidInput"
         assert "1/16" in payload["error"]["detail"]
+
+    def test_mixed_denominators_golden_bytes(self, capsys):
+        code, out = run_cli(capsys, "bounds", "--dist", str(FIXTURES / "mixed6.dist"))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f03268e35548bc3c43eec464d11edf3574940ee7c47a5a07a1c5523b747f659d"
+        )
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("1 1e5000\n", "line 1: exponent of '1e5000' exceeds 100"),
+            ("0 1\n1 1e-5000\n", "line 2: exponent of '1e-5000' exceeds 100"),
+            ("0 1\n1 1e99999999\n", "line 2: exponent of '1e99999999' exceeds 100"),
+            ("0 1\n1 " + "1" * 101 + "\n", "line 2: rational exceeds 100 characters"),
+        ],
+    )
+    def test_out_of_range_rational_rejected(self, capsys, tmp_path, text, detail):
+        dist = tmp_path / "huge.dist"
+        dist.write_text(text)
+        started = time.perf_counter()
+        code, payload = run_json(capsys, "bounds", "--dist", str(dist))
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert payload["error"] == {"kind": "ParseError", "detail": detail}
+
+    def test_oversized_common_denominator_rejected(self, capsys, tmp_path):
+        # 128 distinct 41-digit denominators: a common denominator far past 4000 digits
+        dist = tmp_path / "coprime.dist"
+        dist.write_text("".join(f"{b:07b} 1/{10**40 + b}\n" for b in range(128)))
+        code, payload = run_json(capsys, "bounds", "--dist", str(dist))
+        assert code == 1
+        assert payload["error"] == {
+            "kind": "InvalidInput",
+            "detail": "common denominator of the atoms exceeds 4000 digits",
+        }
 
     @pytest.mark.parametrize("width", [11, 40])
     def test_pattern_wider_than_event_cap(self, capsys, tmp_path, width):

@@ -13,6 +13,7 @@ from ketsim import (
     bell_expression,
     bell_violation,
     bonferroni_lower,
+    bonferroni_variant_table,
     bonferroni_variants,
     boole_intersection_bounds,
     boole_union_bounds,
@@ -222,6 +223,56 @@ class TestBonferroniVariants:
                 assert bonferroni_variants(d, subset) == bonferroni_lower(
                     complement_events(d, subset)
                 )
+
+
+def _mixed_prime_distribution(n: int, rng: RngStream) -> EventDistribution:
+    """Atoms with prime denominators, normalised; at least one is zero."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+    weights = [F(rng.next_u64() % 9, primes[rng.next_u64() % len(primes)]) for _ in range(1 << n)]
+    zero = rng.next_u64() % len(weights)
+    weights[zero] = F(0)
+    weights[zero ^ 1] += 1  # keeps the total positive
+    total = sum(weights)
+    return EventDistribution(n, tuple(w / total for w in weights))
+
+
+# Reference: per-mask Fraction sums straight over the atoms, independent of
+# the engine's integer transforms.
+
+
+def _oracle_joint(d: EventDistribution, mask: int) -> Fraction:
+    return sum((p for b, p in enumerate(d.atom_probs) if b & mask == mask), start=F(0))
+
+
+def _oracle_bonferroni(d: EventDistribution, mask: int) -> Fraction:
+    # an atom with k true events (after relabeling b -> b ^ mask) has weight k - C(k, 2)
+    groups = [F(0)] * (d.num_events + 1)
+    for b, p in enumerate(d.atom_probs):
+        groups[(b ^ mask).bit_count()] += p
+    return sum(((k - k * (k - 1) // 2) * g for k, g in enumerate(groups)), start=F(0))
+
+
+def _oracle_poincare(d: EventDistribution) -> Fraction:
+    total = F(0)
+    for mask in range(1, 1 << d.num_events):
+        term = _oracle_joint(d, mask)
+        total += term if mask.bit_count() % 2 else -term
+    return total
+
+
+class TestTransformsAgainstBruteForce:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_entry_equals_per_mask_sum(self, n):
+        d = _mixed_prime_distribution(n, RngStream(400 + n))
+        table = bonferroni_variant_table(d)
+        assert len(table) == 1 << n
+        for mask in range(1 << n):
+            events = {i for i in range(1, n + 1) if mask & (1 << (n - i))}
+            assert marginal(d, events) == _oracle_joint(d, mask)
+            assert bonferroni_variants(d, events) == table[mask] == _oracle_bonferroni(d, mask)
+        assert d.event_probs() == tuple(_oracle_joint(d, 1 << (n - i)) for i in range(1, n + 1))
+        assert bonferroni_lower(d) == table[0]
+        assert poincare_union(d) == _oracle_poincare(d) == brute_union(d)
 
 
 class TestBellEffect:
