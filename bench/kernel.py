@@ -1,0 +1,166 @@
+"""Layer timings of the gate kernels and the ``StateVector`` constructor.
+
+Usage, from the root of a checkout:
+
+    python3 bench/kernel.py [--src DIR] [--repeats R]
+    python3 bench/kernel.py --parent OTHER/src --rounds 5 --out BENCH.json
+
+The first form times the ``ketsim`` found in ``--src`` (default: this
+checkout's ``src``) and prints one JSON object, case name -> median
+seconds over ``--repeats`` calls.  The second form runs that measurement
+in fresh interpreters, ``--rounds`` times for each of two source trees,
+alternating which goes first, and writes per-case medians, quartiles and
+change/parent ratios.
+
+Cases: ``apply_gate_at`` with a Hadamard, CNOT, a dense 4x4 unitary,
+Toffoli and a dense 8x8 unitary; ``apply_oracle_at`` with a 4-input
+table; each on n = 16 and n = 20 qubits with the targets at the first,
+middle and last qubits.  ``construct`` times ``StateVector(amps)``.
+Every process is pinned to one core with a one-thread BLAS pool.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (16, 20)
+ORACLE_ARITY = 4
+
+
+def _pin() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+
+
+def _median_time(fn, repeats: int) -> float:
+    fn()  # warm-up: first-touch page faults and lazy imports
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def measure(repeats: int) -> dict[str, float]:
+    """Median seconds per case for the ``ketsim`` on ``sys.path``."""
+    import numpy as np
+    from ketsim import StateVector, TruthTable, apply_gate_at, apply_oracle_at, cnot, hadamard
+    from ketsim import toffoli_unitary
+
+    rng = np.random.default_rng(5)
+
+    def dense(dim: int) -> np.ndarray:
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q, _ = np.linalg.qr(z)
+        return q
+
+    gates = {"h": hadamard(), "cnot": cnot(), "dense2": dense(4),
+             "toffoli": toffoli_unitary(), "dense3": dense(8)}
+    table = TruthTable(ORACLE_ARITY, tuple(int(b) for b in rng.integers(0, 2, 1 << ORACLE_ARITY)))
+    states = {}
+    for n in SIZES:
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        states[n] = StateVector(amps / np.linalg.norm(amps))
+    reps = {n: repeats if n >= 20 else 4 * repeats for n in SIZES}
+    # The constructors run first, so that both trees time them after the
+    # same allocations: the earlier kernel calls differ between trees and
+    # change how fast a fresh 16 MiB copy gets its pages.
+    out: dict[str, float] = {}
+    for n, state in states.items():
+        out[f"construct/n{n}"] = _median_time(lambda: StateVector(state.amplitudes), reps[n])
+    for n, state in states.items():
+        for name, g in gates.items():
+            k = g.shape[0].bit_length() - 1
+            for pos, start in (("first", 0), ("middle", (n - k) // 2), ("last", n - k)):
+                targets = list(range(start, start + k))
+                out[f"{name}/n{n}/{pos}"] = _median_time(
+                    lambda: apply_gate_at(g, targets, state), reps[n])
+        width = ORACLE_ARITY + 1
+        for pos, start in (("first", 0), ("middle", (n - width) // 2), ("last", n - width)):
+            targets = list(range(start, start + width))
+            out[f"oracle/n{n}/{pos}"] = _median_time(
+                lambda: apply_oracle_at(table, targets, state), reps[n])
+    return out
+
+
+def _run_tree(src: str, repeats: int) -> dict[str, float]:
+    argv = [sys.executable, str(Path(__file__).resolve()), "--src", src, "--repeats", str(repeats)]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0]] * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return [q1, q2, q3]
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next((line.split(":", 1)[1].strip() for line in fh
+                         if line.startswith("model name")), platform.processor())
+    except OSError:
+        return platform.processor()
+
+
+def compare(parent: str, change: str, rounds: int, repeats: int) -> dict:
+    runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
+    for r in range(rounds):
+        order = (("parent", parent), ("change", change))
+        for side, src in order if r % 2 == 0 else order[::-1]:
+            runs[side].append(_run_tree(src, repeats))
+    rows = {}
+    for case in runs["parent"][0]:
+        p = _quartiles([run[case] for run in runs["parent"]])
+        c = _quartiles([run[case] for run in runs["change"]])
+        rows[case] = {"parent_s": p, "change_s": c, "ratio": c[1] / p[1]}
+    return {
+        "what": "median seconds per call, [q1, median, q3] over rounds; "
+                "each round is the median of its process's repeats",
+        "rounds": rounds,
+        "repeats": repeats,
+        "machine": {"cpu_model": _cpu_model(), "cpu_count": os.cpu_count(),
+                    "python": platform.python_version(), "platform": platform.platform()},
+        "rows": rows,
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--parent", help="src directory of the tree to compare against")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--out", help="file for the comparison (default: stdout)")
+    args = parser.parse_args()
+    _pin()
+    if args.parent is None:
+        sys.path.insert(0, str(Path(args.src).resolve()))
+        print(json.dumps(measure(args.repeats)))
+        return
+    record = compare(args.parent, args.src, args.rounds, args.repeats)
+    import numpy as np
+
+    record["machine"]["numpy"] = np.__version__
+    text = json.dumps(record, indent=1) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main()

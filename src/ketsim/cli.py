@@ -139,7 +139,7 @@ def load_truth_table(path: str) -> TruthTable:
         if len(tokens) != 2:
             raise ParseError("expected '<bits> <value>'", line_no)
         pattern, value = tokens
-        if len(pattern) != arity or any(ch not in "01" for ch in pattern):
+        if len(pattern) != arity or pattern.strip("01"):
             raise ParseError(f"bad input pattern {pattern!r}", line_no)
         if value not in ("0", "1"):
             raise ParseError(f"bad output value {value!r}", line_no)

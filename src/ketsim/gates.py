@@ -19,9 +19,13 @@ from functools import reduce
 import numpy as np
 
 from .errors import CapacityExceeded, DimensionMismatch, InvalidInput
-from .state import StateVector, _check_qubits, _packed_bits
+from .state import StateVector, _check_qubits
 
 DENSE_DIM_CAP = 1024
+
+# Bytes of state per block of the gather-and-multiply kernel: the block,
+# its gathered copy and the product all fit in a 2 MiB L2 cache.
+_BLOCK_BYTES = 1 << 17
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -167,19 +171,94 @@ def _check_dense_dim(dim: int) -> None:
         )
 
 
-def _contract(g: np.ndarray, targets: list[int], tensor: np.ndarray) -> np.ndarray:
-    """Apply gate ``g`` to the ``targets`` axes of ``tensor``.
+def _split_axes(n: int, qubits: Sequence[int], columns: int) -> tuple[list, dict]:
+    """Shape viewing 2**n rows of ``columns`` amplitudes with one size-2
+    axis per listed qubit, and the position of each qubit's axis.
 
-    The leading axes of ``tensor`` are qubits, qubit 0 first; a trailing
-    axis (the columns of a matrix) is carried along untouched.  The first
-    target is the gate's high-order qubit.
+    The qubits in between (and the columns) share one merged axis per gap;
+    an empty gap gets no axis, since a size-1 axis would leave numpy an
+    inner loop of length 1.
     """
+    shape: list[int] = []
+    axes: dict[int, int] = {}
+    prev = -1
+    for q in sorted(qubits):
+        if q - prev > 1:
+            shape.append(1 << (q - prev - 1))
+        axes[q] = len(shape)
+        shape.append(2)
+        prev = q
+    rest = (1 << (n - 1 - prev)) * columns
+    if rest > 1:
+        shape.append(rest)
+    return shape, axes
+
+
+def _gate_kernel(g: np.ndarray, targets: list[int], amps: np.ndarray, n: int) -> np.ndarray:
+    """Apply gate ``g`` to the ``targets`` of ``amps`` into a fresh array.
+
+    ``amps`` holds 2**n rows (qubit 0 most significant) of one or more
+    amplitudes each, such as the columns of a matrix.  The first target
+    is the gate's high-order qubit.  On a reshape of ``amps`` that copies
+    nothing, output slice r (the amplitudes whose target bits spell r) is
+    the sum over the gate's columns c of g[r, c] times input slice c.  When
+    every row of g is a unit vector (X, CNOT, Toffoli) that sum is one
+    slice copy.  Any other gate gathers the 2**k input slices of one
+    cache-sized block at a time and multiplies them by g in one matrix
+    product: per amplitude the same products, summed in the same order,
+    as one contraction of the whole state.  Permutation gates on the
+    innermost qubit take the same blocks and permute their rows.
+    """
+    if not np.isfinite(g).all():
+        raise InvalidInput("gate entries must be finite")
     k = len(targets)
-    tensor_gate = g.reshape([2] * (2 * k))
-    moved = np.tensordot(tensor_gate, tensor, axes=(list(range(k, 2 * k)), targets))
-    rest = [q for q in range(tensor.ndim) if q not in set(targets)]
-    order = np.argsort(targets + rest)
-    return np.transpose(moved, order)
+    shape, axes = _split_axes(n, targets, amps.size >> n)
+    out = np.empty(shape, dtype=amps.dtype)
+    # Views with the target axes first, in target order: indexing their
+    # first k axes with the bits of r picks slice r.
+    bit_axes = [axes[q] for q in targets]
+    src = np.moveaxis(amps.reshape(shape), bit_axes, range(k))
+    dst = np.moveaxis(out, bit_axes, range(k))
+    # the one input slice each output slice copies, if every row of g is
+    # a unit vector
+    sources = [
+        row.index(1) if row.count(0) == len(row) - 1 and 1 in row else None
+        for row in g.tolist()
+    ]
+    permutes = None not in sources
+    # Slice copies run at memory speed unless the innermost axis is a
+    # target's, which leaves them one amplitude per stride.
+    if permutes and dst.strides[-1] == out.itemsize:
+        bits = [tuple(map(int, format(r, f"0{k}b"))) for r in range(1 << k)]
+        for r, c in enumerate(sources):
+            dst[bits[r]] = src[bits[c]]
+        return out.reshape(amps.shape)
+    # Otherwise gather one block at a time.  Blocks cut the outermost
+    # non-target axis with at least ``count`` entries (else the longest),
+    # so that each block is a few contiguous runs.  Every size is a power
+    # of two, so the blocks are equal and share two buffers.
+    count = max(1, out.nbytes // _BLOCK_BYTES)
+    rest = range(k, src.ndim)
+    longest = max(rest, key=src.shape.__getitem__, default=None)
+    axis = next((a for a in rest if src.shape[a] >= count), longest)
+    blocks = [()]
+    if axis is not None and count > 1:
+        step = max(1, src.shape[axis] // count)
+        blocks = [
+            (slice(None),) * axis + (slice(start, start + step),)
+            for start in range(0, src.shape[axis], step)
+        ]
+    gathered = np.empty_like(src[blocks[0]], order="C")
+    product = np.empty_like(gathered)
+    rows_in, rows_out = gathered.reshape(1 << k, -1), product.reshape(1 << k, -1)
+    for block in blocks:
+        gathered[...] = src[block]
+        if permutes:
+            np.take(rows_in, sources, axis=0, out=rows_out)
+        else:
+            np.matmul(g, rows_in, out=rows_out)
+        dst[block] = product
+    return out.reshape(amps.shape)
 
 
 def _embed(g: np.ndarray, targets: list[int], n: int) -> np.ndarray:
@@ -187,8 +266,7 @@ def _embed(g: np.ndarray, targets: list[int], n: int) -> np.ndarray:
     _check_qubits(targets, n)
     dim = 1 << n
     _check_dense_dim(dim)
-    columns = identity(dim).reshape([2] * n + [dim])
-    return _contract(g, targets, columns).reshape(dim, dim)
+    return _gate_kernel(g, targets, identity(dim), n)
 
 
 def embed_single(g: np.ndarray, i: int, n: int) -> np.ndarray:
@@ -237,15 +315,7 @@ def apply_gate_at(g: np.ndarray, targets: Sequence[int], s: StateVector) -> Stat
     g = np.asarray(g, dtype=np.complex128)
     if g.shape != (1 << k, 1 << k):
         raise DimensionMismatch(f"gate shape {g.shape} does not act on {k} qubits")
-    return StateVector(_contract(g, targets, s.amplitudes.reshape([2] * n)).reshape(-1))
-
-
-def _oracle_permutation(f: TruthTable, targets: list[int], n: int) -> np.ndarray:
-    # Basis index b maps to b with the output bit xored by f(input bits);
-    # the map is its own inverse, so it serves as gather and scatter alike.
-    x = _packed_bits(n, targets[:-1])
-    flips = np.asarray(f.outputs, dtype=np.intp)[x] << (n - 1 - targets[-1])
-    return np.arange(1 << n) ^ flips
+    return StateVector._trusted(_gate_kernel(g, targets, s.amplitudes, n))
 
 
 def oracle_from_truth_table(f: TruthTable) -> np.ndarray:
@@ -253,9 +323,12 @@ def oracle_from_truth_table(f: TruthTable) -> np.ndarray:
 
     The result is a 0/1 permutation matrix and its own inverse.
     """
-    n = f.arity + 1
-    _check_dense_dim(1 << n)
-    return identity(1 << n)[_oracle_permutation(f, list(range(n)), n)]
+    dim = 2 << f.arity
+    _check_dense_dim(dim)
+    # Row b is basis row b with its last bit, the output, xored by f of
+    # the bits above it.
+    rows = np.arange(dim)
+    return identity(dim)[rows ^ np.asarray(f.outputs)[rows >> 1]]
 
 
 def apply_oracle_at(f: TruthTable, targets: Sequence[int], s: StateVector) -> StateVector:
@@ -269,8 +342,19 @@ def apply_oracle_at(f: TruthTable, targets: Sequence[int], s: StateVector) -> St
         raise InvalidInput(
             f"oracle of arity {f.arity} needs {f.arity + 1} targets, got {len(targets)}"
         )
-    _check_qubits(targets, s.num_qubits)
-    return StateVector(s.amplitudes[_oracle_permutation(f, targets, s.num_qubits)])
+    n = s.num_qubits
+    _check_qubits(targets, n)
+    shape, axes = _split_axes(n, targets, 1)
+    # f over the input axes (in the view's sorted order), size 1 elsewhere
+    inputs = targets[:-1]
+    order = sorted(range(f.arity), key=inputs.__getitem__)
+    table = np.asarray(f.outputs, dtype=bool).reshape([2] * f.arity).transpose(order)
+    mask_shape = [1] * len(shape)
+    for q in inputs:
+        mask_shape[axes[q]] = 2
+    view = s.amplitudes.reshape(shape)
+    flipped = np.flip(view, axes[targets[-1]])
+    return StateVector._trusted(np.where(table.reshape(mask_shape), flipped, view).reshape(-1))
 
 
 def walsh_hadamard(n: int) -> np.ndarray:

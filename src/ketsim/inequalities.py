@@ -48,10 +48,13 @@ class EventDistribution:
         scale = math.lcm(*(a.denominator for a in atoms))
         scaled = [a.numerator * (scale // a.denominator) for a in atoms]
         if sum(scaled) != scale:
-            raise InvalidInput(
-                "atom probabilities must sum to 1 exactly; "
-                f"residual {Fraction(sum(scaled) - scale, scale)}"
-            )
+            residual = Fraction(sum(scaled) - scale, scale)
+            try:
+                text = str(residual)
+            except ValueError:  # past Python's limit on digits in an int-to-str
+                bits = residual.denominator.bit_length()
+                text = f"too long to print (its denominator has {bits} bits)"
+            raise InvalidInput(f"atom probabilities must sum to 1 exactly; residual {text}")
         object.__setattr__(self, "atom_probs", atoms)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_scaled", scaled)

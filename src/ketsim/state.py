@@ -48,12 +48,28 @@ class StateVector:
             raise InvalidInput(f"amplitude count {amps.size} is not a power of two")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise InvalidInput("amplitudes must be finite")
+        self._adopt(amps)
+
+    @classmethod
+    def _trusted(cls, amps: np.ndarray) -> "StateVector":
+        """Adopt a fresh 1-d array of 2**n amplitudes without copying it.
+
+        For kernel outputs, which no one else holds: the copy, the shape
+        checks and the finiteness pass are skipped, and the norm check
+        alone rejects NaN and inf.
+        """
+        state = cls.__new__(cls)
+        state._adopt(amps)
+        return state
+
+    def _adopt(self, amps: np.ndarray) -> None:
+        # One norm pass; drift up to NORM_BUILD_TOL is repaired in place.
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_BUILD_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_BUILD_TOL:  # also true for NaN
             raise InvalidInput(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
         if norm_sq != 1.0:
             amps /= math.sqrt(norm_sq)
-        self.num_qubits = n
+        self.num_qubits = amps.size.bit_length() - 1
         self.amplitudes = amps
 
     @property

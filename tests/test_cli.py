@@ -156,6 +156,16 @@ class TestDeutschJozsaCommand:
         assert payload["error"]["kind"] == "ParseError"
         assert payload["error"]["detail"].startswith("line 1:")
 
+    @pytest.mark.parametrize("pattern", ["0_1", "+01", "\u0661\u0660\u0661"])
+    def test_patterns_int_accepts_are_rejected(self, capsys, tmp_path, pattern):
+        # int(pattern, 2) accepts underscores, a sign and Unicode digits
+        table = tmp_path / "odd.tbl"
+        table.write_text(f"n=3\n{pattern} 0\n", encoding="utf-8")
+        code, payload = run_json(capsys, "deutsch-jozsa", "--table", str(table))
+        assert code == 1
+        assert payload["error"]["kind"] == "ParseError"
+        assert payload["error"]["detail"] == f"line 2: bad input pattern {pattern!r}"
+
     def test_promise_violation_exit_code(self, capsys):
         code, payload = run_json(
             capsys, "deutsch-jozsa", "--table", str(FIXTURES / "unbalanced_n2.tbl")

@@ -314,6 +314,21 @@ class TestApplyGateAt:
         with pytest.raises(InvalidInput):
             apply_gate_at(cnot(), [0, 0], ket([0, 0]))
 
+    def test_large_states_match_whole_state_contraction(self):
+        # 2**16 amplitudes span several cache-sized blocks of the kernel
+        rng = RngStream(16)
+        n = 16
+        s = rand_state(n, rng)
+        permutations = {1: pauli_x(), 2: cnot(), 3: toffoli_unitary()}
+        for targets in ([0], [7], [15], [15, 0], [3, 4], [14, 2, 9], [13, 14, 15]):
+            k = len(targets)
+            moved = np.moveaxis(s.amplitudes.reshape([2] * n), targets, range(k))
+            for g in (haar_random_unitary(1 << k, rng), permutations[k]):
+                product = (g @ moved.reshape(1 << k, -1)).reshape(moved.shape)
+                expected = np.moveaxis(product, range(k), targets).reshape(-1)
+                got = apply_gate_at(g, targets, s)
+                assert np.max(np.abs(got.amplitudes - expected)) <= 1e-12
+
 
 class TestOracle:
     def test_constant_zero_is_identity(self):
@@ -352,6 +367,20 @@ class TestOracle:
             fast = apply_oracle_at(f, list(range(arity + 1)), s)
             assert np.max(np.abs(dense.amplitudes - fast.amplitudes)) <= 1e-15
 
+    def test_kernel_matches_permuted_dense_oracle(self):
+        # every arity and every ordered target tuple on up to 5 qubits
+        rng = RngStream(12)
+        for n in range(2, 6):
+            s = rand_state(n, rng)
+            for arity in range(1, n):
+                f = TruthTable(arity, tuple(int(rng.next_u64() % 2) for _ in range(1 << arity)))
+                dense = oracle_from_truth_table(f)
+                for targets in itertools.permutations(range(n), arity + 1):
+                    expected = _kron_oracle(dense, targets, n) @ s.amplitudes
+                    got = apply_oracle_at(f, list(targets), s)
+                    # a permutation, up to the constructor's renormalisation
+                    assert np.max(np.abs(got.amplitudes - expected)) <= 1e-15
+
     def test_kernel_on_permuted_targets(self):
         # bit-logic oracle: output-bit flip controlled by f of the input bits
         f = TruthTable(2, (0, 1, 1, 1))
@@ -369,6 +398,48 @@ class TestOracle:
             TruthTable(2, (0, 1))
         with pytest.raises(InvalidInput):
             TruthTable(1, (0, 2))
+
+
+class TestKernelInputs:
+    @pytest.mark.parametrize(
+        "gate,targets",
+        [
+            (hadamard(), [1]),
+            (identity(2), [2]),
+            (cnot(), [2, 0]),
+            (identity(4), [0, 1]),
+            (toffoli_unitary(), [1, 2, 0]),
+        ],
+    )
+    def test_gate_output_is_fresh(self, gate, targets):
+        s = rand_state(3, RngStream(13))
+        before = s.amplitudes.copy()
+        out = apply_gate_at(gate, targets, s)
+        assert not np.shares_memory(out.amplitudes, s.amplitudes)
+        assert np.array_equal(s.amplitudes, before)
+
+    @pytest.mark.parametrize("outputs", [(0, 0, 0, 0), (0, 1, 1, 0)])
+    def test_oracle_output_is_fresh(self, outputs):
+        s = rand_state(3, RngStream(14))
+        before = s.amplitudes.copy()
+        out = apply_oracle_at(TruthTable(2, outputs), [2, 0, 1], s)
+        assert not np.shares_memory(out.amplitudes, s.amplitudes)
+        assert np.array_equal(s.amplitudes, before)
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            np.array([[math.nan, 0], [0, 1]]),
+            np.array([[1, 0], [0, math.inf]]),
+            np.array([[0, complex(0, -math.inf)], [1, 0]]),
+            2 * identity(2),
+            np.array([[1, 1], [0, 1]]),
+        ],
+    )
+    def test_bad_gate_rejected(self, gate):
+        s = rand_state(2, RngStream(15))
+        with pytest.raises(InvalidInput):
+            apply_gate_at(gate, [1], s)
 
 
 class TestWalshHadamard:

@@ -47,6 +47,11 @@ class TestEventDistribution:
             EventDistribution(2, (F(1, 2), F(1, 2), F(1, 16), F(0)))
         assert "1/16" in str(err.value)
 
+    def test_unprintable_residual_is_invalid_input(self):
+        # the residual 1/10**5000 has more digits than Python prints
+        with pytest.raises(InvalidInput, match="residual too long to print"):
+            EventDistribution(1, (F(1, 10**5000), F(0)))
+
     def test_negative_atom_rejected(self):
         with pytest.raises(InvalidInput):
             EventDistribution(1, (F(3, 2), F(-1, 2)))

@@ -211,6 +211,30 @@ class TestConstructor:
         with pytest.raises(InvalidInput):
             StateVector([math.inf, 0.0])
 
+    def test_constructor_copies(self):
+        amps = np.array([1.0, 0.0], dtype=complex)
+        assert not np.shares_memory(StateVector(amps).amplitudes, amps)
+
+
+class TestTrustedConstructor:
+    def test_adopts_without_copy(self):
+        amps = np.array([0.6, 0.8j])
+        s = StateVector._trusted(amps)
+        assert s.amplitudes is amps and s.num_qubits == 1
+
+    def test_repairs_small_drift_in_place(self):
+        amps = np.array([1.0 + 4e-7, 0.0], dtype=complex)
+        s = StateVector._trusted(amps)
+        assert s.amplitudes is amps
+        assert abs(np.sum(np.abs(amps) ** 2) - 1) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "amps", [[1.0, 2e-3], [math.nan, 0.0], [math.inf, 0.0], [complex(0, -math.inf), 1.0]]
+    )
+    def test_rejects_what_the_constructor_rejects(self, amps):
+        with pytest.raises(InvalidInput, match="state is not normalized"):
+            StateVector._trusted(np.array(amps, dtype=complex))
+
 
 class TestFormatKet:
     def test_plus_state(self):
