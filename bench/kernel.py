@@ -1,4 +1,4 @@
-"""Layer timings of the gate kernels and the ``StateVector`` constructor.
+"""Layer timings of the gate kernels, measurement and the ``StateVector`` constructor.
 
 Usage, from the root of a checkout:
 
@@ -15,7 +15,9 @@ change/parent ratios.
 Cases: ``apply_gate_at`` with a Hadamard, CNOT, a dense 4x4 unitary,
 Toffoli and a dense 8x8 unitary; ``apply_oracle_at`` with a 4-input
 table; each on n = 16 and n = 20 qubits with the targets at the first,
-middle and last qubits.  ``construct`` times ``StateVector(amps)``.
+middle and last qubits.  ``measure_subset`` of 2 qubits at the same
+three positions and ``measure_all`` run on the same states, each with a
+fresh ``RngStream``.  ``construct`` times ``StateVector(amps)``.
 Every process is pinned to one core with a one-thread BLAS pool.
 """
 
@@ -56,7 +58,7 @@ def measure(repeats: int) -> dict[str, float]:
     """Median seconds per case for the ``ketsim`` on ``sys.path``."""
     import numpy as np
     from ketsim import StateVector, TruthTable, apply_gate_at, apply_oracle_at, cnot, hadamard
-    from ketsim import toffoli_unitary
+    from ketsim import RngStream, measure_all, measure_subset, toffoli_unitary
 
     rng = np.random.default_rng(5)
 
@@ -91,6 +93,11 @@ def measure(repeats: int) -> dict[str, float]:
             targets = list(range(start, start + width))
             out[f"oracle/n{n}/{pos}"] = _median_time(
                 lambda: apply_oracle_at(table, targets, state), reps[n])
+        for pos, start in (("first", 0), ("middle", (n - 2) // 2), ("last", n - 2)):
+            targets = [start, start + 1]
+            out[f"measure_subset/n{n}/{pos}"] = _median_time(
+                lambda: measure_subset(state, targets, RngStream(0)), reps[n])
+        out[f"measure_all/n{n}"] = _median_time(lambda: measure_all(state, RngStream(0)), reps[n])
     return out
 
 

@@ -58,6 +58,8 @@ from .state import (
 
 _STRING_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"'}
 _STRING_ESCAPES.update({c: f"\\u{c:04x}" for c in range(0x20)})
+# floats (an even count) per chunk of a rendered complex array
+_CHUNK_FLOATS = 1 << 13
 
 
 def _json(value) -> str:
@@ -73,6 +75,8 @@ def _json(value) -> str:
         return f'"{value}"'
     if isinstance(value, str):
         return '"' + value.translate(_STRING_ESCAPES) + '"'
+    if isinstance(value, np.ndarray) and value.dtype == np.complex128:
+        return _complex_json(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json(v) for v in value) + "]"
     if isinstance(value, dict):
@@ -81,16 +85,20 @@ def _json(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _complex_json(a: np.ndarray) -> str:
+    """``[[re, im], ...]`` over the entries of ``a`` in C order.  Formatted
+    a chunk at a time, so that only one chunk's floats are held as Python
+    objects."""
+    flat = np.ascontiguousarray(a).reshape(-1).view(np.float64)
+    chunks = []
+    for start in range(0, flat.size, _CHUNK_FLOATS):
+        floats = iter(flat[start : start + _CHUNK_FLOATS].tolist())
+        chunks.append(", ".join(f"[{re:.17g}, {im:.17g}]" for re, im in zip(floats, floats)))
+    return "[" + ", ".join(chunks) + "]"
+
+
 def _state_json(s: StateVector) -> dict:
-    return {
-        "num_qubits": s.num_qubits,
-        "ket": format_ket(s),
-        "amplitudes": [[float(a.real), float(a.imag)] for a in s.amplitudes],
-    }
-
-
-def _matrix_entries(m: np.ndarray) -> list:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(m).reshape(-1)]
+    return {"num_qubits": s.num_qubits, "ket": format_ket(s), "amplitudes": s.amplitudes}
 
 
 # --- input file formats ----------------------------------------------------
@@ -147,10 +155,12 @@ def load_truth_table(path: str) -> TruthTable:
         if x in entries:
             raise ParseError(f"duplicate entry for {pattern!r}", line_no)
         entries[x] = int(value)
-    if len(entries) != 1 << arity:
-        raise ParseError(
-            f"table lists {len(entries)} of {1 << arity} required entries", None
-        )
+    count = len(entries)
+    # Bit lengths first: 2**arity is built only when the count could match
+    # it, and printed as a number only within Python's 4300 digits.
+    if count.bit_length() <= arity or count != 1 << arity:
+        required = 1 << arity if arity * math.log10(2) < 4300 else f"2**{arity}"
+        raise ParseError(f"table lists {count} of {required} required entries", None)
     return TruthTable(arity, tuple(entries[x] for x in range(1 << arity)))
 
 
@@ -204,7 +214,7 @@ def load_distribution(path: str) -> EventDistribution:
         if len(tokens) != 2:
             raise ParseError("expected '<bits> <rational>'", line_no)
         pattern, value = tokens
-        if len(pattern) != width or any(ch not in "01" for ch in pattern):
+        if len(pattern) != width or pattern.strip("01"):
             raise ParseError(f"bad atom pattern {pattern!r}", line_no)
         index = int(pattern, 2)
         if index in seen:
@@ -319,7 +329,7 @@ def _cmd_decompose(args) -> dict:
         "emitted_count": len(factors),
         "recompose_error": error,
         "factors": [
-            {"support": list(f.support), "block": _matrix_entries(f.block)}
+            {"support": list(f.support), "block": f.block}
             for f in factors
         ],
     }

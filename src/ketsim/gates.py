@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import CapacityExceeded, DimensionMismatch, InvalidInput
-from .state import StateVector, _check_qubits
+from .state import StateVector, _check_qubits, _split_axes, index_to_bits
 
 DENSE_DIM_CAP = 1024
 
@@ -171,29 +171,6 @@ def _check_dense_dim(dim: int) -> None:
         )
 
 
-def _split_axes(n: int, qubits: Sequence[int], columns: int) -> tuple[list, dict]:
-    """Shape viewing 2**n rows of ``columns`` amplitudes with one size-2
-    axis per listed qubit, and the position of each qubit's axis.
-
-    The qubits in between (and the columns) share one merged axis per gap;
-    an empty gap gets no axis, since a size-1 axis would leave numpy an
-    inner loop of length 1.
-    """
-    shape: list[int] = []
-    axes: dict[int, int] = {}
-    prev = -1
-    for q in sorted(qubits):
-        if q - prev > 1:
-            shape.append(1 << (q - prev - 1))
-        axes[q] = len(shape)
-        shape.append(2)
-        prev = q
-    rest = (1 << (n - 1 - prev)) * columns
-    if rest > 1:
-        shape.append(rest)
-    return shape, axes
-
-
 def _gate_kernel(g: np.ndarray, targets: list[int], amps: np.ndarray, n: int) -> np.ndarray:
     """Apply gate ``g`` to the ``targets`` of ``amps`` into a fresh array.
 
@@ -229,7 +206,7 @@ def _gate_kernel(g: np.ndarray, targets: list[int], amps: np.ndarray, n: int) ->
     # Slice copies run at memory speed unless the innermost axis is a
     # target's, which leaves them one amplitude per stride.
     if permutes and dst.strides[-1] == out.itemsize:
-        bits = [tuple(map(int, format(r, f"0{k}b"))) for r in range(1 << k)]
+        bits = [index_to_bits(r, k) for r in range(1 << k)]
         for r, c in enumerate(sources):
             dst[bits[r]] = src[bits[c]]
         return out.reshape(amps.shape)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .rng import RngStream
-from .state import StateVector, _check_qubits, _packed_bits, index_to_bits, probabilities
+from .state import StateVector, _check_qubits, _split_axes, index_to_bits, probabilities
 
 ZERO_BRANCH_EPS = 1e-15
 
@@ -74,7 +74,7 @@ def measure_all(s: StateVector, rng: RngStream) -> MeasurementOutcome:
     return MeasurementOutcome(
         bits=index_to_bits(index, s.num_qubits),
         probability=float(weights[index]),
-        collapsed=StateVector(collapsed),
+        collapsed=StateVector._trusted(collapsed),
     )
 
 
@@ -86,19 +86,28 @@ def measure_subset(s: StateVector, qubits: Sequence[int], rng: RngStream) -> Mea
     renormalized projection of ``s`` onto the observed pattern.
     """
     qubits = list(qubits)
-    _check_qubits(qubits, s.num_qubits)
-    pattern = _packed_bits(s.num_qubits, qubits)
-    weights = np.zeros(1 << len(qubits))
-    np.add.at(weights, pattern, np.abs(s.amplitudes) ** 2)
+    n, k = s.num_qubits, len(qubits)
+    _check_qubits(qubits, n)
+    # Views with the listed qubits' axes last, in list order: the last k
+    # indices spell an outcome and the others run in basis-index order.
+    shape, axes = _split_axes(n, qubits, 1)
+    bit_axes, last = [axes[q] for q in qubits], range(-k, 0)
+    born = np.moveaxis(probabilities(s).reshape(shape), bit_axes, last)
+    # A running sum adds each outcome's Born weights one at a time in
+    # index order; np.sum would pair them up and round differently.
+    weights = np.cumsum(born.reshape(-1, 1 << k), axis=0)[-1]
 
     cdf, last_live = _branch_cdf(weights)
     outcome = _draw(cdf, last_live, rng.uniform())
-    projected = np.where(pattern == outcome, s.amplitudes, 0.0)
-    projected /= math.sqrt(weights[outcome])
+    bits = index_to_bits(outcome, k)
+    collapsed = np.zeros_like(s.amplitudes)
+    src = np.moveaxis(s.amplitudes.reshape(shape), bit_axes, last)
+    dst = np.moveaxis(collapsed.reshape(shape), bit_axes, last)
+    np.divide(src[(..., *bits)], math.sqrt(weights[outcome]), out=dst[(..., *bits)])
     return MeasurementOutcome(
-        bits=index_to_bits(outcome, len(qubits)),
+        bits=bits,
         probability=float(weights[outcome]),
-        collapsed=StateVector(projected),
+        collapsed=StateVector._trusted(collapsed),
     )
 
 

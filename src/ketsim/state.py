@@ -54,9 +54,10 @@ class StateVector:
     def _trusted(cls, amps: np.ndarray) -> "StateVector":
         """Adopt a fresh 1-d array of 2**n amplitudes without copying it.
 
-        For kernel outputs, which no one else holds: the copy, the shape
-        checks and the finiteness pass are skipped, and the norm check
-        alone rejects NaN and inf.
+        For arrays built in the package that no one else holds (kernel
+        outputs, collapsed states, kets, tensor products): the copy, the
+        shape checks and the finiteness pass are skipped, and the norm
+        check alone rejects NaN and inf.
         """
         state = cls.__new__(cls)
         state._adopt(amps)
@@ -104,14 +105,27 @@ def _check_qubits(qubits: Sequence[int], n: int) -> None:
             raise InvalidInput(f"qubit index {q} out of range for {n} qubits")
 
 
-def _packed_bits(n: int, qubits: Sequence[int]) -> np.ndarray:
-    """For every basis index of n qubits, the listed qubits' bits packed
-    into one integer, first listed most significant."""
-    idx = np.arange(1 << n)
-    packed = np.zeros(1 << n, dtype=np.intp)
-    for q in qubits:
-        packed = (packed << 1) | ((idx >> (n - 1 - q)) & 1)
-    return packed
+def _split_axes(n: int, qubits: Sequence[int], columns: int) -> tuple[list, dict]:
+    """Shape viewing 2**n rows of ``columns`` amplitudes with one size-2
+    axis per listed qubit, and the position of each qubit's axis.
+
+    The qubits in between (and the columns) share one merged axis per gap;
+    an empty gap gets no axis, since a size-1 axis would leave numpy an
+    inner loop of length 1.
+    """
+    shape: list[int] = []
+    axes: dict[int, int] = {}
+    prev = -1
+    for q in sorted(qubits):
+        if q - prev > 1:
+            shape.append(1 << (q - prev - 1))
+        axes[q] = len(shape)
+        shape.append(2)
+        prev = q
+    rest = (1 << (n - 1 - prev)) * columns
+    if rest > 1:
+        shape.append(rest)
+    return shape, axes
 
 
 def ket(bits: Sequence[int], cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
@@ -123,7 +137,7 @@ def ket(bits: Sequence[int], cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
         raise CapacityExceeded(f"{len(bits)} qubits exceeds the cap of {cap}")
     amps = np.zeros(1 << len(bits), dtype=np.complex128)
     amps[bits_to_index(bits)] = 1.0
-    return StateVector(amps)
+    return StateVector._trusted(amps)
 
 
 def qubit_from_angles(theta: float, eta: float) -> StateVector:
@@ -142,7 +156,7 @@ def tensor(s: StateVector, t: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> Stat
     n = s.num_qubits + t.num_qubits
     if n > cap:
         raise CapacityExceeded(f"tensor result of {n} qubits exceeds the cap of {cap}")
-    return StateVector(np.outer(s.amplitudes, t.amplitudes).reshape(-1))
+    return StateVector._trusted(np.outer(s.amplitudes, t.amplitudes).reshape(-1))
 
 
 def probabilities(s: StateVector) -> np.ndarray:

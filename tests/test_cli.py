@@ -4,9 +4,10 @@ import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ketsim.cli import exit_code_for, main
+from ketsim.cli import _json, exit_code_for, main
 from ketsim.errors import (
     CapacityExceeded,
     DimensionMismatch,
@@ -120,6 +121,19 @@ class TestTeleportCommand:
         for name in ("input_state", "a1", "a2", "bob_state"):
             assert name in payload
 
+    @pytest.mark.parametrize(
+        "option, value, digest",
+        [
+            ("--seed", "5", "b76516872cfe67f7f715affd9d51b3f72f987ff3a9b6bc93a07e2c555b49dfc2"),
+            ("--branch", "10", "1a2a2f817e40713c0121f4e4a11cc05bd1667ba4c8bd9b20ba9f2ad9d7ce7d49"),
+        ],
+    )
+    def test_golden_bytes(self, capsys, option, value, digest):
+        # the sampled run prints amplitudes derived from a collapsed state
+        code, out = run_cli(capsys, "teleport", "--state", "1.1,2.2", option, value)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_bad_branch(self, capsys):
         code, payload = run_json(
             capsys, "teleport", "--state", "0.7,0.3", "--branch", "012"
@@ -165,6 +179,29 @@ class TestDeutschJozsaCommand:
         assert code == 1
         assert payload["error"]["kind"] == "ParseError"
         assert payload["error"]["detail"] == f"line 2: bad input pattern {pattern!r}"
+
+    @pytest.mark.parametrize(
+        "arity, required",
+        [(14284, str(1 << 14284)), (14285, "2**14285"), (100000, "2**100000"),
+         (10**12, "2**1000000000000")],
+        ids=["printable", "past-4300-digits", "huge", "past-memory"],
+    )
+    @pytest.mark.parametrize("command", ["deutsch-jozsa", "run"])
+    def test_huge_arity_is_parse_error(self, capsys, tmp_path, command, arity, required):
+        # 2**arity is printed only while Python prints it, and never built
+        # when the table's entry count already falls short
+        table = tmp_path / "huge.tbl"
+        table.write_text(f"n={arity}\n")
+        argv = {"deutsch-jozsa": ["deutsch-jozsa", "--table", str(table)],
+                "run": ["run", str(FIXTURES / "deutsch.qc"), "--table", f"f={table}"]}[command]
+        started = time.perf_counter()
+        code, payload = run_json(capsys, *argv)
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert payload["error"] == {
+            "kind": "ParseError",
+            "detail": f"table lists 0 of {required} required entries",
+        }
 
     def test_promise_violation_exit_code(self, capsys):
         code, payload = run_json(
@@ -253,6 +290,8 @@ class TestBoundsCommand:
             ("0 1\n1 1e-5000\n", "line 2: exponent of '1e-5000' exceeds 100"),
             ("0 1\n1 1e99999999\n", "line 2: exponent of '1e99999999' exceeds 100"),
             ("0 1\n1 " + "1" * 101 + "\n", "line 2: rational exceeds 100 characters"),
+            ("000 1\n0_1 0\n", "line 2: bad atom pattern '0_1'"),
+            ("000 1\n+01 0\n", "line 2: bad atom pattern '+01'"),
         ],
     )
     def test_out_of_range_rational_rejected(self, capsys, tmp_path, text, detail):
@@ -323,6 +362,20 @@ class TestInputFiles:
         assert code == 1
         assert payload["error"]["kind"] == "ParseError"
         assert payload["error"]["detail"].startswith(detail)
+
+
+class TestJson:
+    ENTRIES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1, 1 / 3, -2.718281828459045,
+               1e300, 0.70710678118654746, -0.70710678118654757]
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2), (1, 8)])
+    def test_complex_array_as_pairs(self, shape):
+        values = np.array(self.ENTRIES[:8]) + 1j * np.array(self.ENTRIES[-8:])
+        for a in (values, values[::-1], values * 1j):
+            a = a[: math.prod(shape)].reshape(shape)
+            pairs = [[float(v.real), float(v.imag)] for v in a.reshape(-1)]
+            assert _json(a) == _json(pairs)
+            assert json.loads(_json(a)) == pairs
 
 
 class TestExitCodes:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -16,8 +18,45 @@ from ketsim import (
     sample,
     walsh_hadamard,
 )
+from ketsim.measure import _branch_cdf, _draw
 from ketsim.protocols import teleport_pre_measurement
+from ketsim.state import index_to_bits
 from conftest import rand_state
+
+
+def _packed_bits(n, qubits):
+    # reference: the listed qubits' bits of every basis index, first listed
+    # most significant
+    idx = np.arange(1 << n)
+    packed = np.zeros(1 << n, dtype=np.intp)
+    for q in qubits:
+        packed = (packed << 1) | ((idx >> (n - 1 - q)) & 1)
+    return packed
+
+
+def _scatter_measure_subset(s, qubits, rng):
+    # reference: weights by a scatter-add over packed outcome indices, the
+    # projection by a whole-state select and a copying constructor
+    pattern = _packed_bits(s.num_qubits, qubits)
+    weights = np.zeros(1 << len(qubits))
+    np.add.at(weights, pattern, np.abs(s.amplitudes) ** 2)
+    cdf, last_live = _branch_cdf(weights)
+    outcome = _draw(cdf, last_live, rng.uniform())
+    projected = np.where(pattern == outcome, s.amplitudes, 0.0)
+    projected /= math.sqrt(weights[outcome])
+    return index_to_bits(outcome, len(qubits)), float(weights[outcome]), StateVector(projected)
+
+
+def _seeded_states(n, gen):
+    # generic amplitudes, half of them zero, and magnitudes over 11 decades
+    for kind in range(3):
+        amps = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+        if kind == 1:
+            amps[gen.random(1 << n) < 0.5] = 0
+            amps[gen.integers(1 << n)] = 1
+        elif kind == 2:
+            amps *= 10.0 ** gen.integers(-8, 3, 1 << n)
+        yield StateVector(amps / np.linalg.norm(amps))
 
 
 class TestRngStream:
@@ -68,6 +107,14 @@ class TestMeasureAll:
         out = measure_all(s, rng)
         index = int("".join(map(str, out.bits)), 2)
         assert abs(out.probability - probabilities(s)[index]) <= 1e-12
+
+
+    def test_output_is_fresh(self):
+        s = rand_state(3, RngStream(19))
+        before = s.amplitudes.copy()
+        out = measure_all(s, RngStream(4))
+        assert not np.shares_memory(out.collapsed.amplitudes, s.amplitudes)
+        assert np.array_equal(s.amplitudes, before)
 
 
 class TestMeasureSubset:
@@ -125,6 +172,30 @@ class TestMeasureSubset:
         second = measure_subset(first.collapsed, [1, 2], rng)
         assert second.bits == first.bits
         assert abs(second.probability - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 16])
+    def test_bits_equal_scatter_reference(self, n):
+        gen = np.random.default_rng(n)
+        for s in _seeded_states(n, gen):
+            for k in range(1, min(n, 4) + 1):
+                for seed in range(3):
+                    qubits = [int(q) for q in gen.permutation(n)[:k]]
+                    bits, probability, collapsed = _scatter_measure_subset(
+                        s, qubits, RngStream(seed))
+                    out = measure_subset(s, qubits, RngStream(seed))
+                    assert out.bits == bits
+                    assert np.float64(out.probability).view(np.int64) == np.float64(
+                        probability).view(np.int64)
+                    assert np.array_equal(out.collapsed.amplitudes.view(np.int64),
+                                          collapsed.amplitudes.view(np.int64))
+
+    @pytest.mark.parametrize("qubits", [[0], [2], [3, 1], [0, 3, 2], [2, 0, 3, 1]])
+    def test_output_is_fresh(self, qubits):
+        s = rand_state(4, RngStream(23))
+        before = s.amplitudes.copy()
+        out = measure_subset(s, qubits, RngStream(5))
+        assert not np.shares_memory(out.collapsed.amplitudes, s.amplitudes)
+        assert np.array_equal(s.amplitudes, before)
 
     def test_validation(self):
         with pytest.raises(InvalidInput):

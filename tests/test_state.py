@@ -216,6 +216,21 @@ class TestConstructor:
         assert not np.shares_memory(StateVector(amps).amplitudes, amps)
 
 
+class TestFreshOutputs:
+    def test_ket(self):
+        first, second = ket([1, 0]), ket([1, 0])
+        assert not np.shares_memory(first.amplitudes, second.amplitudes)
+
+    def test_tensor(self):
+        s, t = rand_state(2, RngStream(31)), rand_state(1, RngStream(32))
+        before_s, before_t = s.amplitudes.copy(), t.amplitudes.copy()
+        out = tensor(s, t)
+        for part in (s, t):
+            assert not np.shares_memory(out.amplitudes, part.amplitudes)
+        assert np.array_equal(s.amplitudes, before_s)
+        assert np.array_equal(t.amplitudes, before_t)
+
+
 class TestTrustedConstructor:
     def test_adopts_without_copy(self):
         amps = np.array([0.6, 0.8j])
