@@ -1,4 +1,5 @@
-"""Layer timings of the gate kernels, measurement and the ``StateVector`` constructor.
+"""Layer timings of the gate kernels, measurement, the ``StateVector`` constructor
+and the two-level decomposition.
 
 Usage, from the root of a checkout:
 
@@ -18,7 +19,9 @@ table; each on n = 16 and n = 20 qubits with the targets at the first,
 middle and last qubits.  ``measure_subset`` of 2 qubits at the same
 three positions and ``measure_all`` run on the same states, each with a
 fresh ``RngStream``.  ``construct`` times ``StateVector(amps)``.
-Every process is pinned to one core with a one-thread BLAS pool.
+``two_level_decompose`` and ``recompose`` (of that decomposition's
+factors) run on a seeded ``haar_random_unitary`` at D = 16, 32, 64 and
+128.  Every process is pinned to one core with a one-thread BLAS pool.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 20)
 ORACLE_ARITY = 4
+DECOMPOSE_DIMS = (16, 32, 64, 128)
 
 
 def _pin() -> None:
@@ -59,6 +63,7 @@ def measure(repeats: int) -> dict[str, float]:
     import numpy as np
     from ketsim import StateVector, TruthTable, apply_gate_at, apply_oracle_at, cnot, hadamard
     from ketsim import RngStream, measure_all, measure_subset, toffoli_unitary
+    from ketsim import haar_random_unitary, recompose, two_level_decompose
 
     rng = np.random.default_rng(5)
 
@@ -98,6 +103,11 @@ def measure(repeats: int) -> dict[str, float]:
             out[f"measure_subset/n{n}/{pos}"] = _median_time(
                 lambda: measure_subset(state, targets, RngStream(0)), reps[n])
         out[f"measure_all/n{n}"] = _median_time(lambda: measure_all(state, RngStream(0)), reps[n])
+    for dim in DECOMPOSE_DIMS:
+        u = haar_random_unitary(dim, RngStream(dim))
+        factors = two_level_decompose(u)
+        out[f"two_level_decompose/D{dim}"] = _median_time(lambda: two_level_decompose(u), repeats)
+        out[f"recompose/D{dim}"] = _median_time(lambda: recompose(factors, dim), repeats)
     return out
 
 

@@ -63,6 +63,7 @@ from .protocols import (
 )
 from .decompose import (
     TwoLevelFactor,
+    apply_factors,
     eigenvector_factors,
     haar_random_unitary,
     recompose,

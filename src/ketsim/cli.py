@@ -11,6 +11,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -19,14 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import parse_circuit, run_program
-from .decompose import recompose, two_level_decompose
+from .decompose import TwoLevelFactor, recompose, two_level_decompose
 from .errors import (
     InvalidInput,
     KetsimError,
     NumericalFailure,
     ParseError,
 )
-from .gates import TruthTable
+from .gates import TruthTable, _table_size_text
 from .inequalities import (
     MAX_EVENTS,
     BellSetting,
@@ -62,9 +63,15 @@ _STRING_ESCAPES.update({c: f"\\u{c:04x}" for c in range(0x20)})
 _CHUNK_FLOATS = 1 << 13
 
 
+class _Rendered(str):
+    """A JSON fragment rendered ahead of time; ``_json`` writes it as is."""
+
+
 def _json(value) -> str:
     if value is None:
         return "null"
+    if isinstance(value, _Rendered):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -95,6 +102,24 @@ def _complex_json(a: np.ndarray) -> str:
         floats = iter(flat[start : start + _CHUNK_FLOATS].tolist())
         chunks.append(", ".join(f"[{re:.17g}, {im:.17g}]" for re, im in zip(floats, floats)))
     return "[" + ", ".join(chunks) + "]"
+
+
+def _factors_json(factors: list[TwoLevelFactor]) -> list[_Rendered]:
+    """Each factor as ``{"support": [...], "block": [[re, im], ...]}``.  The
+    block floats of a chunk of factors are formatted in one pass, and only
+    one chunk's floats are held as Python objects."""
+    items = []
+    step = _CHUNK_FLOATS // 8  # factors per chunk: a 2x2 block is 8 floats
+    for start in range(0, len(factors), step):
+        chunk = factors[start : start + step]
+        blocks = np.concatenate([f.block.reshape(-1) for f in chunk])
+        floats = iter(blocks.view(np.float64).tolist())
+        pairs = (f"[{re:.17g}, {im:.17g}]" for re, im in zip(floats, floats))
+        for f in chunk:
+            block = ", ".join(itertools.islice(pairs, f.block.size))
+            support = ", ".join(map(str, f.support))
+            items.append(_Rendered(f'{{"support": [{support}], "block": [{block}]}}'))
+    return items
 
 
 def _state_json(s: StateVector) -> dict:
@@ -156,11 +181,11 @@ def load_truth_table(path: str) -> TruthTable:
             raise ParseError(f"duplicate entry for {pattern!r}", line_no)
         entries[x] = int(value)
     count = len(entries)
-    # Bit lengths first: 2**arity is built only when the count could match
-    # it, and printed as a number only within Python's 4300 digits.
+    # Bit lengths first: 2**arity is built only when the count could match it.
     if count.bit_length() <= arity or count != 1 << arity:
-        required = 1 << arity if arity * math.log10(2) < 4300 else f"2**{arity}"
-        raise ParseError(f"table lists {count} of {required} required entries", None)
+        raise ParseError(
+            f"table lists {count} of {_table_size_text(arity)} required entries", None
+        )
     return TruthTable(arity, tuple(entries[x] for x in range(1 << arity)))
 
 
@@ -328,10 +353,7 @@ def _cmd_decompose(args) -> dict:
         "constructed_count": 2 * dim * dim - dim,
         "emitted_count": len(factors),
         "recompose_error": error,
-        "factors": [
-            {"support": list(f.support), "block": f.block}
-            for f in factors
-        ],
+        "factors": _factors_json(factors),
     }
 
 

@@ -20,6 +20,7 @@ import scipy.linalg
 from .errors import DimensionMismatch, InvalidInput, NotUnitary, NumericalFailure
 from .gates import is_unitary
 from .rng import RngStream
+from .state import StateVector
 
 DECOMPOSE_DIM_CAP = 256
 
@@ -57,6 +58,18 @@ class TwoLevelFactor:
         out = np.eye(self.dim, dtype=np.complex128)
         out[np.ix_(self.support, self.support)] = self.block
         return out
+
+    def apply_to(self, a: np.ndarray) -> None:
+        """``a = expand() @ a`` in place, for a length-D vector or a D x m
+        matrix: only the rows on the support are rewritten, O(m) work."""
+        if a.shape[0] != self.dim:
+            raise DimensionMismatch(
+                f"factor of dimension {self.dim} applied to {a.shape[0]} rows"
+            )
+        first, last = self.support[0], self.support[-1]
+        # the support's rows as one strided view, not a gathered copy
+        rows = a[first : last + 1 : max(last - first, 1)]
+        rows[...] = self.block @ rows
 
 
 def unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +113,6 @@ def eigenvector_factors(vector: np.ndarray, eigenvalue: complex) -> list[TwoLeve
         # axis-aligned eigenvectors produce no rotations at all.
         c *= np.conj(c[pivot]) / abs(c[pivot])
 
-    identity2 = np.eye(2)
     forward: list[TwoLevelFactor] = []
     for other in range(dim):
         if other == pivot:
@@ -108,6 +120,12 @@ def eigenvector_factors(vector: np.ndarray, eigenvalue: complex) -> list[TwoLeve
         cp, co = c[pivot], c[other]
         r = math.hypot(abs(cp), abs(co))
         if r < PIVOT_EPS:
+            continue
+        c[pivot] = r
+        c[other] = 0.0
+        # The largest entry of block - identity, tested before any block is
+        # built: most rotations of a sparse eigenvector are elided.
+        if max(abs(cp / r - 1), abs(co / r)) < ELIDE_EPS:
             continue
         if pivot < other:
             block = np.array(
@@ -121,10 +139,7 @@ def eigenvector_factors(vector: np.ndarray, eigenvalue: complex) -> list[TwoLeve
                 dtype=np.complex128,
             )
             support = (other, pivot)
-        c[pivot] = r
-        c[other] = 0.0
-        if np.max(np.abs(block - identity2)) >= ELIDE_EPS:
-            forward.append(TwoLevelFactor(dim, support, block))
+        forward.append(TwoLevelFactor(dim, support, block))
 
     factors: list[TwoLevelFactor] = [
         TwoLevelFactor(f.dim, f.support, f.block.conj().T) for f in forward
@@ -161,15 +176,24 @@ def two_level_decompose(u: np.ndarray) -> list[TwoLevelFactor]:
 
 
 def recompose(factors: list[TwoLevelFactor], dim: int) -> np.ndarray:
-    """Ordered dense product of the factors, left factor applied last."""
+    """Ordered dense product of the factors, left factor applied last.
+
+    The identity is multiplied by the factors from last to first, each
+    rewriting its one or two rows: O(F*D) work for F factors.
+    """
     out = np.eye(dim, dtype=np.complex128)
-    for factor in factors:
-        if factor.dim != dim:
-            raise DimensionMismatch(
-                f"factor of dimension {factor.dim} in a product of dimension {dim}"
-            )
-        out = out @ factor.expand()
+    for factor in reversed(factors):
+        factor.apply_to(out)
     return out
+
+
+def apply_factors(factors: list[TwoLevelFactor], s: StateVector) -> StateVector:
+    """The state ``recompose(factors, s.dim) @ s`` without forming the
+    product: each factor rewrites one or two amplitudes."""
+    amps = s.amplitudes.copy()
+    for factor in reversed(factors):
+        factor.apply_to(amps)
+    return StateVector._trusted(amps)
 
 
 def haar_random_unitary(dim: int, rng: RngStream) -> np.ndarray:

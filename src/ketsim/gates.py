@@ -30,6 +30,12 @@ _BLOCK_BYTES = 1 << 17
 _SQRT_HALF = math.sqrt(0.5)
 
 
+def _table_size_text(arity: int) -> int | str:
+    """2**arity, as a number while Python can print it (4300 digits), else
+    as the text ``2**<arity>``."""
+    return 1 << arity if arity * math.log10(2) < 4300 else f"2**{arity}"
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """A boolean function f: {0,1}**arity -> {0,1} tabulated over all inputs.
@@ -44,10 +50,12 @@ class TruthTable:
     def __post_init__(self):
         if self.arity < 1:
             raise InvalidInput("truth table arity must be at least 1")
-        if len(self.outputs) != 1 << self.arity:
+        count = len(self.outputs)
+        # Bit lengths first: 2**arity is built only when the count could match it.
+        if count.bit_length() <= self.arity or count != 1 << self.arity:
             raise InvalidInput(
-                f"truth table of arity {self.arity} needs {1 << self.arity} outputs, "
-                f"got {len(self.outputs)}"
+                f"truth table of arity {self.arity} needs {_table_size_text(self.arity)} "
+                f"outputs, got {count}"
             )
         if any(v not in (0, 1) for v in self.outputs):
             raise InvalidInput("truth table outputs must be 0 or 1")

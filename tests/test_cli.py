@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ketsim.cli import _json, exit_code_for, main
+from ketsim import RngStream, haar_random_unitary, two_level_decompose
+from ketsim.cli import _factors_json, _json, exit_code_for, main
 from ketsim.errors import (
     CapacityExceeded,
     DimensionMismatch,
@@ -376,6 +377,15 @@ class TestJson:
             pairs = [[float(v.real), float(v.imag)] for v in a.reshape(-1)]
             assert _json(a) == _json(pairs)
             assert json.loads(_json(a)) == pairs
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 32])  # D = 32: factors in two chunks
+    def test_factor_list_as_dicts(self, dim):
+        factors = two_level_decompose(haar_random_unitary(dim, RngStream(dim)))
+        expected = [_json({"support": list(f.support), "block": f.block}) for f in factors]
+        assert _factors_json(factors) == expected
+
+    def test_empty_factor_list(self):
+        assert _json(_factors_json([])) == "[]"
 
 
 class TestExitCodes:

@@ -1,12 +1,16 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 
+from conftest import rand_state
 from ketsim import (
     InvalidInput,
     NotUnitary,
     RngStream,
+    apply,
+    apply_factors,
     eigenvector_factors,
     haar_random_unitary,
     hadamard,
@@ -16,7 +20,90 @@ from ketsim import (
     unitary_eigensystem,
 )
 from ketsim.errors import DimensionMismatch
-from ketsim.decompose import TwoLevelFactor
+from ketsim.decompose import ELIDE_EPS, PIVOT_EPS, TwoLevelFactor
+
+
+def dense_product(factors, dim):
+    """Reference for ``recompose``: one dense D x D product per factor."""
+    out = np.eye(dim, dtype=np.complex128)
+    for factor in factors:
+        out = out @ factor.expand()
+    return out
+
+
+def reference_eigenvector_factors(vector, eigenvalue):
+    """Reference for ``eigenvector_factors``: every rotation's block is
+    built, then tested against the identity."""
+    c = np.asarray(vector, dtype=np.complex128).copy()
+    dim = c.size
+    pivot = int(np.argmax(np.abs(c)))
+    if abs(c[pivot]) > PIVOT_EPS:
+        c *= np.conj(c[pivot]) / abs(c[pivot])
+    identity2 = np.eye(2)
+    forward = []
+    for other in range(dim):
+        if other == pivot:
+            continue
+        cp, co = c[pivot], c[other]
+        r = math.hypot(abs(cp), abs(co))
+        if r < PIVOT_EPS:
+            continue
+        if pivot < other:
+            block = np.array(
+                [[np.conj(cp) / r, np.conj(co) / r], [-co / r, cp / r]],
+                dtype=np.complex128,
+            )
+            support = (pivot, other)
+        else:
+            block = np.array(
+                [[cp / r, -co / r], [np.conj(co) / r, np.conj(cp) / r]],
+                dtype=np.complex128,
+            )
+            support = (other, pivot)
+        c[pivot] = r
+        c[other] = 0.0
+        if np.max(np.abs(block - identity2)) >= ELIDE_EPS:
+            forward.append(TwoLevelFactor(dim, support, block))
+    factors = [TwoLevelFactor(f.dim, f.support, f.block.conj().T) for f in forward]
+    lam = complex(eigenvalue)
+    lam /= abs(lam)
+    if abs(lam - 1.0) >= ELIDE_EPS:
+        factors.append(TwoLevelFactor(dim, (pivot,), np.array([[lam]], dtype=np.complex128)))
+    factors.extend(reversed(forward))
+    return factors
+
+
+def block_diagonal_unitary(dim, block, rng):
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for start in range(0, dim, block):
+        out[start : start + block, start : start + block] = haar_random_unitary(block, rng)
+    return out
+
+
+def sweep_inputs():
+    """Unitaries whose eigenvectors exercise the sweep: generic, sparse,
+    axis-aligned and degenerate."""
+    rng = RngStream(11)
+    for dim in (2, 3, 4, 5, 7, 8, 12, 16, 31, 32, 64):
+        yield f"haar{dim}", haar_random_unitary(dim, rng)
+    yield "blockdiag128", block_diagonal_unitary(128, 4, rng)
+    yield "diagonal", np.diag([cmath.exp(1j * a) for a in np.linspace(0.1, 6.0, 16)])
+    yield "axis-aligned", np.eye(8, dtype=complex)[[3, 1, 0, 2, 7, 5, 6, 4]] * np.exp(
+        1j * np.arange(8)
+    )
+    # eigenvectors a tiny rotation away from the axes: |co / r| >= ELIDE_EPS
+    # while cp / r rounds to within ELIDE_EPS of 1
+    near_axis = np.eye(6, dtype=complex)
+    for i, angle in ((0, 1e-8), (2, 3e-7), (4, 5e-11)):
+        c, s = math.cos(angle), math.sin(angle)
+        near_axis[i : i + 2, i : i + 2] = [[c, -s], [s, c]]
+    phases = np.exp(1j * np.arange(1, 7))
+    yield "near-axis", near_axis @ np.diag(phases) @ near_axis.conj().T
+    basis = haar_random_unitary(12, rng)
+    phases = np.ones(12, dtype=complex)
+    phases[7:] = cmath.exp(0.4j)
+    phases[10] = -1
+    yield "degenerate", basis @ np.diag(phases) @ basis.conj().T
 
 
 class TestEigensystem:
@@ -66,6 +153,23 @@ class TestTwoLevelFactor:
         assert np.array_equal(dense[np.ix_(off_support, off_support)], np.eye(2))
         assert np.array_equal(dense[np.ix_((1, 3), (1, 3))], block)
 
+    @pytest.mark.parametrize("support", [(2,), (0, 5), (1, 2), (3, 4)])
+    @pytest.mark.parametrize("columns", [None, 1, 3])
+    def test_apply_to_is_expand_product(self, support, columns):
+        rng = np.random.default_rng(sum(support))
+        block = haar_random_unitary(len(support), RngStream(len(support)))
+        factor = TwoLevelFactor(6, support, block)
+        shape = (6,) if columns is None else (6, columns)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        expected = factor.expand() @ a
+        factor.apply_to(a)
+        assert np.allclose(a, expected, rtol=0, atol=1e-15)
+
+    def test_apply_to_rejects_other_dimension(self):
+        factor = TwoLevelFactor(4, (1, 3), np.eye(2, dtype=complex))
+        with pytest.raises(DimensionMismatch):
+            factor.apply_to(np.ones(5, dtype=complex))
+
     def test_support_validation(self):
         with pytest.raises(InvalidInput):
             TwoLevelFactor(4, (3, 1), np.eye(2, dtype=complex))
@@ -106,6 +210,15 @@ class TestDecompose:
             mask[np.ix_(factor.support, factor.support)] = False
             deviation = np.abs(dense - np.eye(6))
             assert np.max(deviation[mask]) == 0.0
+
+    @pytest.mark.parametrize("u", [pytest.param(u, id=name) for name, u in sweep_inputs()])
+    def test_sweep_bytes_equal_reference(self, u):
+        values, vectors = unitary_eigensystem(u)
+        for k in range(u.shape[0]):
+            got = eigenvector_factors(vectors[:, k], values[k])
+            expected = reference_eigenvector_factors(vectors[:, k], values[k])
+            assert [(f.dim, f.support) for f in got] == [(f.dim, f.support) for f in expected]
+            assert [f.block.tobytes() for f in got] == [f.block.tobytes() for f in expected]
 
     def test_non_interference_of_eigenvector_blocks(self):
         # the partial product over later eigenvectors must fix earlier ones
@@ -152,6 +265,52 @@ class TestRecompose:
         factor = TwoLevelFactor(3, (0,), np.array([[1j]], dtype=complex))
         with pytest.raises(DimensionMismatch):
             recompose([factor], 4)
+
+    def test_matches_dense_product(self):
+        rng = RngStream(12)
+        cases = [haar_random_unitary(dim, rng) for dim in (2, 3, 5, 8, 16, 33, 64)]
+        cases.append(block_diagonal_unitary(128, 4, rng))
+        for u in cases:
+            factors = two_level_decompose(u)
+            dim = u.shape[0]
+            assert np.allclose(recompose(factors, dim), dense_product(factors, dim),
+                               rtol=0, atol=1e-13)
+
+    def test_never_expands(self, monkeypatch):
+        factors = two_level_decompose(haar_random_unitary(8, RngStream(13)))
+
+        def refuse(self):
+            raise AssertionError("expand() called")
+
+        monkeypatch.setattr(TwoLevelFactor, "expand", refuse)
+        recompose(factors, 8)
+        apply_factors(factors, rand_state(3, RngStream(14)))
+
+
+class TestApplyFactors:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_recomposed_matrix(self, n):
+        rng = RngStream(20 + n)
+        factors = two_level_decompose(haar_random_unitary(1 << n, rng))
+        for _ in range(3):
+            s = rand_state(n, rng)
+            got = apply_factors(factors, s)
+            expected = apply(recompose(factors, 1 << n), s)
+            assert got.num_qubits == n
+            assert np.allclose(got.amplitudes, expected.amplitudes, rtol=0, atol=1e-13)
+
+    def test_input_state_unchanged(self):
+        s = rand_state(2, RngStream(30))
+        before = s.amplitudes.copy()
+        factors = two_level_decompose(haar_random_unitary(4, RngStream(31)))
+        out = apply_factors(factors, s)
+        assert np.array_equal(s.amplitudes, before)
+        assert not np.shares_memory(out.amplitudes, s.amplitudes)
+
+    def test_dimension_mismatch(self):
+        factor = TwoLevelFactor(3, (0,), np.array([[1j]], dtype=complex))
+        with pytest.raises(DimensionMismatch):
+            apply_factors([factor], rand_state(2, RngStream(32)))
 
 
 class TestHaarRandomUnitary:

@@ -399,6 +399,18 @@ class TestOracle:
         with pytest.raises(InvalidInput):
             TruthTable(1, (0, 2))
 
+    @pytest.mark.parametrize("arity,required", [(3, "8"), (14284, None), (14285, "2**14285"),
+                                                (100000, "2**100000"), (10**12, "2**1000000000000")])
+    def test_truth_table_huge_arity(self, arity, required):
+        # the check compares bit lengths, so no 2**arity-entry object is built
+        with pytest.raises(InvalidInput) as err:
+            TruthTable(arity, ())
+        message = str(err.value)
+        if required is None:  # printable: all 4300 digits
+            required = str(1 << arity)
+            assert len(required) == 4300
+        assert message == f"truth table of arity {arity} needs {required} outputs, got 0"
+
 
 class TestKernelInputs:
     @pytest.mark.parametrize(
