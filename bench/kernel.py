@@ -1,5 +1,5 @@
-"""Layer timings of the gate kernels, measurement, the ``StateVector`` constructor
-and the two-level decomposition.
+"""Layer timings of the gate kernels, measurement, the ``StateVector`` constructor,
+the two-level decomposition and the input readers.
 
 Usage, from the root of a checkout:
 
@@ -21,7 +21,10 @@ three positions and ``measure_all`` run on the same states, each with a
 fresh ``RngStream``.  ``construct`` times ``StateVector(amps)``.
 ``two_level_decompose`` and ``recompose`` (of that decomposition's
 factors) run on a seeded ``haar_random_unitary`` at D = 16, 32, 64 and
-128.  Every process is pinned to one core with a one-thread BLAS pool.
+128.  ``load_truth_table`` reads a balanced table file of arity 14 and 17
+(0.27 and 2.5 MB), and ``parse_circuit`` parses a 20,000-line circuit
+that cycles through the opcodes, comments and blank lines.  Every process
+is pinned to one core with a one-thread BLAS pool.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -40,6 +44,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 20)
 ORACLE_ARITY = 4
 DECOMPOSE_DIMS = (16, 32, 64, 128)
+TABLE_ARITIES = (14, 17)
+CIRCUIT_LINES = 20_000
 
 
 def _pin() -> None:
@@ -58,12 +64,26 @@ def _median_time(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
+def _circuit_text(lines: int, n: int = 16) -> str:
+    """``lines`` lines of a circuit on ``n`` qubits with an oracle ``f`` of
+    arity ``ORACLE_ARITY``; two lines in ten are a comment or blank."""
+    cycle = ["h {0}", "cnot {0} {1}  # c", "u2 {1} a=0.1 b=-0.2 c=0.3 d=0.4",
+             "toffoli {0} {1} {2}", "", "x {2}", "measure {0} {1}", "# comment",
+             "oracle f {0} {1} {2} {3} {4}", "z {0}"]
+    out = [f"qubits {n}"]
+    for i in range(1, lines):
+        q = [(i + k) % n for k in range(ORACLE_ARITY + 1)]
+        out.append(cycle[i % len(cycle)].format(*q))
+    return "\n".join(out) + "\n"
+
+
 def measure(repeats: int) -> dict[str, float]:
     """Median seconds per case for the ``ketsim`` on ``sys.path``."""
     import numpy as np
     from ketsim import StateVector, TruthTable, apply_gate_at, apply_oracle_at, cnot, hadamard
     from ketsim import RngStream, measure_all, measure_subset, toffoli_unitary
-    from ketsim import haar_random_unitary, recompose, two_level_decompose
+    from ketsim import haar_random_unitary, parse_circuit, recompose, two_level_decompose
+    from ketsim.cli import load_truth_table
 
     rng = np.random.default_rng(5)
 
@@ -108,6 +128,17 @@ def measure(repeats: int) -> dict[str, float]:
         factors = two_level_decompose(u)
         out[f"two_level_decompose/D{dim}"] = _median_time(lambda: two_level_decompose(u), repeats)
         out[f"recompose/D{dim}"] = _median_time(lambda: recompose(factors, dim), repeats)
+    with tempfile.TemporaryDirectory() as tmp:
+        for arity in TABLE_ARITIES:
+            path = Path(tmp) / f"n{arity}.tbl"
+            path.write_text(f"n={arity}\n" + "".join(
+                f"{x:0{arity}b} {x & 1}\n" for x in range(1 << arity)))
+            out[f"load_truth_table/n{arity}"] = _median_time(
+                lambda: load_truth_table(str(path)), repeats)
+    text = _circuit_text(CIRCUIT_LINES)
+    tables = {"f": table}
+    out[f"parse_circuit/lines{CIRCUIT_LINES}"] = _median_time(
+        lambda: parse_circuit(text, tables), repeats)
     return out
 
 

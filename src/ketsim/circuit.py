@@ -13,12 +13,12 @@ width; without it the width is inferred as one past the highest target.
     measure         # trailing full-register measurement
 
 A bare ``measure`` (all qubits) is allowed only as the final instruction;
-subset measurements may appear anywhere.
+subset measurements may appear anywhere.  Integers are ASCII digits.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .errors import CapacityExceeded, InvalidInput, ParseError
@@ -56,9 +56,24 @@ class CircuitProgram:
     instructions: tuple[Instruction, ...] = field(default_factory=tuple)
 
 
+def _data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, tokens)`` of each line with tokens once ``#`` comments are cut."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield line_no, tokens
+
+
+def _parse_int(token: str) -> int:
+    """``int(token)`` for ``-`` and ASCII digits only: no ``+``, ``_`` or other digits."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _parse_target(token: str, line: int) -> int:
     try:
-        value = int(token)
+        value = _parse_int(token)
     except ValueError:
         raise ParseError(f"expected a qubit index, got {token!r}", line) from None
     if value < 0:
@@ -101,10 +116,7 @@ def parse_circuit(
     lines: list[int] = []  # source line of each instruction, for range errors
     measure_all_line: int | None = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
+    for line_no, tokens in _data_lines(text):
         word = tokens[0].lower()
 
         if word == "qubits":

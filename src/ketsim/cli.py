@@ -14,12 +14,13 @@ import argparse
 import itertools
 import math
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import parse_circuit, run_program
+from .circuit import _data_lines, _parse_int, parse_circuit, run_program
 from .decompose import TwoLevelFactor, recompose, two_level_decompose
 from .errors import (
     InvalidInput,
@@ -136,39 +137,29 @@ def _read_text(path: str) -> str:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
 
 
-def _data_lines(path: str) -> list[tuple[int, list[str]]]:
-    lines = []
-    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            lines.append((line_no, tokens))
-    return lines
-
-
-def _header(
-    lines: list[tuple[int, list[str]]], kind: str, key: str, what: str
-) -> tuple[int, int]:
-    """The integer of a ``<key>=<int>`` header alone on the first data line,
-    and that line's number (1 for an empty file)."""
-    line_no, tokens = lines[0] if lines else (1, [""])
+def _header(lines: Iterator[tuple[int, list[str]]], kind: str, key: str, what: str) -> int:
+    """The integer, at least 1, of a ``<key>=<int>`` header alone on the next
+    data line; an empty file's error names line 1."""
+    line_no, tokens = next(lines, (1, [""]))
     if not tokens[0].startswith(f"{key}="):
         raise ParseError(f"{kind} must start with {key}=<{what}>", line_no)
     if len(tokens) > 1:
         raise ParseError(f"unexpected {tokens[1]!r} after {tokens[0]!r}", line_no)
     try:
-        return int(tokens[0][len(key) + 1:]), line_no
+        value = _parse_int(tokens[0][len(key) + 1:])
     except ValueError:
         raise ParseError(f"bad {what} {tokens[0]!r}", line_no) from None
+    if value < 1:
+        raise ParseError(f"{what} must be at least 1, got {value}", line_no)
+    return value
 
 
 def load_truth_table(path: str) -> TruthTable:
     """Table file: first line ``n=<arity>``, then 2**n lines ``x f(x)``."""
-    lines = _data_lines(path)
-    arity, first_no = _header(lines, "truth table file", "n", "arity")
-    if arity < 1:
-        raise ParseError(f"arity must be at least 1, got {arity}", first_no)
+    lines = _data_lines(_read_text(path))
+    arity = _header(lines, "truth table file", "n", "arity")
     entries: dict[int, int] = {}
-    for line_no, tokens in lines[1:]:
+    for line_no, tokens in lines:
         if len(tokens) != 2:
             raise ParseError("expected '<bits> <value>'", line_no)
         pattern, value = tokens
@@ -191,9 +182,9 @@ def load_truth_table(path: str) -> TruthTable:
 
 def load_matrix(path: str) -> np.ndarray:
     """Matrix file: first line ``d=<D>``, then D rows of D ``re,im`` pairs."""
-    lines = _data_lines(path)
-    dim, _ = _header(lines, "matrix file", "d", "dimension")
-    if dim < 1 or len(lines) != dim + 1:
+    lines = list(_data_lines(_read_text(path)))  # counted before any row is parsed
+    dim = _header(iter(lines), "matrix file", "d", "dimension")
+    if len(lines) != dim + 1:
         raise ParseError(f"expected {dim} matrix rows", lines[-1][0])
     out = np.zeros((dim, dim), dtype=np.complex128)
     for row, (line_no, tokens) in enumerate(lines[1:]):
@@ -225,17 +216,18 @@ def load_distribution(path: str) -> EventDistribution:
     Unlisted atoms are zero; the atoms must sum to exactly 1 and any
     failing residual is reported exactly.
     """
-    lines = _data_lines(path)
-    if not lines:
+    lines = _data_lines(_read_text(path))
+    first = next(lines, None)
+    if first is None:
         raise ParseError("distribution file is empty", None)
-    width = len(lines[0][1][0])
+    width = len(first[1][0])
     if width > MAX_EVENTS:
         raise ParseError(
-            f"atom pattern of {width} events exceeds the cap of {MAX_EVENTS}", lines[0][0]
+            f"atom pattern of {width} events exceeds the cap of {MAX_EVENTS}", first[0]
         )
     atoms = [Fraction(0)] * (1 << width)
     seen: set[int] = set()
-    for line_no, tokens in lines:
+    for line_no, tokens in itertools.chain([first], lines):
         if len(tokens) != 2:
             raise ParseError("expected '<bits> <rational>'", line_no)
         pattern, value = tokens

@@ -158,21 +158,16 @@ def parallel_eval(f: TruthTable, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
 def deutsch(f: TruthTable) -> int:
     """Parity f(0) xor f(1) of a 1-bit function with one oracle call.
 
-    The interference pattern after the final Hadamard makes the first
-    qubit's measurement deterministic, so the parity is read off exactly.
+    Deutsch-Jozsa at arity 1, where balanced is parity 1: the final Hadamard
+    makes the first qubit's measurement deterministic, so it reads exactly.
     """
     if f.arity != 1:
         raise InvalidInput("deutsch requires a function of arity 1")
-    s = ket([0, 1])
-    s = apply_gate_at(hadamard(), [0], s)
-    s = apply_gate_at(hadamard(), [1], s)
-    s = apply_oracle_at(f, [0, 1], s)
-    s = apply_gate_at(hadamard(), [0], s)
-    weights = np.abs(s.amplitudes) ** 2
-    p_one = float(weights[2] + weights[3])
-    if min(p_one, 1.0 - p_one) > 1e-10:
-        raise NumericalFailure(f"first-qubit measurement not deterministic: p(1)={p_one}")
-    return int(p_one > 0.5)
+    result = deutsch_jozsa(f)
+    weight = result.zero_branch_weight
+    if min(abs(weight), abs(1.0 - weight)) > 1e-10:
+        raise NumericalFailure(f"first-qubit measurement not deterministic: p(0)={weight}")
+    return int(result.verdict == BALANCED)
 
 
 def deutsch_jozsa(f: TruthTable, rng: RngStream | None = None) -> DJVerdict:

@@ -30,6 +30,7 @@ from ketsim import (
     toffoli_unitary,
     u2_from_params,
 )
+from ketsim.circuit import _data_lines, _parse_int
 
 TABLES = {"f": TruthTable(1, (0, 1)), "g2": TruthTable(2, (0, 1, 1, 0))}
 
@@ -104,6 +105,26 @@ class TestParse:
     def test_duplicate_qubits_directive(self):
         with pytest.raises(ParseError):
             parse_circuit("qubits 2\nqubits 3")
+
+
+class TestLineGrammar:
+    def test_data_lines(self):
+        # str.splitlines boundaries (\r\n, \v, \f), comments cut, numbering from 1
+        text = "qubits 1 # c\n\n  # only\r\nh 0\x0bx  0\x0c#\n"
+        lines = _data_lines(text)
+        assert next(lines) == (1, ["qubits", "1"])  # lazy: one line at a time
+        assert list(lines) == [(4, ["h", "0"]), (5, ["x", "0"])]
+
+    @pytest.mark.parametrize("token", ["0", "7", "-0", "-12", "007", "123456789012345678901"])
+    def test_integer_tokens(self, token):
+        assert _parse_int(token) == int(token)
+
+    @pytest.mark.parametrize(
+        "token", ["", "-", "--1", "+3", "1_0", "\uff11", "\u0661", "1.0", " 1", "1e3", "0x1"]
+    )
+    def test_integer_tokens_int_also_accepts_are_rejected(self, token):
+        with pytest.raises(ValueError):
+            _parse_int(token)
 
 
 class TestRender:

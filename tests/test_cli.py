@@ -2,13 +2,14 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ketsim import RngStream, haar_random_unitary, two_level_decompose
-from ketsim.cli import _factors_json, _json, exit_code_for, main
+from ketsim.cli import _factors_json, _json, exit_code_for, load_truth_table, main
 from ketsim.errors import (
     CapacityExceeded,
     DimensionMismatch,
@@ -363,6 +364,153 @@ class TestInputFiles:
         assert code == 1
         assert payload["error"]["kind"] == "ParseError"
         assert payload["error"]["detail"].startswith(detail)
+
+
+# stdout of every fixture through its subcommand, recorded before the line
+# reader was shared; had2.mat is left out: its factor bytes depend on
+# LAPACK's Schur kernel
+FIXTURE_DIGESTS = [
+    (["run", "{f}/bell_pair.qc"],
+     "1fbfca38b26a492905e7422fe1000e242c90fc8ffbc8c7830ddf26feb40a2719"),
+    (["run", "{f}/bad_target.qc"],
+     "f6f8a2c5c6b01f7897489df3229288251f7f80d4957467cb5c2c045ef7dbdf52"),
+    (["run", "{f}/deutsch.qc", "--table", "f={f}/not_gate.tbl"],
+     "a683a001bece481bbc81168d021e706a76f195d51844c4d5855ada525d8bc2ab"),
+    (["deutsch-jozsa", "--table", "{f}/not_gate.tbl"],
+     "95d10f6114470770b51a6687508629edc435627a3e7edc1dc7c8833710c627a8"),
+    (["deutsch-jozsa", "--table", "{f}/balanced_n3.tbl"],
+     "19f9cfcadb857a451ced9cdf914f7cebf6c57964f3a3975a8cdea25e906ade7c"),
+    (["deutsch-jozsa", "--table", "{f}/const1_n3.tbl"],
+     "441ccbab0b8d341b7b21eeea2a71fa0d0a1df2476a11cc3201df0168f7a7b917"),
+    (["deutsch-jozsa", "--table", "{f}/unbalanced_n2.tbl"],
+     "59c2d1345506d191cd0c23469d75937373417a57bef702bf4263232181e41d57"),
+    (["decompose", "--matrix", "{f}/not_unitary.mat"],
+     "f970319a3cf6cb1e837cbe56d49bbc2c860345583744880dabb8f9aed0d7e691"),
+    (["bounds", "--dist", "{f}/bad_sum.dist"],
+     "f2064b328882b5a2e1d5a3267b5d56d6293b65eaa82b97606ea18c0082d96e17"),
+    (["bounds", "--dist", "{f}/mixed6.dist"],
+     "f03268e35548bc3c43eec464d11edf3574940ee7c47a5a07a1c5523b747f659d"),
+    (["bounds", "--dist", "{f}/uniform2.dist"],
+     "e973d72140bf63e922b3f283bc26df6f023d29d71fc9cd8fe618d3cbea98fdc6"),
+]
+
+# (subcommand, file text, error kind, detail) of malformed input files.  The
+# rows marked "changed" differ from the earlier reader: integers are ASCII
+# digits with an optional "-", and a matrix dimension below 1 is a header
+# error; every other document is byte-identical to it.
+MALFORMED = [
+    ("run", "", "InvalidInput", "program declares no qubits"),
+    ("run", "# c\n\n", "InvalidInput", "program declares no qubits"),
+    ("run", "qubits 2\nqubits 2\n", "ParseError", "line 2: duplicate qubits directive"),
+    ("run", "h 0\nqubits 2\n", "ParseError", "line 2: qubits directive must precede instructions"),
+    ("run", "qubits\n", "ParseError", "line 1: qubits directive takes one integer"),
+    ("run", "qubits 1 2\n", "ParseError", "line 1: qubits directive takes one integer"),
+    ("run", "qubits x\n", "ParseError", "line 1: expected a qubit index, got 'x'"),
+    ("run", "qubits -2\nh 0\n", "ParseError", "line 1: qubit index must be nonnegative, got -2"),
+    ("run", "h 0\nmeasure\nh 0\n",
+     "ParseError", "line 3: full-register measure on line 2 must be last"),
+    ("run", "u2\n", "ParseError", "line 1: u2 needs a target qubit"),
+    ("run", "u2 0 a=1 b=2 c=3\n", "ParseError", "line 1: u2 is missing parameters: d"),
+    ("run", "u2 0 a=1 a=2 b=1 c=1 d=1\n", "ParseError", "line 1: duplicate u2 parameter 'a'"),
+    ("run", "u2 0 a=x b=0 c=0 d=0\n", "ParseError", "line 1: bad angle for 'a': 'x'"),
+    ("run", "u2 0 e=1\n", "ParseError", "line 1: expected a=.. b=.. c=.. d=.., got 'e=1'"),
+    ("run", "cnot 0\n", "ParseError", "line 1: cnot takes 2 target(s), got 1"),
+    ("run", "cnot 0 0\n", "ParseError", "line 1: duplicate target qubit"),
+    ("run", "h -1\n", "ParseError", "line 1: qubit index must be nonnegative, got -1"),
+    ("run", "h q\n", "ParseError", "line 1: expected a qubit index, got 'q'"),
+    ("run", "foo 0\n", "ParseError", "line 1: unknown opcode 'foo'"),
+    ("run", "oracle\n", "ParseError", "line 1: oracle needs a table name and targets"),
+    ("run", "oracle g 0 1\n", "ParseError", "line 1: unknown truth table 'g'"),
+    ("run", "qubits 1\nh 0 # c\n\nh 1\n",
+     "ParseError", "line 4: target 1 out of range for 1 qubits"),
+    ("run", "qubits 1_0\nh 0\n",
+     "ParseError", "line 1: expected a qubit index, got '1_0'"),  # changed
+    ("run", "h 1_0\n", "ParseError", "line 1: expected a qubit index, got '1_0'"),  # changed
+    ("run", "h \uff11\n", "ParseError", "line 1: expected a qubit index, got '\uff11'"),  # changed
+    ("run", "h +1\n", "ParseError", "line 1: expected a qubit index, got '+1'"),  # changed
+    ("deutsch-jozsa", "", "ParseError", "line 1: truth table file must start with n=<arity>"),
+    ("deutsch-jozsa", "# c\n\nx=2\n",
+     "ParseError", "line 3: truth table file must start with n=<arity>"),
+    ("deutsch-jozsa", "# c\nn=1 junk\n0 1\n1 0\n",
+     "ParseError", "line 2: unexpected 'junk' after 'n=1'"),
+    ("deutsch-jozsa", "n=x\n", "ParseError", "line 1: bad arity 'n=x'"),
+    ("deutsch-jozsa", "n=-1\n", "ParseError", "line 1: arity must be at least 1, got -1"),
+    ("deutsch-jozsa", "n=0\n0 1\n", "ParseError", "line 1: arity must be at least 1, got 0"),
+    ("deutsch-jozsa", "n=2\n00 0\n01\n", "ParseError", "line 3: expected '<bits> <value>'"),
+    ("deutsch-jozsa", "n=2\n0 0\n", "ParseError", "line 2: bad input pattern '0'"),
+    ("deutsch-jozsa", "n=2\n00 2\n", "ParseError", "line 2: bad output value '2'"),
+    ("deutsch-jozsa", "n=2\n00 0\n00 1\n", "ParseError", "line 3: duplicate entry for '00'"),
+    ("deutsch-jozsa", "n=2\n00 0\n01 1\n", "ParseError", "table lists 2 of 4 required entries"),
+    ("deutsch-jozsa", "n=1_0\n", "ParseError", "line 1: bad arity 'n=1_0'"),  # changed
+    ("deutsch-jozsa", "n=+3\n", "ParseError", "line 1: bad arity 'n=+3'"),  # changed
+    ("deutsch-jozsa", "n=\u0661\n0 0\n1 0\n",
+     "ParseError", "line 1: bad arity 'n=\u0661'"),  # changed
+    ("decompose", "", "ParseError", "line 1: matrix file must start with d=<dimension>"),
+    ("decompose", "# c\n\nx=2\n",
+     "ParseError", "line 3: matrix file must start with d=<dimension>"),
+    ("decompose", "d=1 junk\n1,0\n", "ParseError", "line 1: unexpected 'junk' after 'd=1'"),
+    ("decompose", "d=x\n", "ParseError", "line 1: bad dimension 'd=x'"),
+    ("decompose", "# c\nd=2\n", "ParseError", "line 2: expected 2 matrix rows"),
+    ("decompose", "d=2\n1,0 0,0\n", "ParseError", "line 2: expected 2 matrix rows"),
+    ("decompose", "d=1\n1,0\n\n1,0 # c\n", "ParseError", "line 4: expected 1 matrix rows"),
+    ("decompose", "d=2\n1,0\n0,0 1,0\n", "ParseError", "line 2: row needs 2 entries, got 1"),
+    ("decompose", "d=1\n1\n", "ParseError", "line 2: entries are 're,im', got '1'"),
+    ("decompose", "d=1\nx,0\n", "ParseError", "line 2: bad complex entry 'x,0'"),
+    ("decompose", "d=0\n", "ParseError", "line 1: dimension must be at least 1, got 0"),  # changed
+    ("decompose", "# c\nd=-3\n1,0\n",
+     "ParseError", "line 2: dimension must be at least 1, got -3"),  # changed
+    ("decompose", "d=1_6\n", "ParseError", "line 1: bad dimension 'd=1_6'"),  # changed
+    ("bounds", "# c\n", "ParseError", "distribution file is empty"),
+    ("bounds", "0 1/2\n1 1/2 x\n", "ParseError", "line 2: expected '<bits> <rational>'"),
+    ("bounds", "0 1/2\n11 1/2\n", "ParseError", "line 2: bad atom pattern '11'"),
+    ("bounds", "0 1/2\n0 1/2\n", "ParseError", "line 2: duplicate atom '0'"),
+    ("bounds", "0 x\n1 1\n", "ParseError", "line 1: bad rational 'x'"),
+    ("bounds", "0 1/0\n", "ParseError", "line 1: bad rational '1/0'"),
+    ("bounds", "0 1/2\n1 1/4\n",
+     "InvalidInput", "atom probabilities must sum to 1 exactly; residual -1/4"),
+    ("bounds", "00000000000 1\n",
+     "ParseError", "line 1: atom pattern of 11 events exceeds the cap of 10"),
+    ("bounds", "0 1\n1 1e-5000\n", "ParseError", "line 2: exponent of '1e-5000' exceeds 100"),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize(
+        "argv, digest", FIXTURE_DIGESTS,
+        ids=[Path(argv[1 if argv[0] == "run" else 2]).name for argv, _ in FIXTURE_DIGESTS],
+    )
+    def test_fixture(self, capsys, argv, digest):
+        _, out = run_cli(capsys, *(a.format(f=FIXTURES) for a in argv))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command, text, kind, detail", MALFORMED)
+    def test_malformed_input(self, capsys, tmp_path, command, text, kind, detail):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        option = dict(FILE_COMMANDS)[command]
+        argv = [command, str(path)] if option is None else [command, option, str(path)]
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == f'{{"error": {{"kind": "{kind}", "detail": "{detail}"}}}}\n'
+
+
+class TestLazyReader:
+    def test_table_not_held_as_token_lists(self, tmp_path):
+        # an arity-14 table; a list of (line, tokens) for the whole file
+        # costs over 20 times the file's size
+        arity = 14
+        path = tmp_path / "wide.tbl"
+        path.write_text(
+            f"n={arity}\n" + "".join(f"{x:0{arity}b} {x & 1}\n" for x in range(1 << arity))
+        )
+        tracemalloc.start()
+        try:
+            table = load_truth_table(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.is_balanced()
+        assert peak < 15 * path.stat().st_size
 
 
 class TestJson:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,7 @@ import ketsim.protocols as protocols
 from ketsim import (
     DimensionMismatch,
     InvalidInput,
+    NumericalFailure,
     PromiseViolated,
     RngStream,
     StateVector,
@@ -167,6 +169,15 @@ class TestDeutsch:
     def test_arity_validated(self):
         with pytest.raises(InvalidInput):
             deutsch(TruthTable(2, (0, 0, 1, 1)))
+
+    def test_nondeterministic_weight_is_numerical_failure(self, monkeypatch):
+        real = protocols.deutsch_jozsa
+        monkeypatch.setattr(
+            protocols, "deutsch_jozsa",
+            lambda f: dataclasses.replace(real(f), zero_branch_weight=0.5),
+        )
+        with pytest.raises(NumericalFailure, match=r"p\(0\)=0\.5"):
+            deutsch(TruthTable(1, (0, 1)))
 
 
 class TestDeutschJozsa:
