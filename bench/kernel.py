@@ -16,9 +16,11 @@ change/parent ratios.
 Cases: ``apply_gate_at`` with a Hadamard, CNOT, a dense 4x4 unitary,
 Toffoli and a dense 8x8 unitary; ``apply_oracle_at`` with a 4-input
 table; each on n = 16 and n = 20 qubits with the targets at the first,
-middle and last qubits.  ``measure_subset`` of 2 qubits at the same
-three positions and ``measure_all`` run on the same states, each with a
-fresh ``RngStream``.  ``construct`` times ``StateVector(amps)``.
+middle and last qubits.  Permutation gates with a target on the
+innermost qubit, X on n-1, CNOT on [0, n-1] and Toffoli on [1, 3, n-1],
+run as ``x/n<N>/innermost``, ``cnot/...`` and ``toffoli/...``.
+``measure_subset`` of 2 qubits at the same three positions and
+``measure_all`` run on the same states, each with a fresh ``RngStream``.  ``construct`` times ``StateVector(amps)``.
 ``two_level_decompose`` and ``recompose`` (of that decomposition's
 factors) run on a seeded ``haar_random_unitary`` at D = 16, 32, 64 and
 128.  ``load_truth_table`` reads a balanced table file of arity 14 and 17
@@ -81,7 +83,7 @@ def measure(repeats: int) -> dict[str, float]:
     """Median seconds per case for the ``ketsim`` on ``sys.path``."""
     import numpy as np
     from ketsim import StateVector, TruthTable, apply_gate_at, apply_oracle_at, cnot, hadamard
-    from ketsim import RngStream, measure_all, measure_subset, toffoli_unitary
+    from ketsim import RngStream, measure_all, measure_subset, pauli_x, toffoli_unitary
     from ketsim import haar_random_unitary, parse_circuit, recompose, two_level_decompose
     from ketsim.cli import load_truth_table
 
@@ -113,6 +115,10 @@ def measure(repeats: int) -> dict[str, float]:
                 targets = list(range(start, start + k))
                 out[f"{name}/n{n}/{pos}"] = _median_time(
                     lambda: apply_gate_at(g, targets, state), reps[n])
+        for name, g, targets in (("x", pauli_x(), [n - 1]), ("cnot", cnot(), [0, n - 1]),
+                                 ("toffoli", toffoli_unitary(), [1, 3, n - 1])):
+            out[f"{name}/n{n}/innermost"] = _median_time(
+                lambda: apply_gate_at(g, targets, state), reps[n])
         width = ORACLE_ARITY + 1
         for pos, start in (("first", 0), ("middle", (n - width) // 2), ("last", n - width)):
             targets = list(range(start, start + width))

@@ -13,7 +13,8 @@ width; without it the width is inferred as one past the highest target.
     measure         # trailing full-register measurement
 
 A bare ``measure`` (all qubits) is allowed only as the final instruction;
-subset measurements may appear anywhere.  Integers are ASCII digits.
+subset measurements may appear anywhere.  Integers are ASCII digits,
+and angles are ASCII text without ``_`` separators.
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ def _parse_int(token: str) -> int:
     return int(token)
 
 
+def _parse_float(token: str) -> float:
+    """``float(token)`` for ASCII text only: no ``_`` separators or other digits."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a number: {token!r}")
+    return float(token)
+
+
 def _parse_target(token: str, line: int) -> int:
     try:
         value = _parse_int(token)
@@ -97,7 +105,7 @@ def _parse_u2_params(tokens: list[str], line: int) -> tuple[float, ...]:
         if name in values:
             raise ParseError(f"duplicate u2 parameter {name!r}", line)
         try:
-            values[name] = float(text)
+            values[name] = _parse_float(text)
         except ValueError:
             raise ParseError(f"bad angle for {name!r}: {text!r}", line) from None
     missing = [name for name in _U2_PARAM_NAMES if name not in values]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import _data_lines, _parse_int, parse_circuit, run_program
+from .circuit import _data_lines, _parse_float, _parse_int, parse_circuit, run_program
 from .decompose import TwoLevelFactor, recompose, two_level_decompose
 from .errors import (
     InvalidInput,
@@ -93,33 +93,34 @@ def _json(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _pairs(floats: np.ndarray) -> Iterator[str]:
+    """``[re, im]`` of each pair of a flat float64 array.  Formatted a chunk
+    at a time, so that only one chunk's floats are held as Python objects."""
+    for start in range(0, floats.size, _CHUNK_FLOATS):
+        values = iter(floats[start : start + _CHUNK_FLOATS].tolist())
+        yield from (f"[{re:.17g}, {im:.17g}]" for re, im in zip(values, values))
+
+
 def _complex_json(a: np.ndarray) -> str:
-    """``[[re, im], ...]`` over the entries of ``a`` in C order.  Formatted
-    a chunk at a time, so that only one chunk's floats are held as Python
-    objects."""
-    flat = np.ascontiguousarray(a).reshape(-1).view(np.float64)
-    chunks = []
-    for start in range(0, flat.size, _CHUNK_FLOATS):
-        floats = iter(flat[start : start + _CHUNK_FLOATS].tolist())
-        chunks.append(", ".join(f"[{re:.17g}, {im:.17g}]" for re, im in zip(floats, floats)))
+    """``[[re, im], ...]`` over the entries of ``a`` in C order."""
+    pairs = _pairs(np.ascontiguousarray(a).reshape(-1).view(np.float64))
+    # one chunk's pairs joined at a time, until a join comes back empty
+    chunk = _CHUNK_FLOATS // 2
+    chunks = iter(lambda: ", ".join(itertools.islice(pairs, chunk)), "")
     return "[" + ", ".join(chunks) + "]"
 
 
 def _factors_json(factors: list[TwoLevelFactor]) -> list[_Rendered]:
-    """Each factor as ``{"support": [...], "block": [[re, im], ...]}``.  The
-    block floats of a chunk of factors are formatted in one pass, and only
-    one chunk's floats are held as Python objects."""
+    """Each factor as ``{"support": [...], "block": [[re, im], ...]}``."""
+    if not factors:
+        return []
+    blocks = np.concatenate([f.block.reshape(-1) for f in factors])
+    pairs = _pairs(blocks.view(np.float64))
     items = []
-    step = _CHUNK_FLOATS // 8  # factors per chunk: a 2x2 block is 8 floats
-    for start in range(0, len(factors), step):
-        chunk = factors[start : start + step]
-        blocks = np.concatenate([f.block.reshape(-1) for f in chunk])
-        floats = iter(blocks.view(np.float64).tolist())
-        pairs = (f"[{re:.17g}, {im:.17g}]" for re, im in zip(floats, floats))
-        for f in chunk:
-            block = ", ".join(itertools.islice(pairs, f.block.size))
-            support = ", ".join(map(str, f.support))
-            items.append(_Rendered(f'{{"support": [{support}], "block": [{block}]}}'))
+    for f in factors:
+        block = ", ".join(itertools.islice(pairs, f.block.size))
+        support = ", ".join(map(str, f.support))
+        items.append(_Rendered(f'{{"support": [{support}], "block": [{block}]}}'))
     return items
 
 
@@ -181,24 +182,28 @@ def load_truth_table(path: str) -> TruthTable:
 
 
 def load_matrix(path: str) -> np.ndarray:
-    """Matrix file: first line ``d=<D>``, then D rows of D ``re,im`` pairs."""
+    """Matrix file: first line ``d=<D>``, then D rows of D ``re,im`` pairs.
+
+    The D x D array is built once every row has passed, so its size is
+    bounded by the entries the file holds.
+    """
     lines = list(_data_lines(_read_text(path)))  # counted before any row is parsed
     dim = _header(iter(lines), "matrix file", "d", "dimension")
     if len(lines) != dim + 1:
         raise ParseError(f"expected {dim} matrix rows", lines[-1][0])
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for row, (line_no, tokens) in enumerate(lines[1:]):
+    entries: list[complex] = []
+    for line_no, tokens in lines[1:]:
         if len(tokens) != dim:
             raise ParseError(f"row needs {dim} entries, got {len(tokens)}", line_no)
-        for col, token in enumerate(tokens):
+        for token in tokens:
             re_text, sep, im_text = token.partition(",")
             if not sep:
                 raise ParseError(f"entries are 're,im', got {token!r}", line_no)
             try:
-                out[row, col] = complex(float(re_text), float(im_text))
+                entries.append(complex(_parse_float(re_text), _parse_float(im_text)))
             except ValueError:
                 raise ParseError(f"bad complex entry {token!r}", line_no) from None
-    return out
+    return np.array(entries, dtype=np.complex128).reshape(dim, dim)
 
 
 #: Caps on a distribution file's rationals: characters per token, size of
@@ -240,6 +245,9 @@ def load_distribution(path: str) -> EventDistribution:
         if len(value) > MAX_RATIONAL_CHARS:
             raise ParseError(f"rational exceeds {MAX_RATIONAL_CHARS} characters", line_no)
         try:
+            # Fraction and int accept "_" separators and non-ASCII digits
+            if not value.isascii() or "_" in value:
+                raise ValueError(value)
             # checked first: Fraction would build 10**exponent
             if abs(int(value.lower().partition("e")[2] or 0)) > MAX_EXPONENT:
                 raise ParseError(f"exponent of {value!r} exceeds {MAX_EXPONENT}", line_no)
@@ -291,7 +299,7 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
     if len(parts) != count:
         raise InvalidInput(f"{what} expects {count} comma-separated values")
     try:
-        return [float(p) for p in parts]
+        return [_parse_float(p) for p in parts]
     except ValueError:
         raise InvalidInput(f"bad number in {what}: {text!r}") from None
 

@@ -191,29 +191,24 @@ def _gate_kernel(g: np.ndarray, targets: list[int], amps: np.ndarray, n: int) ->
     slice copy.  Any other gate gathers the 2**k input slices of one
     cache-sized block at a time and multiplies them by g in one matrix
     product: per amplitude the same products, summed in the same order,
-    as one contraction of the whole state.  Permutation gates on the
-    innermost qubit take the same blocks and permute their rows.
+    as one contraction of the whole state.
     """
     if not np.isfinite(g).all():
         raise InvalidInput("gate entries must be finite")
     k = len(targets)
-    shape, axes = _split_axes(n, targets, amps.size >> n)
+    shape, order = _split_axes(n, targets, amps.size >> n)
     out = np.empty(shape, dtype=amps.dtype)
-    # Views with the target axes first, in target order: indexing their
-    # first k axes with the bits of r picks slice r.
-    bit_axes = [axes[q] for q in targets]
-    src = np.moveaxis(amps.reshape(shape), bit_axes, range(k))
-    dst = np.moveaxis(out, bit_axes, range(k))
+    # Views with the target axes first: indexing their first k axes with
+    # the bits of r picks slice r.
+    src = amps.reshape(shape).transpose(order)
+    dst = out.transpose(order)
     # the one input slice each output slice copies, if every row of g is
     # a unit vector
     sources = [
         row.index(1) if row.count(0) == len(row) - 1 and 1 in row else None
         for row in g.tolist()
     ]
-    permutes = None not in sources
-    # Slice copies run at memory speed unless the innermost axis is a
-    # target's, which leaves them one amplitude per stride.
-    if permutes and dst.strides[-1] == out.itemsize:
+    if None not in sources:
         bits = [index_to_bits(r, k) for r in range(1 << k)]
         for r, c in enumerate(sources):
             dst[bits[r]] = src[bits[c]]
@@ -238,10 +233,7 @@ def _gate_kernel(g: np.ndarray, targets: list[int], amps: np.ndarray, n: int) ->
     rows_in, rows_out = gathered.reshape(1 << k, -1), product.reshape(1 << k, -1)
     for block in blocks:
         gathered[...] = src[block]
-        if permutes:
-            np.take(rows_in, sources, axis=0, out=rows_out)
-        else:
-            np.matmul(g, rows_in, out=rows_out)
+        np.matmul(g, rows_in, out=rows_out)
         dst[block] = product
     return out.reshape(amps.shape)
 
@@ -329,17 +321,14 @@ def apply_oracle_at(f: TruthTable, targets: Sequence[int], s: StateVector) -> St
         )
     n = s.num_qubits
     _check_qubits(targets, n)
-    shape, axes = _split_axes(n, targets, 1)
-    # f over the input axes (in the view's sorted order), size 1 elsewhere
-    inputs = targets[:-1]
-    order = sorted(range(f.arity), key=inputs.__getitem__)
-    table = np.asarray(f.outputs, dtype=bool).reshape([2] * f.arity).transpose(order)
-    mask_shape = [1] * len(shape)
-    for q in inputs:
-        mask_shape[axes[q]] = 2
+    shape, order = _split_axes(n, targets, 1)
+    # f along the input axes and size 1 along the others, in listed-first
+    # order, then moved to the view's order
+    sizes = [2] * f.arity + [1] * (len(shape) - f.arity)
+    mask = np.asarray(f.outputs, dtype=bool).reshape(sizes).transpose(np.argsort(order))
     view = s.amplitudes.reshape(shape)
-    flipped = np.flip(view, axes[targets[-1]])
-    return StateVector._trusted(np.where(table.reshape(mask_shape), flipped, view).reshape(-1))
+    flipped = np.flip(view, order[f.arity])
+    return StateVector._trusted(np.where(mask, flipped, view).reshape(-1))
 
 
 def walsh_hadamard(n: int) -> np.ndarray:

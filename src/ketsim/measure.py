@@ -88,22 +88,21 @@ def measure_subset(s: StateVector, qubits: Sequence[int], rng: RngStream) -> Mea
     qubits = list(qubits)
     n, k = s.num_qubits, len(qubits)
     _check_qubits(qubits, n)
-    # Views with the listed qubits' axes last, in list order: the last k
-    # indices spell an outcome and the others run in basis-index order.
-    shape, axes = _split_axes(n, qubits, 1)
-    bit_axes, last = [axes[q] for q in qubits], range(-k, 0)
-    born = np.moveaxis(probabilities(s).reshape(shape), bit_axes, last)
+    # Views with the listed qubits' axes first: the first k indices spell
+    # an outcome and the others run in basis-index order.
+    shape, order = _split_axes(n, qubits, 1)
+    born = probabilities(s).reshape(shape).transpose(order)
     # A running sum adds each outcome's Born weights one at a time in
     # index order; np.sum would pair them up and round differently.
-    weights = np.cumsum(born.reshape(-1, 1 << k), axis=0)[-1]
+    weights = np.cumsum(born.reshape(1 << k, -1), axis=1)[:, -1]
 
     cdf, last_live = _branch_cdf(weights)
     outcome = _draw(cdf, last_live, rng.uniform())
     bits = index_to_bits(outcome, k)
     collapsed = np.zeros_like(s.amplitudes)
-    src = np.moveaxis(s.amplitudes.reshape(shape), bit_axes, last)
-    dst = np.moveaxis(collapsed.reshape(shape), bit_axes, last)
-    np.divide(src[(..., *bits)], math.sqrt(weights[outcome]), out=dst[(..., *bits)])
+    src = s.amplitudes.reshape(shape).transpose(order)
+    dst = collapsed.reshape(shape).transpose(order)
+    np.divide(src[(*bits, ...)], math.sqrt(weights[outcome]), out=dst[(*bits, ...)])
     return MeasurementOutcome(
         bits=bits,
         probability=float(weights[outcome]),

@@ -105,13 +105,15 @@ def _check_qubits(qubits: Sequence[int], n: int) -> None:
             raise InvalidInput(f"qubit index {q} out of range for {n} qubits")
 
 
-def _split_axes(n: int, qubits: Sequence[int], columns: int) -> tuple[list, dict]:
+def _split_axes(n: int, qubits: Sequence[int], columns: int) -> tuple[list, list]:
     """Shape viewing 2**n rows of ``columns`` amplitudes with one size-2
-    axis per listed qubit, and the position of each qubit's axis.
+    axis per listed qubit, and the axis order that puts the listed qubits'
+    axes first, in list order, and keeps the others after them in place.
 
-    The qubits in between (and the columns) share one merged axis per gap;
-    an empty gap gets no axis, since a size-1 axis would leave numpy an
-    inner loop of length 1.
+    On ``a.reshape(shape).transpose(order)`` the first k indices are the
+    listed qubits' bits.  The qubits in between (and the columns) share one
+    merged axis per gap; an empty gap gets no axis, since a size-1 axis
+    would leave numpy an inner loop of length 1.
     """
     shape: list[int] = []
     axes: dict[int, int] = {}
@@ -125,7 +127,8 @@ def _split_axes(n: int, qubits: Sequence[int], columns: int) -> tuple[list, dict
     rest = (1 << (n - 1 - prev)) * columns
     if rest > 1:
         shape.append(rest)
-    return shape, axes
+    order = [axes[q] for q in qubits]
+    return shape, order + [a for a in range(len(shape)) if a not in order]
 
 
 def ket(bits: Sequence[int], cap: int = DEFAULT_QUBIT_CAP) -> StateVector:

@@ -336,6 +336,17 @@ FILE_COMMANDS = [
 
 
 class TestInputFiles:
+    def test_short_rows_rejected_before_matrix_allocation(self, capsys, tmp_path):
+        # a 1.2 MB file whose header asks for a 200000 x 200000 matrix (596 GiB)
+        path = tmp_path / "huge.mat"
+        path.write_text("d=200000\n" + "1.0,0\n" * 200_000)
+        started = time.perf_counter()
+        code, out = run_cli(capsys, "decompose", "--matrix", str(path))
+        assert time.perf_counter() - started < 2.0
+        assert code == 1
+        assert out == ('{"error": {"kind": "ParseError", '
+                       '"detail": "line 2: row needs 200000 entries, got 1"}}\n')
+
     @pytest.mark.parametrize("command, option", FILE_COMMANDS)
     def test_non_utf8_file_is_input_error(self, capsys, tmp_path, command, option):
         path = tmp_path / "bad.txt"
@@ -397,7 +408,9 @@ FIXTURE_DIGESTS = [
 # (subcommand, file text, error kind, detail) of malformed input files.  The
 # rows marked "changed" differ from the earlier reader: integers are ASCII
 # digits with an optional "-", and a matrix dimension below 1 is a header
-# error; every other document is byte-identical to it.
+# error; every other document is byte-identical to it.  The rows marked
+# "ascii" were accepted (or, for '1_0,0', rejected as not unitary) before
+# numbers were held to ASCII text without "_" separators.
 MALFORMED = [
     ("run", "", "InvalidInput", "program declares no qubits"),
     ("run", "# c\n\n", "InvalidInput", "program declares no qubits"),
@@ -428,6 +441,10 @@ MALFORMED = [
     ("run", "h 1_0\n", "ParseError", "line 1: expected a qubit index, got '1_0'"),  # changed
     ("run", "h \uff11\n", "ParseError", "line 1: expected a qubit index, got '\uff11'"),  # changed
     ("run", "h +1\n", "ParseError", "line 1: expected a qubit index, got '+1'"),  # changed
+    ("run", "qubits 1\nu2 0 a=1_0 b=0 c=0 d=0\n",
+     "ParseError", "line 2: bad angle for 'a': '1_0'"),  # ascii
+    ("run", "u2 0 a=0 b=\u0661 c=0 d=0\n",
+     "ParseError", "line 1: bad angle for 'b': '\u0661'"),  # ascii
     ("deutsch-jozsa", "", "ParseError", "line 1: truth table file must start with n=<arity>"),
     ("deutsch-jozsa", "# c\n\nx=2\n",
      "ParseError", "line 3: truth table file must start with n=<arity>"),
@@ -460,6 +477,9 @@ MALFORMED = [
     ("decompose", "# c\nd=-3\n1,0\n",
      "ParseError", "line 2: dimension must be at least 1, got -3"),  # changed
     ("decompose", "d=1_6\n", "ParseError", "line 1: bad dimension 'd=1_6'"),  # changed
+    ("decompose", "d=1\n1_0,0\n", "ParseError", "line 2: bad complex entry '1_0,0'"),  # ascii
+    ("decompose", "d=1\n1,\uff10\n",
+     "ParseError", "line 2: bad complex entry '1,\uff10'"),  # ascii
     ("bounds", "# c\n", "ParseError", "distribution file is empty"),
     ("bounds", "0 1/2\n1 1/2 x\n", "ParseError", "line 2: expected '<bits> <rational>'"),
     ("bounds", "0 1/2\n11 1/2\n", "ParseError", "line 2: bad atom pattern '11'"),
@@ -471,6 +491,11 @@ MALFORMED = [
     ("bounds", "00000000000 1\n",
      "ParseError", "line 1: atom pattern of 11 events exceeds the cap of 10"),
     ("bounds", "0 1\n1 1e-5000\n", "ParseError", "line 2: exponent of '1e-5000' exceeds 100"),
+    ("bounds", "0 \u0661/\u0662\n1 1/2\n",
+     "ParseError", "line 1: bad rational '\u0661/\u0662'"),  # ascii
+    ("bounds", "0 1_0/2_0\n1 1/2\n", "ParseError", "line 1: bad rational '1_0/2_0'"),  # ascii
+    ("bounds", "0 1/2\n1 5e-0_1\n", "ParseError", "line 2: bad rational '5e-0_1'"),  # ascii
+    ("bounds", "0 1/2\n1 5e-\u0661\n", "ParseError", "line 2: bad rational '5e-\u0661'"),  # ascii
 ]
 
 
@@ -492,6 +517,19 @@ class TestGoldenBytes:
         code, out = run_cli(capsys, *argv)
         assert code == 1
         assert out == f'{{"error": {{"kind": "{kind}", "detail": "{detail}"}}}}\n'
+
+    # numbers given as options, accepted before they were held to ASCII
+    # text without "_" separators
+    @pytest.mark.parametrize("argv, detail", [
+        (["teleport", "--state", "1_0,0"], "bad number in --state: '1_0,0'"),
+        (["teleport", "--state", "0.5,\u0661"], "bad number in --state: '0.5,\u0661'"),
+        (["bell", "--angles", "0,0,0,1_0"], "bad number in --angles: '0,0,0,1_0'"),
+        (["bell", "--angles", "0,\uff10,0,0"], "bad number in --angles: '0,\uff10,0,0'"),
+    ])
+    def test_malformed_argument(self, capsys, argv, detail):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == f'{{"error": {{"kind": "InvalidInput", "detail": "{detail}"}}}}\n'
 
 
 class TestLazyReader:

@@ -330,6 +330,99 @@ class TestApplyGateAt:
                 assert np.max(np.abs(got.amplitudes - expected)) <= 1e-12
 
 
+def _gather_take_scatter(g, targets, amps, n):
+    """The former path of a permutation gate whose slices were one amplitude
+    per stride (a target on the innermost axis): gather one cache-sized
+    block, permute its rows with ``np.take``, scatter it back."""
+    k = len(targets)
+    shape, axes, prev = [], {}, -1
+    for q in sorted(targets):
+        if q - prev > 1:
+            shape.append(1 << (q - prev - 1))
+        axes[q] = len(shape)
+        shape.append(2)
+        prev = q
+    rest = (1 << (n - 1 - prev)) * (amps.size >> n)
+    if rest > 1:
+        shape.append(rest)
+    out = np.empty(shape, dtype=amps.dtype)
+    bit_axes = [axes[q] for q in targets]
+    src = np.moveaxis(amps.reshape(shape), bit_axes, range(k))
+    dst = np.moveaxis(out, bit_axes, range(k))
+    sources = [row.index(1) for row in g.tolist()]
+    count = max(1, out.nbytes // (1 << 17))
+    rest = range(k, src.ndim)
+    longest = max(rest, key=src.shape.__getitem__, default=None)
+    axis = next((a for a in rest if src.shape[a] >= count), longest)
+    blocks = [()]
+    if axis is not None and count > 1:
+        step = max(1, src.shape[axis] // count)
+        blocks = [
+            (slice(None),) * axis + (slice(start, start + step),)
+            for start in range(0, src.shape[axis], step)
+        ]
+    gathered = np.empty_like(src[blocks[0]], order="C")
+    product = np.empty_like(gathered)
+    rows_in, rows_out = gathered.reshape(1 << k, -1), product.reshape(1 << k, -1)
+    for block in blocks:
+        gathered[...] = src[block]
+        np.take(rows_in, sources, axis=0, out=rows_out)
+        dst[block] = product
+    return out.reshape(amps.shape)
+
+
+_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+_CYCLE3 = np.eye(4, dtype=complex)[[0, 3, 1, 2]]  # |01> -> |10> -> |11> -> |01>
+
+
+def _signed_zero_state(n):
+    """A seeded state whose parts include +0.0 and -0.0."""
+    gen = np.random.default_rng(n)
+    re, im = gen.normal(size=(2, 1 << n))
+    re[::3], im[::7] = 0.0, 0.0
+    # numpy's complex / real, which normalises, keeps a -0.0 real part
+    # beside a negative imaginary part, and a -0.0 imaginary part beside
+    # a positive real part
+    re[2::5], im[2::5] = -0.0, -np.abs(im[2::5])
+    re[1::4], im[1::4] = np.abs(re[1::4]), -0.0
+    amps = np.empty(1 << n, dtype=complex)
+    amps.real, amps.imag = re, im  # re + 1j * im would turn -0.0 into 0.0
+    return StateVector(amps / np.linalg.norm(amps))
+
+
+def _last_qubit_permutations(n):
+    """(gate, targets) of permutation gates with the last qubit among their targets."""
+    last = n - 1
+    cases = [(pauli_x(), [last]), (cnot(), [0, last]), (cnot(), [last, 0]),
+             (_SWAP, [0, last]), (_CYCLE3, [last, 0])]
+    if n >= 3:
+        cases += [(toffoli_unitary(), [0, 1, last]), (toffoli_unitary(), [last, 0, 1])]
+    return cases
+
+
+class TestPermutationReference:
+    """Permutation gates are slice copies wherever their targets lie; their
+    bits equal those of the former gather/``np.take``/scatter path."""
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 16])
+    def test_apply_gate_at_matches_gather_take_scatter(self, n):
+        s = _signed_zero_state(n)
+        parts = s.amplitudes.view(np.float64)
+        assert np.signbit(parts[parts == 0]).any() and not np.signbit(parts[parts == 0]).all()
+        for g, targets in _last_qubit_permutations(n):
+            got = apply_gate_at(g, targets, s).amplitudes
+            expected = StateVector._trusted(_gather_take_scatter(g, targets, s.amplitudes, n))
+            assert np.array_equal(got.view(np.int64), expected.amplitudes.view(np.int64))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_embed_two_matches_gather_take_scatter(self, n):
+        for g in (cnot(), _SWAP, _CYCLE3):
+            for i, j in itertools.permutations(range(n), 2):
+                expected = _gather_take_scatter(g, [i, j], identity(1 << n), n)
+                got = embed_two(g, i, j, n)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 class TestOracle:
     def test_constant_zero_is_identity(self):
         f = TruthTable(2, (0, 0, 0, 0))
