@@ -35,7 +35,7 @@ from .gates import (
     toffoli_unitary,
     u2_from_params,
 )
-from .measure import Histogram, measure_all, measure_subset
+from .measure import Histogram, measure_subset, sample
 from .rng import RngStream
 from .state import DEFAULT_QUBIT_CAP, StateVector, ket
 
@@ -228,14 +228,13 @@ def _run_trajectory(
     state: StateVector,
     rng: RngStream,
 ) -> tuple[str, StateVector]:
-    """Run ``instructions`` from ``state``; one uniform per measurement."""
+    """Run ``instructions`` from ``state``; one uniform per measurement,
+    where a bare ``measure`` measures every qubit in order."""
     recorded: list[str] = []
     for ins in instructions:
         if ins.opcode == "MEASURE":
-            if ins.targets:
-                outcome = measure_subset(state, list(ins.targets), rng)
-            else:
-                outcome = measure_all(state, rng)
+            targets = list(ins.targets) or list(range(state.num_qubits))
+            outcome = measure_subset(state, targets, rng)
             state = outcome.collapsed
             recorded.append("".join(map(str, outcome.bits)))
         elif ins.opcode == "ORACLE":
@@ -259,6 +258,8 @@ def run_program(
     trajectories are run off one seeded stream and the counts of the
     concatenated measured bits are returned.  Draws happen only at
     measurements, so the prefix before the first one is simulated once.
+    If that is the trailing full-register one, the shots are one
+    ``sample(prefix_state, shots, seed)``.
     """
     tables = tables or {}
     n = program.num_qubits
@@ -276,6 +277,8 @@ def run_program(
     _, state = _run_trajectory(prefix, tables, ket([0] * n, cap=n), rng)
     if not rest:
         return state
+    if len(rest) == 1 and not rest[0].targets:
+        return sample(state, shots, seed)
     counts: dict[str, int] = {}
     for _ in range(shots):
         pattern, _ = _run_trajectory(rest, tables, state, rng)

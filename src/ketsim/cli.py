@@ -2,10 +2,10 @@
 
 Subcommands: run, teleport, deutsch-jozsa, decompose, bell, bounds.  Each
 writes one JSON document to stdout; diagnostics go to stderr.  Exit codes:
-0 success, 1 input error, 2 numerical failure.  All randomness derives
-from --seed (default 0), and floating-point values are printed with 17
-significant digits, so identical invocations produce byte-identical
-output.
+0 success, 1 input error (running out of memory included), 2 numerical
+failure.  All randomness derives from --seed (default 0), and
+floating-point values are printed with 17 significant digits, so
+identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from .circuit import _data_lines, _parse_float, _parse_int, parse_circuit, run_program
 from .decompose import TwoLevelFactor, recompose, two_level_decompose
 from .errors import (
+    CapacityExceeded,
     InvalidInput,
     KetsimError,
     NumericalFailure,
@@ -307,17 +308,15 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
 def _cmd_teleport(args) -> dict:
     theta, eta = _parse_floats(args.state, 2, "--state")
     psi = qubit_from_angles(theta, eta)
-    if args.branch is not None:
-        if len(args.branch) != 2 or any(ch not in "01" for ch in args.branch):
-            raise InvalidInput(f"--branch expects two bits, got {args.branch!r}")
+    if args.branch is None:
+        transcript = teleport(psi, RngStream(args.seed))
+        a1, a2, bob = transcript.a1, transcript.a2, transcript.bob_state
+    elif len(args.branch) == 2 and set(args.branch) <= {"0", "1"}:
         a1, a2 = int(args.branch[0]), int(args.branch[1])
-        psi0, psi1, psi2 = teleport_pre_measurement(psi)
         bob = teleport_branch(psi, a1, a2)
     else:
-        transcript = teleport(psi, RngStream(args.seed))
-        a1, a2 = transcript.a1, transcript.a2
-        psi0, psi1, psi2 = transcript.psi0, transcript.psi1, transcript.psi2
-        bob = transcript.bob_state
+        raise InvalidInput(f"--branch expects two bits, got {args.branch!r}")
+    psi0, psi1, psi2 = teleport_pre_measurement(psi)
     return {
         "input_state": _state_json(psi),
         "a1": a1,
@@ -444,13 +443,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = args.fn(args)
-    except KetsimError as exc:
+        text = _json(args.fn(args))
+    except (KetsimError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = CapacityExceeded(f"out of memory: {exc}".removesuffix(": "))
         body = {"error": {"kind": exc.kind, "detail": str(exc)}}
         print(_json(body))
         print(f"ketsim: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    print(_json(payload))
+    print(text)
     return 0
 
 

@@ -127,19 +127,15 @@ def eigenvector_factors(vector: np.ndarray, eigenvalue: complex) -> list[TwoLeve
         # built: most rotations of a sparse eigenvector are elided.
         if max(abs(cp / r - 1), abs(co / r)) < ELIDE_EPS:
             continue
+        # on (pivot, other); on (other, pivot) its rows and columns reverse
+        block = np.array(
+            [[np.conj(cp) / r, np.conj(co) / r], [-co / r, cp / r]],
+            dtype=np.complex128,
+        )
         if pivot < other:
-            block = np.array(
-                [[np.conj(cp) / r, np.conj(co) / r], [-co / r, cp / r]],
-                dtype=np.complex128,
-            )
-            support = (pivot, other)
+            forward.append(TwoLevelFactor(dim, (pivot, other), block))
         else:
-            block = np.array(
-                [[cp / r, -co / r], [np.conj(co) / r, np.conj(cp) / r]],
-                dtype=np.complex128,
-            )
-            support = (other, pivot)
-        forward.append(TwoLevelFactor(dim, support, block))
+            forward.append(TwoLevelFactor(dim, (other, pivot), block[::-1, ::-1].copy()))
 
     factors: list[TwoLevelFactor] = [
         TwoLevelFactor(f.dim, f.support, f.block.conj().T) for f in forward

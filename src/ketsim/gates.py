@@ -12,7 +12,7 @@ must be applied through the O(2**n) kernels ``apply_gate_at`` and
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 
@@ -59,10 +59,6 @@ class TruthTable:
             )
         if any(v not in (0, 1) for v in self.outputs):
             raise InvalidInput("truth table outputs must be 0 or 1")
-
-    @classmethod
-    def from_function(cls, arity: int, fn: Callable[[int], int]) -> "TruthTable":
-        return cls(arity, tuple(int(fn(x)) for x in range(1 << arity)))
 
     @property
     def ones(self) -> int:

@@ -16,9 +16,12 @@ import numpy as np
 
 from .errors import InvalidInput
 from .rng import RngStream
-from .state import StateVector, _check_qubits, _split_axes, index_to_bits, probabilities
+from .state import StateVector, _check_qubits, _split_axes, index_to_bits, ket, probabilities
 
 ZERO_BRANCH_EPS = 1e-15
+
+# Shots drawn per pass of ``sample``: its memory does not grow with shots.
+SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,22 +63,19 @@ def _branch_cdf(weights: np.ndarray) -> tuple[np.ndarray, int]:
     return cdf, int(np.nonzero(live)[0][-1])
 
 
-def _draw(cdf: np.ndarray, last_live: int, u: float) -> int:
-    return min(int(np.searchsorted(cdf, u, side="right")), last_live)
+def _draw(cdf: np.ndarray, last_live: int, u: float | np.ndarray) -> np.ndarray:
+    """Branch of each uniform in ``u``: the first whose running weight
+    exceeds it, or ``last_live`` for a draw past the rounded total."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), last_live)
 
 
 def measure_all(s: StateVector, rng: RngStream) -> MeasurementOutcome:
     """Measure every qubit; the state collapses onto one basis ket."""
     weights = probabilities(s)
     cdf, last_live = _branch_cdf(weights)
-    index = _draw(cdf, last_live, rng.uniform())
-    collapsed = np.zeros_like(s.amplitudes)
-    collapsed[index] = 1.0
-    return MeasurementOutcome(
-        bits=index_to_bits(index, s.num_qubits),
-        probability=float(weights[index]),
-        collapsed=StateVector._trusted(collapsed),
-    )
+    index = int(_draw(cdf, last_live, rng.uniform()))
+    bits = index_to_bits(index, s.num_qubits)
+    return MeasurementOutcome(bits, float(weights[index]), ket(bits, cap=s.num_qubits))
 
 
 def measure_subset(s: StateVector, qubits: Sequence[int], rng: RngStream) -> MeasurementOutcome:
@@ -97,7 +97,7 @@ def measure_subset(s: StateVector, qubits: Sequence[int], rng: RngStream) -> Mea
     weights = np.cumsum(born.reshape(1 << k, -1), axis=1)[:, -1]
 
     cdf, last_live = _branch_cdf(weights)
-    outcome = _draw(cdf, last_live, rng.uniform())
+    outcome = int(_draw(cdf, last_live, rng.uniform()))
     bits = index_to_bits(outcome, k)
     collapsed = np.zeros_like(s.amplitudes)
     src = s.amplitudes.reshape(shape).transpose(order)
@@ -114,18 +114,19 @@ def sample(s: StateVector, shots: int, seed: int) -> Histogram:
     """Histogram of ``shots`` independent full measurements of copies of ``s``.
 
     Each shot consumes exactly one uniform from a fresh stream seeded with
-    ``seed``, so results are reproducible bit for bit.  Keys are bit
-    patterns with qubit 0 leftmost, sorted ascending.
+    ``seed``, and lands where :func:`measure_all` would land it, so results
+    are reproducible bit for bit.  Shots are drawn ``SAMPLE_CHUNK`` at a
+    time, which bounds memory for any shot count.  Keys are bit patterns
+    with qubit 0 leftmost, sorted ascending.
     """
     if shots < 1:
         raise InvalidInput("shots must be at least 1")
-    weights = probabilities(s)
-    cdf, last_live = _branch_cdf(weights)
+    cdf, last_live = _branch_cdf(probabilities(s))
     rng = RngStream(seed)
-    draws = np.array([rng.uniform() for _ in range(shots)])
-    indices = np.minimum(np.searchsorted(cdf, draws, side="right"), last_live)
-    values, freqs = np.unique(indices, return_counts=True)
-    counts = {
-        format(int(v), f"0{s.num_qubits}b"): int(c) for v, c in zip(values, freqs)
-    }
+    totals = np.zeros(cdf.size, dtype=np.int64)
+    for start in range(0, shots, SAMPLE_CHUNK):
+        size = min(SAMPLE_CHUNK, shots - start)
+        draws = np.fromiter((rng.uniform() for _ in range(size)), np.float64, size)
+        np.add.at(totals, _draw(cdf, last_live, draws), 1)
+    counts = {format(v, f"0{s.num_qubits}b"): int(totals[v]) for v in np.flatnonzero(totals)}
     return Histogram(shots=shots, seed=seed, counts=counts)

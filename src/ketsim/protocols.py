@@ -88,14 +88,12 @@ def teleport_pre_measurement(
     return psi0, psi1, psi2
 
 
-def _bob_qubit(three_qubit: StateVector, a1: int, a2: int) -> StateVector:
+def _received(psi2: StateVector, a1: int, a2: int) -> StateVector:
+    """Receiver's qubit on branch (a1, a2) of ``psi2``, renormalized once,
+    then corrected: X for the second bit, then Z for the first."""
     base = bits_to_index((a1, a2)) << 1
-    return StateVector(three_qubit.amplitudes[base : base + 2])
-
-
-def _correct(bob: StateVector, a1: int, a2: int) -> StateVector:
-    # Receiver's fix-up per the measured bits: X for the second bit, then
-    # Z for the first, in that order.
+    branch = psi2.amplitudes[base : base + 2]
+    bob = StateVector(branch / math.sqrt(float(np.sum(np.abs(branch) ** 2))))
     if a2:
         bob = apply(pauli_x(), bob)
     if a1:
@@ -107,12 +105,12 @@ def teleport(psi: StateVector, rng: RngStream) -> TeleportTranscript:
     """Teleport a 1-qubit state, sampling the sender's measurement branch.
 
     Each of the four branches occurs with probability 1/4; whichever is
-    drawn, the corrected receiver state reproduces the input.
+    drawn, the corrected receiver state reproduces the input, bit for bit
+    as :func:`teleport_branch` gives it for that branch.
     """
     psi0, psi1, psi2 = teleport_pre_measurement(psi)
     outcome = measure_subset(psi2, [0, 1], rng)
     a1, a2 = outcome.bits
-    bob = _correct(_bob_qubit(outcome.collapsed, a1, a2), a1, a2)
     return TeleportTranscript(
         input_state=psi,
         a1=a1,
@@ -121,7 +119,7 @@ def teleport(psi: StateVector, rng: RngStream) -> TeleportTranscript:
         psi1=psi1,
         psi2=psi2,
         collapsed=outcome.collapsed,
-        bob_state=bob,
+        bob_state=_received(psi2, a1, a2),
     )
 
 
@@ -129,16 +127,13 @@ def teleport_branch(psi: StateVector, a1: int, a2: int) -> StateVector:
     """Receiver's corrected state for a forced measurement branch.
 
     Deterministic companion to :func:`teleport`, used to exercise all four
-    branches without sampling.
+    branches without sampling; for the branch :func:`teleport` draws, the
+    two return the same state bit for bit.
     """
     if a1 not in (0, 1) or a2 not in (0, 1):
         raise InvalidInput("branch bits must be 0 or 1")
     _, _, psi2 = teleport_pre_measurement(psi)
-    base = bits_to_index((a1, a2)) << 1
-    branch = psi2.amplitudes[base : base + 2]
-    weight = float(np.sum(np.abs(branch) ** 2))
-    bob = StateVector(branch / math.sqrt(weight))
-    return _correct(bob, a1, a2)
+    return _received(psi2, a1, a2)
 
 
 def parallel_eval(f: TruthTable, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:

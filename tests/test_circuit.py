@@ -26,6 +26,7 @@ from ketsim import (
     pauli_z,
     render_circuit,
     run_program,
+    sample,
     states_equivalent,
     toffoli_unitary,
     u2_from_params,
@@ -280,6 +281,23 @@ class TestExecutor:
         hist = run_program(program, TABLES, shots=shots, seed=seed)
         assert hist.counts == _replay_counts(program, TABLES, shots, seed)
         assert list(hist.counts) == sorted(hist.counts)
+
+    @pytest.mark.parametrize("index", range(0, 24, 3))
+    def test_end_measured_program_is_one_sample(self, index, monkeypatch):
+        program = _random_program(RngStream(100 + index), index)
+        gates = tuple(ins for ins in program.instructions if ins.opcode != "MEASURE")
+        n = program.num_qubits
+        prefix_state = run_program(CircuitProgram(n, gates), TABLES)
+        end_measured = CircuitProgram(n, (*gates, Instruction("MEASURE", ())))
+        calls = []
+        monkeypatch.setattr(
+            "ketsim.circuit.sample", lambda *args: calls.append(args) or sample(*args)
+        )
+        for seed in (0, 1, 7 * index):
+            hist = run_program(end_measured, TABLES, shots=60, seed=seed)
+            assert hist == sample(prefix_state, 60, seed)
+            assert hist.counts == _replay_counts(end_measured, TABLES, 60, seed)
+        assert len(calls) == 3
 
     def test_prefix_simulated_once(self, monkeypatch):
         calls = []

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ketsim
 from ketsim import RngStream, haar_random_unitary, two_level_decompose
 from ketsim.cli import _factors_json, _json, exit_code_for, load_truth_table, main
 from ketsim.errors import (
@@ -92,6 +96,30 @@ class TestRunCommand:
         assert code == 0
         assert json.loads(captured.out)["shots"] == 8
         assert f"--max-qubits {cap} needs up to {size} MiB" in captured.err
+
+    def test_out_of_memory_is_error_document(self, tmp_path):
+        # 2**34 amplitudes (256 GiB) asked for in a child process whose own
+        # address space is capped at 3 GB
+        circuit = tmp_path / "huge.qc"
+        circuit.write_text("qubits 34\nh 0\n")
+        script = (
+            "import resource, sys\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "soft = 3 * 10**9 if hard == resource.RLIM_INFINITY else min(3 * 10**9, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+            "from ketsim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ketsim.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", script, "run", str(circuit), "--max-qubits", "40"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        error = json.loads(result.stdout)["error"]
+        assert error["kind"] == "CapacityExceeded"
+        assert error["detail"].startswith("out of memory")
 
     def test_control_characters_escaped_in_error(self, capsys):
         code, payload = run_json(capsys, "run", "no\tsuch\n.qc")
@@ -403,7 +431,20 @@ FIXTURE_DIGESTS = [
      "f03268e35548bc3c43eec464d11edf3574940ee7c47a5a07a1c5523b747f659d"),
     (["bounds", "--dist", "{f}/uniform2.dist"],
      "e973d72140bf63e922b3f283bc26df6f023d29d71fc9cd8fe618d3cbea98fdc6"),
+    # seed 0 draws branch 11, so the sampled and forced runs print the same
+    # document; the sampled bob_state once carried a second rounding
+    (["teleport", "--state", "0.1,0", "--seed", "0"],
+     "e2f7f7513b8e16506e20dbb560d619468922f66b12c6c1cdbd0510134cc11499"),
+    (["teleport", "--state", "0.1,0", "--branch", "11"],
+     "e2f7f7513b8e16506e20dbb560d619468922f66b12c6c1cdbd0510134cc11499"),
+    (["bell", "--angles", "1.0471975511965976,3.141592653589793,0,2.0943951023931953"],
+     "5cc0c537e56a1e292df1c87b95f856a0339bddda3e9ebb044f12763c20e63fcd"),
 ]
+
+
+def _fixture_id(argv):
+    """The name of the row's first fixture file, else its whole command line."""
+    return next((Path(a).name for a in argv if "{f}" in a), " ".join(argv))
 
 # (subcommand, file text, error kind, detail) of malformed input files.  The
 # rows marked "changed" differ from the earlier reader: integers are ASCII
@@ -502,7 +543,7 @@ MALFORMED = [
 class TestGoldenBytes:
     @pytest.mark.parametrize(
         "argv, digest", FIXTURE_DIGESTS,
-        ids=[Path(argv[1 if argv[0] == "run" else 2]).name for argv, _ in FIXTURE_DIGESTS],
+        ids=[_fixture_id(argv) for argv, _ in FIXTURE_DIGESTS],
     )
     def test_fixture(self, capsys, argv, digest):
         _, out = run_cli(capsys, *(a.format(f=FIXTURES) for a in argv))

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import ketsim.measure as measure
 from ketsim import (
     InvalidInput,
     RngStream,
@@ -18,7 +20,7 @@ from ketsim import (
     sample,
     walsh_hadamard,
 )
-from ketsim.measure import _branch_cdf, _draw
+from ketsim.measure import SAMPLE_CHUNK, _branch_cdf, _draw
 from ketsim.protocols import teleport_pre_measurement
 from ketsim.state import index_to_bits
 from conftest import rand_state
@@ -206,7 +208,68 @@ class TestMeasureSubset:
             measure_subset(ket([0, 0]), [2], RngStream(0))
 
 
+def _unchunked_counts(s, shots, seed):
+    # reference: every shot's uniform held at once, one searchsorted pass
+    cdf, last_live = _branch_cdf(probabilities(s))
+    rng = RngStream(seed)
+    draws = np.array([rng.uniform() for _ in range(shots)])
+    indices = np.minimum(np.searchsorted(cdf, draws, side="right"), last_live)
+    values, freqs = np.unique(indices, return_counts=True)
+    return {format(int(v), f"0{s.num_qubits}b"): int(c) for v, c in zip(values, freqs)}
+
+
+class TestDraw:
+    def test_every_measurement_draws_through_draw(self, monkeypatch):
+        calls = []
+
+        def counting(cdf, last_live, u):
+            calls.append(np.ndim(u))
+            return _draw(cdf, last_live, u)
+
+        monkeypatch.setattr(measure, "_draw", counting)
+        s = rand_state(3, RngStream(12))
+        outcomes = [measure_all(s, RngStream(1)), measure_subset(s, [2, 0], RngStream(1))]
+        sample(s, 10, seed=1)
+        assert calls == [0, 0, 1]
+        for out in outcomes:
+            assert all(type(b) is int for b in out.bits)
+            assert type(out.probability) is float
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_all_qubits_in_order_match_measure_all(self, n):
+        # a bare circuit `measure` is measure_subset over every qubit
+        gen = np.random.default_rng(n)
+        for s in _seeded_states(n, gen):
+            for seed in range(20):
+                whole = measure_all(s, RngStream(seed))
+                listed = measure_subset(s, range(n), RngStream(seed))
+                assert listed.bits == whole.bits
+                assert listed.probability == whole.probability
+
+
 class TestSample:
+    @pytest.mark.parametrize(
+        "shots", [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 3]
+    )
+    def test_chunked_counts_equal_unchunked(self, shots):
+        s = rand_state(4, RngStream(10))
+        hist = sample(s, shots, seed=shots)
+        assert hist.counts == _unchunked_counts(s, shots, shots)
+        assert list(hist.counts) == sorted(hist.counts)
+
+    def test_memory_does_not_grow_with_shots(self, monkeypatch):
+        monkeypatch.setattr(measure, "SAMPLE_CHUNK", 1000)
+        s = rand_state(3, RngStream(11))
+        for shots in (10**4, 10**5):
+            tracemalloc.start()
+            try:
+                sample(s, shots, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one chunk of draws and indices is 16 kB; all 10**4 draws, 80 kB
+            assert peak < 64_000, shots
+
     def test_deterministic_state(self):
         hist = sample(ket([0]), 50, seed=1)
         assert hist.counts == {"0": 50}

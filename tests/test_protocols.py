@@ -101,6 +101,17 @@ class TestTeleportSampled:
         assert live_blocks.sum() == 1
         assert int(np.nonzero(live_blocks)[0][0]) == transcript.a1 * 2 + transcript.a2
 
+    def test_bob_state_bits_equal_forced_branch(self):
+        # (0.1, 0) at seed 0 draws branch 11, where a second renormalization
+        # of the collapsed state once changed the last bits
+        cases = [(qubit_from_angles(0.1, 0.0), 0)]
+        rng = RngStream(8)
+        cases += [(rand_state(1, rng), seed) for seed in range(200)]
+        for psi, seed in cases:
+            t = teleport(psi, RngStream(seed))
+            forced = teleport_branch(psi, t.a1, t.a2)
+            assert t.bob_state.amplitudes.tobytes() == forced.amplitudes.tobytes()
+
     def test_all_branches_occur(self):
         psi = qubit_from_angles(1.1, 0.3)
         counts = {branch: 0 for branch in BRANCHES}

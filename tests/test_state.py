@@ -10,19 +10,30 @@ from ketsim import (
     InvalidInput,
     RngStream,
     StateVector,
+    TruthTable,
     apply,
+    apply_factors,
+    apply_gate_at,
+    apply_oracle_at,
     bell_pair,
     bits_to_index,
     format_ket,
+    haar_random_unitary,
     hadamard,
     index_to_bits,
     is_product_split,
     ket,
+    measure_all,
+    measure_subset,
     probabilities,
     qubit_from_angles,
     states_equivalent,
     tensor,
+    toffoli_unitary,
+    two_level_decompose,
+    u2_from_params,
 )
+from ketsim.state import NORM_ATOL
 from conftest import rand_state
 
 
@@ -229,6 +240,30 @@ class TestFreshOutputs:
             assert not np.shares_memory(out.amplitudes, part.amplitudes)
         assert np.array_equal(s.amplitudes, before_s)
         assert np.array_equal(t.amplitudes, before_t)
+
+
+class TestNormInvariant:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_producer_within_norm_atol(self, seed):
+        # every function that returns a state, on seeded generic inputs
+        rng = RngStream(40 + seed)
+        s = rand_state(5, rng)
+        angles = [rng.uniform() * 6.4 - 3.2 for _ in range(4)]
+        table = TruthTable(2, tuple(int(rng.next_u64() % 2) for _ in range(4)))
+        u = haar_random_unitary(32, rng)
+        produced = {
+            "u2 gate": apply_gate_at(u2_from_params(*angles), [3], s),
+            "toffoli gate": apply_gate_at(toffoli_unitary(), [4, 0, 2], s),
+            "oracle": apply_oracle_at(table, [1, 3, 0], s),
+            "measure_all": measure_all(s, RngStream(seed)).collapsed,
+            "measure_subset": measure_subset(s, [4, 1], RngStream(seed)).collapsed,
+            "ket": ket([1, 0, 1, 1, 0]),
+            "tensor": tensor(s, rand_state(2, rng)),
+            "apply_factors": apply_factors(two_level_decompose(u), s),
+        }
+        for name, out in produced.items():
+            drift = abs(float(np.sum(np.abs(out.amplitudes) ** 2)) - 1.0)
+            assert drift <= NORM_ATOL, name
 
 
 class TestTrustedConstructor:
