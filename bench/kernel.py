@@ -25,8 +25,12 @@ run as ``x/n<N>/innermost``, ``cnot/...`` and ``toffoli/...``.
 factors) run on a seeded ``haar_random_unitary`` at D = 16, 32, 64 and
 128.  ``load_truth_table`` reads a balanced table file of arity 14 and 17
 (0.27 and 2.5 MB), and ``parse_circuit`` parses a 20,000-line circuit
-that cycles through the opcodes, comments and blank lines.  Every process
-is pinned to one core with a one-thread BLAS pool.
+that cycles through the opcodes, comments and blank lines.  ``run_program``
+runs a circuit shaped like the benchmark's ``branch12`` job (12 qubits, a
+Hadamard layer, four 2-qubit measurements among the first gates, 70 gates
+and a trailing ``measure``) at 10**3 and 10**4 shots, once per round
+after a warm-up call, and ``sample`` draws 10**6 shots of a Bell state.
+Every process is pinned to one core with a one-thread BLAS pool.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ ORACLE_ARITY = 4
 DECOMPOSE_DIMS = (16, 32, 64, 128)
 TABLE_ARITIES = (14, 17)
 CIRCUIT_LINES = 20_000
+BRANCHING_SHOTS = (1_000, 10_000)
+SAMPLE_SHOTS = 1_000_000
 
 
 def _pin() -> None:
@@ -79,12 +85,29 @@ def _circuit_text(lines: int, n: int = 16) -> str:
     return "\n".join(out) + "\n"
 
 
+def _branching_text(rng, n: int = 12, gates: int = 70) -> str:
+    """A circuit on ``n`` qubits with an oracle ``f`` of arity
+    ``ORACLE_ARITY``: a Hadamard layer, then ``gates`` gates with a 2-qubit
+    ``measure`` after each of the first four triples, then ``measure``."""
+    cycle = ["h {0}", "cnot {0} {1}", "u2 {0} a={a} b={b} c={c} d={d}", "toffoli {0} {1} {2}",
+             "x {0}", "oracle f {0} {1} {2} {3} {4}", "z {0}", "cnot {1} {0}", "y {0}"]
+    lines = [f"qubits {n}"] + [f"h {q}" for q in range(n)]
+    for i in range(gates):
+        q = rng.permutation(n)[: ORACLE_ARITY + 1].tolist()
+        a, b, c, d = rng.uniform(-3.2, 3.2, 4).tolist()
+        lines.append(cycle[i % len(cycle)].format(*q, a=a, b=b, c=c, d=d))
+        if i in (2, 5, 8, 11):
+            lines.append(f"measure {q[0]} {q[1]}")
+    return "\n".join([*lines, "measure"]) + "\n"
+
+
 def measure(repeats: int) -> dict[str, float]:
     """Median seconds per case for the ``ketsim`` on ``sys.path``."""
     import numpy as np
     from ketsim import StateVector, TruthTable, apply_gate_at, apply_oracle_at, cnot, hadamard
     from ketsim import RngStream, measure_all, measure_subset, pauli_x, toffoli_unitary
     from ketsim import haar_random_unitary, parse_circuit, recompose, two_level_decompose
+    from ketsim import bell_pair, run_program, sample
     from ketsim.cli import load_truth_table
 
     rng = np.random.default_rng(5)
@@ -145,6 +168,14 @@ def measure(repeats: int) -> dict[str, float]:
     tables = {"f": table}
     out[f"parse_circuit/lines{CIRCUIT_LINES}"] = _median_time(
         lambda: parse_circuit(text, tables), repeats)
+    program = parse_circuit(_branching_text(rng), tables)
+    for shots in BRANCHING_SHOTS:
+        # one call per round: per-shot replay takes about 30 s at 10**4
+        out[f"run_program/branch12/shots{shots}"] = _median_time(
+            lambda: run_program(program, tables, shots=shots, seed=1), 1)
+    bell = bell_pair(0, 0)
+    out[f"sample/bell/shots{SAMPLE_SHOTS}"] = _median_time(
+        lambda: sample(bell, SAMPLE_SHOTS, 1), repeats)
     return out
 
 

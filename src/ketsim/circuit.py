@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from .errors import CapacityExceeded, InvalidInput, ParseError
 from .gates import (
     TruthTable,
-    apply_gate_at,
-    apply_oracle_at,
     cnot,
+    compile_gate,
+    compile_oracle,
     hadamard,
     pauli_x,
     pauli_y,
@@ -35,8 +35,7 @@ from .gates import (
     toffoli_unitary,
     u2_from_params,
 )
-from .measure import Histogram, measure_subset, sample
-from .rng import RngStream
+from .measure import Histogram, _check_shots, _Projection, walk_shots
 from .state import DEFAULT_QUBIT_CAP, StateVector, ket
 
 _TARGET_COUNTS = {"X": 1, "Y": 1, "Z": 1, "H": 1, "U2": 1, "CNOT": 2, "TOFFOLI": 3}
@@ -222,26 +221,20 @@ _GATES = {
 }
 
 
-def _run_trajectory(
-    instructions: tuple[Instruction, ...],
-    tables: Mapping[str, TruthTable],
-    state: StateVector,
-    rng: RngStream,
-) -> tuple[str, StateVector]:
-    """Run ``instructions`` from ``state``; one uniform per measurement,
+def _compile(program: CircuitProgram, tables: Mapping[str, TruthTable]) -> list:
+    """The program's steps for ``walk_shots``, each built once: a gate or
+    oracle as a function of states, or the measurement of its targets,
     where a bare ``measure`` measures every qubit in order."""
-    recorded: list[str] = []
-    for ins in instructions:
+    n = program.num_qubits
+    steps: list = []
+    for ins in program.instructions:
         if ins.opcode == "MEASURE":
-            targets = list(ins.targets) or list(range(state.num_qubits))
-            outcome = measure_subset(state, targets, rng)
-            state = outcome.collapsed
-            recorded.append("".join(map(str, outcome.bits)))
+            steps.append(_Projection(ins.targets or range(n), n))
         elif ins.opcode == "ORACLE":
-            state = apply_oracle_at(tables[ins.table], list(ins.targets), state)
+            steps.append(compile_oracle(tables[ins.table], ins.targets, n))
         else:
-            state = apply_gate_at(_GATES[ins.opcode](*ins.params), list(ins.targets), state)
-    return "".join(recorded), state
+            steps.append(compile_gate(_GATES[ins.opcode](*ins.params), ins.targets, n))
+    return steps
 
 
 def run_program(
@@ -254,12 +247,15 @@ def run_program(
     """Execute a program.
 
     Without measurements the (deterministic) final state is returned and
-    ``shots`` is irrelevant.  With measurements, ``shots`` independent
-    trajectories are run off one seeded stream and the counts of the
-    concatenated measured bits are returned.  Draws happen only at
-    measurements, so the prefix before the first one is simulated once.
-    If that is the trailing full-register one, the shots are one
-    ``sample(prefix_state, shots, seed)``.
+    ``shots`` is only checked.  With measurements the counts of the
+    concatenated measured bits over ``shots`` shots are returned, where
+    shot i draws uniform number i·m + j of the stream seeded with ``seed``
+    at its j-th of m measurements: the histogram of ``shots`` replays of
+    the program off one stream.  The program is compiled once and run by
+    one depth-first walk of its outcome tree (``walk_shots``), which
+    simulates each distinct branch once; an end-measured program is one
+    leaf, a ``sample`` of the state before its ``measure``.  At most
+    ``MAX_SHOTS`` shots, checked before any state is built.
     """
     tables = tables or {}
     n = program.num_qubits
@@ -267,20 +263,7 @@ def run_program(
         raise InvalidInput("program declares no qubits")
     if n > cap:
         raise CapacityExceeded(f"{n} qubits exceeds the cap of {cap}")
-    if shots < 1:
-        raise InvalidInput("shots must be at least 1")
-    ops = [ins.opcode for ins in program.instructions]
-    first = ops.index("MEASURE") if "MEASURE" in ops else len(ops)
-    prefix, rest = program.instructions[:first], program.instructions[first:]
-    rng = RngStream(seed)
+    _check_shots(shots)
+    steps = _compile(program, tables)
     # |0...0> is built in the call so that no local keeps it alive
-    _, state = _run_trajectory(prefix, tables, ket([0] * n, cap=n), rng)
-    if not rest:
-        return state
-    if len(rest) == 1 and not rest[0].targets:
-        return sample(state, shots, seed)
-    counts: dict[str, int] = {}
-    for _ in range(shots):
-        pattern, _ = _run_trajectory(rest, tables, state, rng)
-        counts[pattern] = counts.get(pattern, 0) + 1
-    return Histogram(shots=shots, seed=seed, counts=dict(sorted(counts.items())))
+    return walk_shots(ket([0] * n, cap=n), steps, shots, seed)

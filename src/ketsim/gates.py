@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -175,63 +175,86 @@ def _check_dense_dim(dim: int) -> None:
         )
 
 
-def _gate_kernel(g: np.ndarray, targets: list[int], amps: np.ndarray, n: int) -> np.ndarray:
-    """Apply gate ``g`` to the ``targets`` of ``amps`` into a fresh array.
+@lru_cache(maxsize=16)
+def _slice_bits(k: int) -> tuple[tuple[int, ...], ...]:
+    """The bits of every r < 2**k: the index of slice r of a k-target view."""
+    return tuple(index_to_bits(r, k) for r in range(1 << k))
 
-    ``amps`` holds 2**n rows (qubit 0 most significant) of one or more
-    amplitudes each, such as the columns of a matrix.  The first target
-    is the gate's high-order qubit.  On a reshape of ``amps`` that copies
-    nothing, output slice r (the amplitudes whose target bits spell r) is
-    the sum over the gate's columns c of g[r, c] times input slice c.  When
-    every row of g is a unit vector (X, CNOT, Toffoli) that sum is one
-    slice copy.  Any other gate gathers the 2**k input slices of one
-    cache-sized block at a time and multiplies them by g in one matrix
-    product: per amplitude the same products, summed in the same order,
-    as one contraction of the whole state.
+
+class _GatePlan:
+    """Gate ``g`` on the ``targets`` of 2**n rows (qubit 0 most significant)
+    of ``columns`` amplitudes each, such as the columns of a matrix,
+    planned once.  ``apply(amps)`` returns a fresh array with ``g`` applied;
+    calling the plan applies it to a state's amplitudes.
+
+    The first target is the gate's high-order qubit.  On a reshape of the
+    amplitudes that copies nothing, output slice r (the amplitudes whose
+    target bits spell r) is the sum over the gate's columns c of g[r, c]
+    times input slice c.  When every row of g is a unit vector (X, CNOT,
+    Toffoli) that sum is one slice copy.  Any other gate gathers the 2**k
+    input slices of one cache-sized block at a time and multiplies them by
+    g in one matrix product: per amplitude the same products, summed in the
+    same order, as one contraction of the whole state.
     """
-    if not np.isfinite(g).all():
-        raise InvalidInput("gate entries must be finite")
-    k = len(targets)
-    shape, order = _split_axes(n, targets, amps.size >> n)
-    out = np.empty(shape, dtype=amps.dtype)
-    # Views with the target axes first: indexing their first k axes with
-    # the bits of r picks slice r.
-    src = amps.reshape(shape).transpose(order)
-    dst = out.transpose(order)
-    # the one input slice each output slice copies, if every row of g is
-    # a unit vector
-    sources = [
-        row.index(1) if row.count(0) == len(row) - 1 and 1 in row else None
-        for row in g.tolist()
-    ]
-    if None not in sources:
-        bits = [index_to_bits(r, k) for r in range(1 << k)]
-        for r, c in enumerate(sources):
-            dst[bits[r]] = src[bits[c]]
-        return out.reshape(amps.shape)
-    # Otherwise gather one block at a time.  Blocks cut the outermost
-    # non-target axis with at least ``count`` entries (else the longest),
-    # so that each block is a few contiguous runs.  Every size is a power
-    # of two, so the blocks are equal and share two buffers.
-    count = max(1, out.nbytes // _BLOCK_BYTES)
-    rest = range(k, src.ndim)
-    longest = max(rest, key=src.shape.__getitem__, default=None)
-    axis = next((a for a in rest if src.shape[a] >= count), longest)
-    blocks = [()]
-    if axis is not None and count > 1:
-        step = max(1, src.shape[axis] // count)
-        blocks = [
-            (slice(None),) * axis + (slice(start, start + step),)
-            for start in range(0, src.shape[axis], step)
+
+    __slots__ = ("k", "shape", "order", "g", "sources", "axis", "step", "block_shape")
+
+    def __init__(self, g: np.ndarray, targets: list[int], n: int, columns: int = 1):
+        if not np.isfinite(g).all():
+            raise InvalidInput("gate entries must be finite")
+        self.k = k = len(targets)
+        shape, order = _split_axes(n, targets, columns)
+        self.shape, self.order = tuple(shape), tuple(order)
+        # the one input slice each output slice copies, if every row of g
+        # is a unit vector
+        sources = [
+            row.index(1) if row.count(0) == len(row) - 1 and 1 in row else None
+            for row in g.tolist()
         ]
-    gathered = np.empty_like(src[blocks[0]], order="C")
-    product = np.empty_like(gathered)
-    rows_in, rows_out = gathered.reshape(1 << k, -1), product.reshape(1 << k, -1)
-    for block in blocks:
-        gathered[...] = src[block]
-        np.matmul(g, rows_in, out=rows_out)
-        dst[block] = product
-    return out.reshape(amps.shape)
+        if None not in sources:
+            self.g, self.sources = None, tuple(sources)
+            return
+        self.g, self.sources = g, None
+        # Otherwise gather one block at a time.  Blocks cut the outermost
+        # non-target axis with at least ``count`` entries (else the longest),
+        # so that each block is a few contiguous runs.  Every size is a power
+        # of two, so the blocks are equal and share two buffers.
+        viewed = [shape[a] for a in order]
+        count = max(1, (16 * columns << n) // _BLOCK_BYTES)
+        rest = range(k, len(viewed))
+        longest = max(rest, key=viewed.__getitem__, default=None)
+        axis = next((a for a in rest if viewed[a] >= count), longest)
+        if axis is None or count == 1:
+            axis, step = 0, 2  # one block: the whole view
+        else:
+            step = max(1, viewed[axis] // count)
+        viewed[axis], self.axis, self.step = step, axis, step
+        self.block_shape = tuple(viewed)
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        out = np.empty(self.shape, dtype=np.complex128)
+        # Views with the target axes first: indexing their first k axes
+        # with the bits of r picks slice r.
+        src = amps.reshape(self.shape).transpose(self.order)
+        dst = out.transpose(self.order)
+        if self.sources is not None:
+            bits = _slice_bits(self.k)
+            for r, c in enumerate(self.sources):
+                dst[bits[r]] = src[bits[c]]
+            return out.reshape(amps.shape)
+        gathered = np.empty(self.block_shape, dtype=np.complex128)
+        product = np.empty_like(gathered)
+        rows_in, rows_out = gathered.reshape(1 << self.k, -1), product.reshape(1 << self.k, -1)
+        head = (slice(None),) * self.axis
+        for start in range(0, src.shape[self.axis], self.step):
+            block = (*head, slice(start, start + self.step))
+            gathered[...] = src[block]
+            np.matmul(self.g, rows_in, out=rows_out)
+            dst[block] = product
+        return out.reshape(amps.shape)
+
+    def __call__(self, s: StateVector) -> StateVector:
+        return StateVector._trusted(self.apply(s.amplitudes))
 
 
 def _embed(g: np.ndarray, targets: list[int], n: int) -> np.ndarray:
@@ -239,7 +262,7 @@ def _embed(g: np.ndarray, targets: list[int], n: int) -> np.ndarray:
     _check_qubits(targets, n)
     dim = 1 << n
     _check_dense_dim(dim)
-    return _gate_kernel(g, targets, identity(dim), n)
+    return _GatePlan(g, targets, n, columns=dim).apply(identity(dim))
 
 
 def embed_single(g: np.ndarray, i: int, n: int) -> np.ndarray:
@@ -274,6 +297,19 @@ def apply(g: np.ndarray, s: StateVector) -> StateVector:
     return StateVector(g @ s.amplitudes)
 
 
+def compile_gate(g: np.ndarray, targets: Sequence[int], n: int) -> _GatePlan:
+    """``apply_gate_at`` of ``g`` on ``targets`` as a function of n-qubit
+    states: the checks, the gate's finiteness and the kernel's plan are
+    done once here, not on every call."""
+    targets = list(targets)
+    k = len(targets)
+    _check_qubits(targets, n)
+    g = np.asarray(g, dtype=np.complex128)
+    if g.shape != (1 << k, 1 << k):
+        raise DimensionMismatch(f"gate shape {g.shape} does not act on {k} qubits")
+    return _GatePlan(g, targets, n)
+
+
 def apply_gate_at(g: np.ndarray, targets: Sequence[int], s: StateVector) -> StateVector:
     """Apply a small gate to the listed qubits without materializing 2**n x 2**n.
 
@@ -281,14 +317,7 @@ def apply_gate_at(g: np.ndarray, targets: Sequence[int], s: StateVector) -> Stat
     amplitude updates.  The first listed qubit is the gate's high-order
     qubit.
     """
-    targets = list(targets)
-    k = len(targets)
-    n = s.num_qubits
-    _check_qubits(targets, n)
-    g = np.asarray(g, dtype=np.complex128)
-    if g.shape != (1 << k, 1 << k):
-        raise DimensionMismatch(f"gate shape {g.shape} does not act on {k} qubits")
-    return StateVector._trusted(_gate_kernel(g, targets, s.amplitudes, n))
+    return compile_gate(g, targets, s.num_qubits)(s)
 
 
 def oracle_from_truth_table(f: TruthTable) -> np.ndarray:
@@ -304,27 +333,46 @@ def oracle_from_truth_table(f: TruthTable) -> np.ndarray:
     return identity(dim)[rows ^ np.asarray(f.outputs)[rows >> 1]]
 
 
+class _OraclePlan:
+    """The oracle of ``f`` on ``targets`` of an n-qubit state, planned once:
+    amplitudes whose inputs have f = 1 swap with their output-flipped twin."""
+
+    __slots__ = ("shape", "mask", "output_axis")
+
+    def __init__(self, f: TruthTable, targets: list[int], n: int):
+        shape, order = _split_axes(n, targets, 1)
+        self.shape = tuple(shape)
+        # f along the input axes and size 1 along the others, in listed-first
+        # order, then moved to the view's order
+        sizes = [2] * f.arity + [1] * (len(shape) - f.arity)
+        mask = np.asarray(f.outputs, dtype=bool).reshape(sizes).transpose(np.argsort(order))
+        self.mask, self.output_axis = mask, order[f.arity]
+
+    def __call__(self, s: StateVector) -> StateVector:
+        view = s.amplitudes.reshape(self.shape)
+        flipped = np.flip(view, self.output_axis)
+        return StateVector._trusted(np.where(self.mask, flipped, view).reshape(-1))
+
+
+def compile_oracle(f: TruthTable, targets: Sequence[int], n: int) -> _OraclePlan:
+    """``apply_oracle_at`` of ``f`` on ``targets`` as a function of n-qubit
+    states, with its checks and mask built once."""
+    targets = list(targets)
+    if len(targets) != f.arity + 1:
+        raise InvalidInput(
+            f"oracle of arity {f.arity} needs {f.arity + 1} targets, got {len(targets)}"
+        )
+    _check_qubits(targets, n)
+    return _OraclePlan(f, targets, n)
+
+
 def apply_oracle_at(f: TruthTable, targets: Sequence[int], s: StateVector) -> StateVector:
     """O(2**n) kernel for the oracle of ``f``.
 
     ``targets`` lists the arity input qubits (first = x1) followed by the
     output qubit that receives y xor f(x).
     """
-    targets = list(targets)
-    if len(targets) != f.arity + 1:
-        raise InvalidInput(
-            f"oracle of arity {f.arity} needs {f.arity + 1} targets, got {len(targets)}"
-        )
-    n = s.num_qubits
-    _check_qubits(targets, n)
-    shape, order = _split_axes(n, targets, 1)
-    # f along the input axes and size 1 along the others, in listed-first
-    # order, then moved to the view's order
-    sizes = [2] * f.arity + [1] * (len(shape) - f.arity)
-    mask = np.asarray(f.outputs, dtype=bool).reshape(sizes).transpose(np.argsort(order))
-    view = s.amplitudes.reshape(shape)
-    flipped = np.flip(view, order[f.arity])
-    return StateVector._trusted(np.where(mask, flipped, view).reshape(-1))
+    return compile_oracle(f, targets, s.num_qubits)(s)
 
 
 def walsh_hadamard(n: int) -> np.ndarray:

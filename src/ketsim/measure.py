@@ -14,14 +14,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput
-from .rng import RngStream
+from .errors import CapacityExceeded, InvalidInput
+from .rng import RngStream, uniforms
 from .state import StateVector, _check_qubits, _split_axes, index_to_bits, ket, probabilities
 
 ZERO_BRANCH_EPS = 1e-15
 
-# Shots drawn per pass of ``sample``: its memory does not grow with shots.
+# Uniforms drawn per pass at the root of the shot walk: its memory does not
+# grow with shots.
 SAMPLE_CHUNK = 1 << 16
+
+# The most shots one run may ask for: beyond it the draws alone take minutes.
+MAX_SHOTS = 1 << 32
+
+# Bytes of state the open nodes of the shot walk may hold before deeper
+# nodes walk their shots one at a time.
+TREE_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,43 @@ def measure_all(s: StateVector, rng: RngStream) -> MeasurementOutcome:
     return MeasurementOutcome(bits, float(weights[index]), ket(bits, cap=s.num_qubits))
 
 
+class _Projection:
+    """The measurement of the listed qubits of an n-qubit register, planned
+    once: the Born weight of each outcome and the collapse onto one.
+
+    Outcome r packs the listed qubits' bits with the first listed qubit
+    most significant.
+    """
+
+    __slots__ = ("width", "shape", "order")
+
+    def __init__(self, qubits: Sequence[int], n: int):
+        qubits = list(qubits)
+        _check_qubits(qubits, n)
+        self.width = len(qubits)
+        # Views with the listed qubits' axes first: the first k indices spell
+        # an outcome and the others run in basis-index order.
+        shape, order = _split_axes(n, qubits, 1)
+        self.shape, self.order = tuple(shape), tuple(order)
+
+    def weights(self, s: StateVector) -> np.ndarray:
+        born = probabilities(s).reshape(self.shape).transpose(self.order)
+        rows = born.reshape(1 << self.width, -1)
+        # A running sum adds each outcome's Born weights one at a time in
+        # index order; np.sum would pair them up and round differently.
+        # With every qubit measured each row is one weight, taken as it is.
+        return rows[:, 0] if rows.shape[1] == 1 else np.cumsum(rows, axis=1)[:, -1]
+
+    def collapse(self, s: StateVector, outcome: int, weight: float) -> StateVector:
+        """The renormalized projection of ``s`` onto ``outcome`` of Born weight ``weight``."""
+        bits = index_to_bits(outcome, self.width)
+        collapsed = np.zeros_like(s.amplitudes)
+        src = s.amplitudes.reshape(self.shape).transpose(self.order)
+        dst = collapsed.reshape(self.shape).transpose(self.order)
+        np.divide(src[(*bits, ...)], math.sqrt(weight), out=dst[(*bits, ...)])
+        return StateVector._trusted(collapsed)
+
+
 def measure_subset(s: StateVector, qubits: Sequence[int], rng: RngStream) -> MeasurementOutcome:
     """Measure the listed qubits jointly; unmeasured qubits stay quantum.
 
@@ -85,48 +130,140 @@ def measure_subset(s: StateVector, qubits: Sequence[int], rng: RngStream) -> Mea
     listed qubit most significant.  The collapsed state is the
     renormalized projection of ``s`` onto the observed pattern.
     """
-    qubits = list(qubits)
-    n, k = s.num_qubits, len(qubits)
-    _check_qubits(qubits, n)
-    # Views with the listed qubits' axes first: the first k indices spell
-    # an outcome and the others run in basis-index order.
-    shape, order = _split_axes(n, qubits, 1)
-    born = probabilities(s).reshape(shape).transpose(order)
-    # A running sum adds each outcome's Born weights one at a time in
-    # index order; np.sum would pair them up and round differently.
-    weights = np.cumsum(born.reshape(1 << k, -1), axis=1)[:, -1]
-
+    projection = _Projection(qubits, s.num_qubits)
+    weights = projection.weights(s)
     cdf, last_live = _branch_cdf(weights)
     outcome = int(_draw(cdf, last_live, rng.uniform()))
-    bits = index_to_bits(outcome, k)
-    collapsed = np.zeros_like(s.amplitudes)
-    src = s.amplitudes.reshape(shape).transpose(order)
-    dst = collapsed.reshape(shape).transpose(order)
-    np.divide(src[(*bits, ...)], math.sqrt(weights[outcome]), out=dst[(*bits, ...)])
     return MeasurementOutcome(
-        bits=bits,
+        bits=index_to_bits(outcome, projection.width),
         probability=float(weights[outcome]),
-        collapsed=StateVector._trusted(collapsed),
+        collapsed=projection.collapse(s, outcome, weights[outcome]),
     )
+
+
+def _check_shots(shots: int) -> None:
+    if shots < 1:
+        raise InvalidInput("shots must be at least 1")
+    if shots > MAX_SHOTS:
+        raise CapacityExceeded(f"shots exceed the cap of {MAX_SHOTS}")
+
+
+class _Node:
+    """A measurement on the walk's depth-first path: the state it measures,
+    with its outcome weights and CDF, the rows of shots still to draw, and
+    the outcomes drawn but not yet walked (last first) with their rows."""
+
+    __slots__ = ("state", "projection", "pos", "bits", "rows", "per", "weights", "cdf",
+                 "last_live", "children")
+
+    def __init__(self, state, projection, pos, bits, rows, per):
+        self.state, self.projection, self.pos, self.bits = state, projection, pos, bits
+        self.rows, self.per = rows, per
+        self.weights = projection.weights(state)
+        self.cdf, self.last_live = _branch_cdf(self.weights)
+        self.children: list[tuple[int, str, np.ndarray]] = []
+
+    def done(self) -> bool:
+        return not (self.children or len(self.rows))
+
+    def child(self, outcome: int) -> StateVector:
+        """The collapse onto ``outcome``; the last child drops the parent."""
+        state = self.projection.collapse(self.state, outcome, self.weights[outcome])
+        if self.done():
+            self.state = None
+        return state
+
+
+def walk_shots(
+    state: StateVector, steps: Sequence, shots: int, seed: int
+) -> Histogram | StateVector:
+    """Run ``steps`` from ``state`` for ``shots`` shots: the final state if no
+    step measures, else the histogram of each shot's outcomes in step order.
+
+    A step is a gate, a function from a state to a state, or a measurement,
+    a ``_Projection``.  At its j-th of m measurements shot i draws uniform
+    number i·m + j of the stream seeded with ``seed`` (``rng.uniforms``), so
+    each shot draws what one replay of the steps off one stream would, in
+    whatever order the walk reaches it.
+
+    The walk goes depth first over the tree of outcomes.  Gates run once
+    per node, not once per shot.  At a measurement the weights and CDF are
+    computed once, every shot at the node draws through ``_draw``, and the
+    state is collapsed once per distinct outcome, with ``measure_subset``'s
+    collapse.  The last measurement is the leaf: its outcomes are counted
+    and nothing is collapsed; later gates cannot change the counts and are
+    not run.  The root draws at most ``SAMPLE_CHUNK`` uniforms at a time,
+    so memory does not grow with shots.  A node drops its state before its
+    last child is walked, and once the open nodes' states reach
+    ``TREE_BYTES``, each further node walks its shots one at a time, whose
+    nodes then hold no state while their subtree is walked.
+    """
+    marks = [pos for pos, step in enumerate(steps) if isinstance(step, _Projection)]
+    measured = {pos: j for j, pos in enumerate(marks)}  # position -> j
+    m = len(marks)
+    leaf = max(measured, default=len(steps))  # the last measurement
+    steps = steps[: leaf + 1]
+    root_per = max(1, SAMPLE_CHUNK // max(m, 1))  # shots per root slice
+    depth_cap = TREE_BYTES // state.amplitudes.nbytes  # states the path may hold
+    counts: dict[str, int] = {}
+    path: list[_Node] = []
+    pos, bits, rows = 0, "", range(shots)
+    while True:
+        # `state` is the only reference to the state being advanced, so
+        # each gate's input is freed once the gate is applied
+        while pos < len(steps) and pos not in measured:
+            state = steps[pos](state)
+            pos += 1
+        if not m:
+            return state
+        # past the budget a node walks its shots one at a time: each of
+        # them reaches nodes of one child, which drop their state at once
+        per = 1 if len(path) >= depth_cap and pos < leaf else root_per
+        path.append(_Node(state, steps[pos], pos, bits, rows, per))
+        del state
+        while path and not path[-1].children:
+            node = path[-1]
+            if node.done():
+                path.pop()
+                continue
+            take, node.rows = node.rows[: node.per], node.rows[node.per :]
+            if isinstance(take, range):  # a slice of the root: its shots' uniforms
+                draws = uniforms(seed, take.start * m, len(take) * m).reshape(-1, m)
+                take = np.arange(len(take))
+            outcomes = _draw(node.cdf, node.last_live, draws[take, measured[node.pos]])
+            width = node.projection.width
+            if node.pos == leaf:
+                values, freq = np.unique(outcomes, return_counts=True)
+                for value, count in zip(values.tolist(), freq.tolist()):
+                    key = node.bits + format(value, f"0{width}b")
+                    counts[key] = counts.get(key, 0) + count
+                continue
+            order = np.argsort(outcomes, kind="stable")
+            values, starts = np.unique(outcomes[order], return_index=True)
+            groups = np.split(take[order], starts[1:])
+            node.children = [
+                (value, format(value, f"0{width}b"), group)
+                for value, group in zip(values.tolist(), groups)
+            ][::-1]
+        if not path:
+            return Histogram(shots=shots, seed=seed, counts=dict(sorted(counts.items())))
+        node = path[-1]
+        outcome, label, rows = node.children.pop()
+        if node.done():
+            path.pop()
+        state = node.child(outcome)
+        pos, bits = node.pos + 1, node.bits + label
 
 
 def sample(s: StateVector, shots: int, seed: int) -> Histogram:
     """Histogram of ``shots`` independent full measurements of copies of ``s``.
 
-    Each shot consumes exactly one uniform from a fresh stream seeded with
-    ``seed``, and lands where :func:`measure_all` would land it, so results
-    are reproducible bit for bit.  Shots are drawn ``SAMPLE_CHUNK`` at a
-    time, which bounds memory for any shot count.  Keys are bit patterns
-    with qubit 0 leftmost, sorted ascending.
+    Shot i lands where :func:`measure_all` would land it with uniform
+    number i of the stream seeded with ``seed``, so results are
+    reproducible bit for bit; this is the walk of one trailing ``measure``
+    (:func:`walk_shots`), which draws ``SAMPLE_CHUNK`` uniforms at a time
+    and so bounds memory for any shot count up to ``MAX_SHOTS``.  Keys are
+    bit patterns with qubit 0 leftmost, sorted ascending.
     """
-    if shots < 1:
-        raise InvalidInput("shots must be at least 1")
-    cdf, last_live = _branch_cdf(probabilities(s))
-    rng = RngStream(seed)
-    totals = np.zeros(cdf.size, dtype=np.int64)
-    for start in range(0, shots, SAMPLE_CHUNK):
-        size = min(SAMPLE_CHUNK, shots - start)
-        draws = np.fromiter((rng.uniform() for _ in range(size)), np.float64, size)
-        np.add.at(totals, _draw(cdf, last_live, draws), 1)
-    counts = {format(v, f"0{s.num_qubits}b"): int(totals[v]) for v in np.flatnonzero(totals)}
-    return Histogram(shots=shots, seed=seed, counts=counts)
+    _check_shots(shots)
+    return walk_shots(s, [_Projection(range(s.num_qubits), s.num_qubits)], shots, seed)

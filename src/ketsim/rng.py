@@ -5,6 +5,11 @@ constant, finalized by two xor-shift-multiply rounds.  It is fixed here
 (rather than delegating to the platform RNG) so that a seed produces the
 same draw sequence on every platform and Python version.
 
+Its k-th state (counting from 0) is seed + (k + 1)·gamma mod 2**64, so any
+block of the stream can be computed without drawing the ones before it:
+``uniforms`` does that in one numpy pass, and returns bit for bit what
+``RngStream.uniform`` would.
+
 Reference outputs, frozen as test vectors (see tests/test_measure.py and
 the README):
 
@@ -15,6 +20,8 @@ the README):
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -55,3 +62,17 @@ class RngStream:
         u2 = self.uniform()
         r = math.sqrt(-2.0 * math.log(1.0 - u1))
         return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
+
+
+def uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniforms number ``start`` to ``start + count - 1`` (counting from 0)
+    of ``RngStream(seed)``, bit for bit, in one wrapping ``uint64`` pass."""
+    z = np.arange(count, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64((seed + (start + 1) * _GAMMA) & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,10 @@ from ketsim import (
     toffoli_unitary,
     u2_from_params,
 )
+import ketsim.measure as measure
 from ketsim.circuit import _data_lines, _parse_int
+from ketsim.gates import compile_gate
+from ketsim.measure import MAX_SHOTS, _Projection, walk_shots
 
 TABLES = {"f": TruthTable(1, (0, 1)), "g2": TruthTable(2, (0, 1, 1, 0))}
 
@@ -248,6 +252,18 @@ def _random_program(rng: RngStream, index: int) -> CircuitProgram:
     return CircuitProgram(n, (*instructions, tail))
 
 
+# Programs for the outcome tree: every qubit measured mid-circuit; a
+# zero-weight branch (qubit 0 is 1 when measured) beside a live one; a
+# trailing subset measurement.
+TREE_PROGRAMS = [
+    "qubits 3\nh 0\nh 1\nu2 2 a=0.3 b=0.9 c=0.4 d=0.2\nmeasure 0 1 2\nh 1\ncnot 1 2\n"
+    "measure 2 0 1\nh 0\nu2 1 a=0.1 b=0.7 c=0.3 d=0.4\nmeasure",
+    "qubits 2\nx 0\nmeasure 0\nh 1\nmeasure 0 1\nh 0\nmeasure",
+    "qubits 3\nh 0\ncnot 0 1\nmeasure 1\nh 2\ntoffoli 0 2 1\noracle g2 1 2 0\nmeasure 2 1",
+]
+SEEDS = (0, 42, 2**64 - 1, -1)
+
+
 def _replay_counts(program, tables, shots, seed):
     """Independent oracle: every shot rebuilds |0...0> and replays the whole
     program, drawing from one stream in program order."""
@@ -282,6 +298,88 @@ class TestExecutor:
         assert hist.counts == _replay_counts(program, TABLES, shots, seed)
         assert list(hist.counts) == sorted(hist.counts)
 
+    @pytest.mark.parametrize("index", range(0, 24, 4))
+    def test_matches_per_shot_replay_at_edge_seeds(self, index):
+        program = _random_program(RngStream(100 + index), index)
+        for seed in SEEDS:
+            hist = run_program(program, TABLES, shots=30, seed=seed)
+            assert hist.counts == _replay_counts(program, TABLES, 30, seed)
+
+    @pytest.mark.parametrize("text", TREE_PROGRAMS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tree_matches_per_shot_replay(self, text, seed):
+        program = parse_circuit(text, TABLES)
+        hist = run_program(program, TABLES, shots=64, seed=seed)
+        assert hist.counts == _replay_counts(program, TABLES, 64, seed)
+
+    @pytest.mark.parametrize("states", [0, 1, 2])
+    @pytest.mark.parametrize("text", TREE_PROGRAMS)
+    def test_budget_path_matches_per_shot_replay(self, text, states, monkeypatch):
+        # a budget of `states` open nodes; past it, subtrees are walked one
+        # shot at a time
+        program = parse_circuit(text, TABLES)
+        monkeypatch.setattr(measure, "TREE_BYTES", max(1, states * (16 << program.num_qubits)))
+        for seed in (0, 42):
+            hist = run_program(program, TABLES, shots=48, seed=seed)
+            assert hist.counts == _replay_counts(program, TABLES, 48, seed)
+
+    def test_budget_of_no_state_walks_one_shot_at_a_time(self, monkeypatch):
+        collapses = []
+        collapse = _Projection.collapse
+        monkeypatch.setattr(
+            _Projection, "collapse", lambda *args: collapses.append(args) or collapse(*args)
+        )
+        program = parse_circuit(TREE_PROGRAMS[0])
+        run_program(program, shots=40, seed=3)
+        shared = len(collapses)
+        monkeypatch.setattr(measure, "TREE_BYTES", 1)
+        collapses.clear()
+        run_program(program, shots=40, seed=3)
+        # every shot collapses at each of its two measurements before the leaf
+        assert len(collapses) == 40 * 2 > shared
+
+    @pytest.mark.parametrize("chunk", [1, 5, 7])
+    @pytest.mark.parametrize("text", TREE_PROGRAMS)
+    def test_root_chunks_match_per_shot_replay(self, text, chunk, monkeypatch):
+        monkeypatch.setattr(measure, "SAMPLE_CHUNK", chunk)
+        program = parse_circuit(text, TABLES)
+        for seed in (1, 2**64 - 1):
+            hist = run_program(program, TABLES, shots=41, seed=seed)
+            assert hist.counts == _replay_counts(program, TABLES, 41, seed)
+
+    def test_memory_does_not_grow_with_shots(self, monkeypatch):
+        monkeypatch.setattr(measure, "SAMPLE_CHUNK", 1000)
+        program = parse_circuit(TREE_PROGRAMS[0])
+        for shots in (10**4, 10**5):
+            tracemalloc.start()
+            try:
+                run_program(program, shots=shots, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a root slice of 333 shots draws 999 uniforms (8 kB); the
+            # 10**5 shots' draws alone would be 2.4 MB
+            assert peak < 200_000, shots
+
+    def test_a_node_drops_its_state_before_its_last_child(self):
+        # twelve measurements of a qubit that is always 1: every node has
+        # one child, so no open node holds a state as the walk goes deeper
+        n = 14
+        program = parse_circuit(
+            f"qubits {n}\nx 0\n" + "".join(f"h {q}\nmeasure 0\n" for q in range(1, 13))
+            + "measure"
+        )
+        tracemalloc.start()
+        try:
+            run_program(program, shots=4, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A gate holds its input, its output and the norm pass's two
+        # half-size temporaries: 3 states of 256 KiB.  A parent kept alive
+        # through its last child's gates would add a fourth.
+        assert peak < 4 * (16 << n)
+
     @pytest.mark.parametrize("index", range(0, 24, 3))
     def test_end_measured_program_is_one_sample(self, index, monkeypatch):
         program = _random_program(RngStream(100 + index), index)
@@ -289,27 +387,59 @@ class TestExecutor:
         n = program.num_qubits
         prefix_state = run_program(CircuitProgram(n, gates), TABLES)
         end_measured = CircuitProgram(n, (*gates, Instruction("MEASURE", ())))
-        calls = []
+        walks, collapses = [], []
+        collapse = _Projection.collapse
         monkeypatch.setattr(
-            "ketsim.circuit.sample", lambda *args: calls.append(args) or sample(*args)
+            "ketsim.circuit.walk_shots", lambda *args: walks.append(args) or walk_shots(*args)
+        )
+        monkeypatch.setattr(
+            _Projection, "collapse", lambda *args: collapses.append(args) or collapse(*args)
         )
         for seed in (0, 1, 7 * index):
             hist = run_program(end_measured, TABLES, shots=60, seed=seed)
+            # one leaf: its draw collapses no state
+            assert not collapses
             assert hist == sample(prefix_state, 60, seed)
             assert hist.counts == _replay_counts(end_measured, TABLES, 60, seed)
-        assert len(calls) == 3
+        assert len(walks) == 3
 
     def test_prefix_simulated_once(self, monkeypatch):
         calls = []
 
         def counting(*args):
-            calls.append(args)
-            return apply_gate_at(*args)
+            gate = compile_gate(*args)
+            return lambda s: calls.append(args) or gate(s)
 
-        monkeypatch.setattr("ketsim.circuit.apply_gate_at", counting)
+        monkeypatch.setattr("ketsim.circuit.compile_gate", counting)
         program = parse_circuit(
             "qubits 3\nh 0\ncnot 0 1\nu2 2 a=0.1 b=0.2 c=0.3 d=0.4\ntoffoli 0 1 2\nmeasure"
         )
         hist = run_program(program, shots=50, seed=3)
         assert sum(hist.counts.values()) == 50
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("text, shots, runs", [
+        # h once; x and h once for each of the two outcomes of qubit 0
+        ("qubits 2\nh 0\nmeasure 0\nx 1\nh 1\nmeasure 1", 200, 5),
+        # the x after the last measurement cannot change the counts
+        ("qubits 2\nx 0\nmeasure 0\nh 1\nmeasure 1\nx 0", 200, 2),
+    ])
+    def test_each_branch_simulated_once(self, text, shots, runs, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            gate = compile_gate(*args)
+            return lambda s: calls.append(args) or gate(s)
+
+        monkeypatch.setattr("ketsim.circuit.compile_gate", counting)
+        hist = run_program(parse_circuit(text), shots=shots, seed=3)
+        assert sum(hist.counts.values()) == shots
+        assert len(calls) == runs
+
+    def test_shots_capped_before_any_state(self, monkeypatch):
+        monkeypatch.setattr("ketsim.circuit.ket", None)
+        program = parse_circuit("qubits 2\nh 0\nmeasure 0\nmeasure")
+        with pytest.raises(CapacityExceeded):
+            run_program(program, shots=MAX_SHOTS + 1)
+        with pytest.raises(InvalidInput):
+            run_program(program, shots=0)

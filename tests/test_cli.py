@@ -121,6 +121,25 @@ class TestRunCommand:
         assert error["kind"] == "CapacityExceeded"
         assert error["detail"].startswith("out of memory")
 
+    # end-measured, measured mid-circuit, and measurement-free (whose final
+    # state ignores the shot count, which is still checked)
+    @pytest.mark.parametrize("text", [
+        "qubits 2\nh 0\ncnot 0 1\nmeasure\n",
+        "qubits 3\nh 1\ncnot 1 2\ncnot 0 1\nh 0\nmeasure 0 1\nmeasure 2\n",
+        "qubits 1\nh 0\n",
+    ])
+    def test_shots_over_cap_is_one_error_document(self, capsys, tmp_path, text):
+        circuit = tmp_path / "circuit.qc"
+        circuit.write_text(text)
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "run", str(circuit), "--shots", "4294967297")
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert out == (
+            '{"error": {"kind": "CapacityExceeded", '
+            '"detail": "shots exceed the cap of 4294967296"}}\n'
+        )
+
     def test_control_characters_escaped_in_error(self, capsys):
         code, payload = run_json(capsys, "run", "no\tsuch\n.qc")
         assert code == 1

@@ -7,6 +7,7 @@ import scipy.stats
 
 import ketsim.measure as measure
 from ketsim import (
+    CapacityExceeded,
     InvalidInput,
     RngStream,
     StateVector,
@@ -20,7 +21,8 @@ from ketsim import (
     sample,
     walsh_hadamard,
 )
-from ketsim.measure import SAMPLE_CHUNK, _branch_cdf, _draw
+from ketsim.measure import MAX_SHOTS, SAMPLE_CHUNK, _branch_cdf, _draw
+from ketsim.rng import uniforms
 from ketsim.protocols import teleport_pre_measurement
 from ketsim.state import index_to_bits
 from conftest import rand_state
@@ -80,6 +82,21 @@ class TestRngStream:
         draws = [rng.uniform() for _ in range(1000)]
         assert all(0.0 <= u < 1.0 for u in draws)
         assert 0.4 < sum(draws) / len(draws) < 0.6
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_block_draws_equal_scalar_stream(self, seed):
+        # 2**64 - 1 wraps the counter on the first draw
+        rng = RngStream(seed)
+        scalar = np.array([rng.uniform() for _ in range(10**6)])
+        assert np.array_equal(uniforms(seed, 0, 10**6).view(np.uint64), scalar.view(np.uint64))
+
+    @pytest.mark.parametrize("seed", [7, -1, -(2**70) - 3])
+    def test_block_draws_at_an_offset(self, seed):
+        # a negative seed is masked to 64 bits, as RngStream masks it
+        rng = RngStream(seed)
+        scalar = [rng.uniform() for _ in range(12_345 + 1000)]
+        assert uniforms(seed, 12_345, 1000).tolist() == scalar[12_345:]
+        assert uniforms(seed, 0, 0).size == 0
 
     def test_normal_consumes_two_uniforms(self):
         a, b = RngStream(9), RngStream(9)
@@ -314,6 +331,10 @@ class TestSample:
         chi2 = float(np.sum((observed[live] - expected[live]) ** 2 / expected[live]))
         assert chi2 < scipy.stats.chi2.ppf(0.999, df=live.sum() - 1)
 
-    def test_shots_validated(self):
+    def test_shots_validated(self, monkeypatch):
         with pytest.raises(InvalidInput):
             sample(ket([0]), 0, seed=0)
+        # over the cap, before any draw
+        monkeypatch.setattr(measure, "uniforms", None)
+        with pytest.raises(CapacityExceeded):
+            sample(ket([0]), MAX_SHOTS + 1, seed=0)
