@@ -30,6 +30,10 @@ runs a circuit shaped like the benchmark's ``branch12`` job (12 qubits, a
 Hadamard layer, four 2-qubit measurements among the first gates, 70 gates
 and a trailing ``measure``) at 10**3 and 10**4 shots, once per round
 after a warm-up call, and ``sample`` draws 10**6 shots of a Bell state.
+``format_ket/n17`` renders the ket of a generic n = 17 state, and
+``render/n17`` runs ``ketsim.cli.main`` on a measurement-free n = 17
+circuit (a Hadamard and a ``u2`` layer) whose 13 MB ``final_state``
+document goes to a stdout that keeps nothing.
 Every process is pinned to one core with a one-thread BLAS pool.
 """
 
@@ -44,6 +48,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +59,7 @@ TABLE_ARITIES = (14, 17)
 CIRCUIT_LINES = 20_000
 BRANCHING_SHOTS = (1_000, 10_000)
 SAMPLE_SHOTS = 1_000_000
+RENDER_QUBITS = 17
 
 
 def _pin() -> None:
@@ -101,13 +107,38 @@ def _branching_text(rng, n: int = 12, gates: int = 70) -> str:
     return "\n".join([*lines, "measure"]) + "\n"
 
 
+class _Sink:
+    """A stdout that keeps nothing of what is written to it."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _render_case(path: Path) -> Callable[[], None]:
+    """``ketsim run`` of ``path`` with stdout sent to a sink."""
+    from ketsim.cli import main
+
+    def run() -> None:
+        stdout, sys.stdout = sys.stdout, _Sink()
+        try:
+            if main(["run", str(path)]) != 0:
+                raise RuntimeError(f"ketsim run {path} failed")
+        finally:
+            sys.stdout = stdout
+
+    return run
+
+
 def measure(repeats: int) -> dict[str, float]:
     """Median seconds per case for the ``ketsim`` on ``sys.path``."""
     import numpy as np
     from ketsim import StateVector, TruthTable, apply_gate_at, apply_oracle_at, cnot, hadamard
     from ketsim import RngStream, measure_all, measure_subset, pauli_x, toffoli_unitary
     from ketsim import haar_random_unitary, parse_circuit, recompose, two_level_decompose
-    from ketsim import bell_pair, run_program, sample
+    from ketsim import bell_pair, format_ket, run_program, sample
     from ketsim.cli import load_truth_table
 
     rng = np.random.default_rng(5)
@@ -164,6 +195,16 @@ def measure(repeats: int) -> dict[str, float]:
                 f"{x:0{arity}b} {x & 1}\n" for x in range(1 << arity)))
             out[f"load_truth_table/n{arity}"] = _median_time(
                 lambda: load_truth_table(str(path)), repeats)
+        n = RENDER_QUBITS
+        own = np.random.default_rng(n)  # leaves the cases after this unchanged
+        amps = own.normal(size=1 << n) + 1j * own.normal(size=1 << n)
+        state = StateVector(amps / np.linalg.norm(amps))
+        out[f"format_ket/n{n}"] = _median_time(lambda: format_ket(state), repeats)
+        path = Path(tmp) / f"dump{n}.qc"
+        path.write_text("\n".join(
+            [f"qubits {n}", *(f"h {q}" for q in range(n)),
+             *(f"u2 {q} a=0.{q + 1} b=0.3 c=0.{q + 2} d=0.7" for q in range(n))]) + "\n")
+        out[f"render/n{n}"] = _median_time(_render_case(path), repeats)
     text = _circuit_text(CIRCUIT_LINES)
     tables = {"f": table}
     out[f"parse_circuit/lines{CIRCUIT_LINES}"] = _median_time(

@@ -52,7 +52,7 @@ from .rng import RngStream
 from .state import (
     DEFAULT_QUBIT_CAP,
     StateVector,
-    format_ket,
+    ket_chunks,
     qubit_from_angles,
     states_equivalent,
 )
@@ -61,19 +61,54 @@ from .state import (
 
 _STRING_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"'}
 _STRING_ESCAPES.update({c: f"\\u{c:04x}" for c in range(0x20)})
-# floats (an even count) per chunk of a rendered complex array
-_CHUNK_FLOATS = 1 << 13
+# entries of a rendered complex array formatted per ``%`` call
+_CHUNK_PAIRS = 1 << 12
 
 
-class _Rendered(str):
-    """A JSON fragment rendered ahead of time; ``_json`` writes it as is."""
+def _json(value) -> Iterator[str]:
+    """The JSON text of ``value`` as consecutive fragments.
+
+    States and complex arrays are formatted one chunk at a time, so the
+    caller can write a large document without ever holding it whole.
+    """
+    if isinstance(value, dict):
+        yield "{"
+        for i, (k, v) in enumerate(value.items()):
+            yield f"{', ' if i else ''}{_scalar_json(str(k))}: "
+            yield from _json(v)
+        yield "}"
+    elif isinstance(value, (list, tuple)):
+        yield "["
+        for i, v in enumerate(value):
+            if i:
+                yield ", "
+            yield from _json(v)
+        yield "]"
+    elif isinstance(value, StateVector):
+        # the ket's text needs no escapes: digits, signs, letters, |, >, ( )
+        yield f'{{"num_qubits": {value.num_qubits}, "ket": "'
+        yield from ket_chunks(value)
+        yield '", "amplitudes": '
+        yield from _json(value.amplitudes)
+        yield "}"
+    elif isinstance(value, TwoLevelFactor):
+        support = ", ".join(map(str, value.support))
+        yield f'{{"support": [{support}], "block": [{_pairs_text(value.block)}]}}'
+    elif isinstance(value, np.ndarray) and value.dtype == np.complex128:
+        flat = value.reshape(-1)
+        yield "["
+        for start in range(0, flat.size, _CHUNK_PAIRS):
+            if start:
+                yield ", "
+            yield _pairs_text(flat[start : start + _CHUNK_PAIRS])
+        yield "]"
+    else:
+        yield _scalar_json(value)
 
 
-def _json(value) -> str:
+def _scalar_json(value) -> str:
     if value is None:
         return "null"
-    if isinstance(value, _Rendered):
-        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -84,49 +119,14 @@ def _json(value) -> str:
         return f'"{value}"'
     if isinstance(value, str):
         return '"' + value.translate(_STRING_ESCAPES) + '"'
-    if isinstance(value, np.ndarray) and value.dtype == np.complex128:
-        return _complex_json(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json(v) for v in value) + "]"
-    if isinstance(value, dict):
-        items = (f"{_json(str(k))}: {_json(v)}" for k, v in value.items())
-        return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _pairs(floats: np.ndarray) -> Iterator[str]:
-    """``[re, im]`` of each pair of a flat float64 array.  Formatted a chunk
-    at a time, so that only one chunk's floats are held as Python objects."""
-    for start in range(0, floats.size, _CHUNK_FLOATS):
-        values = iter(floats[start : start + _CHUNK_FLOATS].tolist())
-        yield from (f"[{re:.17g}, {im:.17g}]" for re, im in zip(values, values))
-
-
-def _complex_json(a: np.ndarray) -> str:
-    """``[[re, im], ...]`` over the entries of ``a`` in C order."""
-    pairs = _pairs(np.ascontiguousarray(a).reshape(-1).view(np.float64))
-    # one chunk's pairs joined at a time, until a join comes back empty
-    chunk = _CHUNK_FLOATS // 2
-    chunks = iter(lambda: ", ".join(itertools.islice(pairs, chunk)), "")
-    return "[" + ", ".join(chunks) + "]"
-
-
-def _factors_json(factors: list[TwoLevelFactor]) -> list[_Rendered]:
-    """Each factor as ``{"support": [...], "block": [[re, im], ...]}``."""
-    if not factors:
-        return []
-    blocks = np.concatenate([f.block.reshape(-1) for f in factors])
-    pairs = _pairs(blocks.view(np.float64))
-    items = []
-    for f in factors:
-        block = ", ".join(itertools.islice(pairs, f.block.size))
-        support = ", ".join(map(str, f.support))
-        items.append(_Rendered(f'{{"support": [{support}], "block": [{block}]}}'))
-    return items
-
-
-def _state_json(s: StateVector) -> dict:
-    return {"num_qubits": s.num_qubits, "ket": format_ket(s), "amplitudes": s.amplitudes}
+def _pairs_text(a: np.ndarray) -> str:
+    """``[re, im], ...`` over the entries of a complex array, in C order,
+    formatted by one ``%`` call."""
+    floats = np.ascontiguousarray(a).reshape(-1).view(np.float64).tolist()
+    return ", ".join(["[%.17g, %.17g]"] * a.size) % tuple(floats)
 
 
 # --- input file formats ----------------------------------------------------
@@ -291,7 +291,7 @@ def _cmd_run(args) -> dict:
         program, tables, shots=args.shots, seed=args.seed, cap=args.max_qubits
     )
     if isinstance(result, StateVector):
-        return {"final_state": _state_json(result)}
+        return {"final_state": result}
     return result.to_json_dict()
 
 
@@ -318,15 +318,11 @@ def _cmd_teleport(args) -> dict:
         raise InvalidInput(f"--branch expects two bits, got {args.branch!r}")
     psi0, psi1, psi2 = teleport_pre_measurement(psi)
     return {
-        "input_state": _state_json(psi),
+        "input_state": psi,
         "a1": a1,
         "a2": a2,
-        "intermediate": {
-            "psi0": _state_json(psi0),
-            "psi1": _state_json(psi1),
-            "psi2": _state_json(psi2),
-        },
-        "bob_state": _state_json(bob),
+        "intermediate": {"psi0": psi0, "psi1": psi1, "psi2": psi2},
+        "bob_state": bob,
         "equivalent": states_equivalent(bob, psi),
     }
 
@@ -352,7 +348,7 @@ def _cmd_decompose(args) -> dict:
         "constructed_count": 2 * dim * dim - dim,
         "emitted_count": len(factors),
         "recompose_error": error,
-        "factors": _factors_json(factors),
+        "factors": factors,
     }
 
 
@@ -439,19 +435,29 @@ def exit_code_for(exc: KetsimError) -> int:
     return 2 if isinstance(exc, NumericalFailure) else 1
 
 
+def _write_json(value) -> None:
+    """Write the JSON text of ``value`` and a newline to stdout fragment by
+    fragment, so that a large document is never held whole."""
+    write = sys.stdout.write
+    for fragment in _json(value):
+        write(fragment)
+    write("\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        text = _json(args.fn(args))
+        result = args.fn(args)
     except (KetsimError, MemoryError) as exc:
         if isinstance(exc, MemoryError):
             exc = CapacityExceeded(f"out of memory: {exc}".removesuffix(": "))
-        body = {"error": {"kind": exc.kind, "detail": str(exc)}}
-        print(_json(body))
+        _write_json({"error": {"kind": exc.kind, "detail": str(exc)}})
         print(f"ketsim: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    print(text)
+    # rendered only once the command has returned, so that an input error
+    # still prints nothing but its error document
+    _write_json(result)
     return 0
 
 

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -201,12 +201,55 @@ def is_product_split(s: StateVector, left_qubits: int) -> bool:
     return bool(np.sum(singular > 1e-8 * singular[0]) == 1)
 
 
-def _format_amplitude(a: complex) -> str:
-    if abs(a.imag) < RENDER_EPS:
-        return f"{a.real:.6g}"
-    if abs(a.real) < RENDER_EPS:
-        return f"{a.imag:.6g}i"
-    return f"({a.real:.6g}{a.imag:+.6g}i)"
+# A ket term's template, by kind: a pure real or pure imaginary amplitude
+# (modulus, then "" or "i") with the sign as its separator, or a complex
+# amplitude in parentheses (real part, then imaginary part); the basis label
+# comes last.
+_TERM_TEMPLATES = np.array(
+    ["+ %.6g%s|%s>", "- %.6g%s|%s>", "+ (%.6g%+.6gi)|%s>"], dtype=object
+)
+#: Amplitudes examined per chunk of a rendered ket.
+KET_CHUNK = 1 << 12
+
+
+def ket_chunks(s: StateVector) -> Iterator[str]:
+    """The text of :func:`format_ket` in consecutive pieces.
+
+    Each piece renders the kept terms of ``KET_CHUNK`` amplitudes with one
+    ``%`` formatting call, so only one chunk is held as Python objects.
+    """
+    amps = s.amplitudes
+    width = max(s.num_qubits, 1)  # a 0-qubit state's label is "0"
+    first = True
+    for start in range(0, amps.size, KET_CHUNK):
+        block = amps[start : start + KET_CHUNK]
+        index = np.flatnonzero(np.abs(block) >= RENDER_EPS)
+        if not index.size:
+            continue
+        re, im = block.real[index], block.imag[index]
+        real = np.abs(im) < RENDER_EPS
+        imag = ~real & (np.abs(re) < RENDER_EPS)
+        mixed = ~(real | imag)
+        part = np.where(real, re, im)
+        args = np.empty((index.size, 3), dtype=object)
+        args[:, 0] = np.where(mixed, re, np.abs(part))
+        args[:, 1] = np.where(real, "", "i")
+        args[mixed, 1] = im[mixed]
+        # labels: the low ``width`` bits of each big-endian uint64 index as
+        # UCS-4 digits, viewed as one fixed-width string per row
+        octets = (index + start).astype(">u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(octets, axis=1)[:, 64 - width :]
+        args[:, 2] = (bits.astype(np.uint32) + ord("0")).view(f"U{width}")[:, 0]
+        templates = _TERM_TEMPLATES[np.where(mixed, 2, part < 0)]
+        text = " ".join(templates.tolist()) % tuple(args.ravel().tolist())
+        if first:  # the leading term carries only a minus sign
+            yield text[2:] if text[0] == "+" else "-" + text[2:]
+            first = False
+        else:
+            yield " "
+            yield text
+    if first:
+        yield "0"
 
 
 def format_ket(s: StateVector) -> str:
@@ -215,16 +258,4 @@ def format_ket(s: StateVector) -> str:
     Amplitudes print to 6 significant digits; terms with modulus below
     1e-9 are omitted.
     """
-    parts: list[str] = []
-    for i, a in enumerate(s.amplitudes):
-        if abs(a) < RENDER_EPS:
-            continue
-        text = _format_amplitude(complex(a))
-        label = format(i, f"0{s.num_qubits}b")
-        if not parts:
-            parts.append(f"{text}|{label}>")
-        elif text.startswith("-"):
-            parts.append(f"- {text[1:]}|{label}>")
-        else:
-            parts.append(f"+ {text}|{label}>")
-    return " ".join(parts) if parts else "0"
+    return "".join(ket_chunks(s))

@@ -13,7 +13,7 @@ import pytest
 
 import ketsim
 from ketsim import RngStream, haar_random_unitary, two_level_decompose
-from ketsim.cli import _factors_json, _json, exit_code_for, load_truth_table, main
+from ketsim.cli import _json, exit_code_for, load_truth_table, main
 from ketsim.errors import (
     CapacityExceeded,
     DimensionMismatch,
@@ -458,6 +458,14 @@ FIXTURE_DIGESTS = [
      "e2f7f7513b8e16506e20dbb560d619468922f66b12c6c1cdbd0510134cc11499"),
     (["bell", "--angles", "1.0471975511965976,3.141592653589793,0,2.0943951023931953"],
      "5cc0c537e56a1e292df1c87b95f856a0339bddda3e9ebb044f12763c20e63fcd"),
+    # recorded before states were rendered in bulk chunks: a state of
+    # sixteen ket chunks and sixteen amplitude chunks (see the file's
+    # header), and a signed zero, which the gate kernels never produce, in
+    # the teleported input
+    (["run", "{f}/render16.qc"],
+     "a4a6b0f73a1e9f42edfe227869bc54cc8a3bcd06af9f04808261bb36ab7b8344"),
+    (["teleport", "--state", "0,3.141592653589793"],
+     "0a7c6f5e8cb313c630a21ad2c8b587f6f276775fa90bef077342318947c2353b"),
 ]
 
 
@@ -611,27 +619,122 @@ class TestLazyReader:
         assert peak < 15 * path.stat().st_size
 
 
+def _text(value) -> str:
+    return "".join(_json(value))
+
+
+def _reference_pairs(a: np.ndarray) -> str:
+    """The per-pair f-string loop that the bulk pair formatter replaced."""
+    return "[" + ", ".join(f"[{v.real:.17g}, {v.imag:.17g}]" for v in a.reshape(-1)) + "]"
+
+
 class TestJson:
     ENTRIES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1, 1 / 3, -2.718281828459045,
                1e300, 0.70710678118654746, -0.70710678118654757]
 
+    @staticmethod
+    def _complex(re, im) -> np.ndarray:
+        a = np.empty(len(re), dtype=np.complex128)
+        a.real, a.imag = re, im  # set apart, so that signed zeros survive
+        return a
+
     @pytest.mark.parametrize("shape", [(4,), (2, 2), (1, 8)])
     def test_complex_array_as_pairs(self, shape):
-        values = np.array(self.ENTRIES[:8]) + 1j * np.array(self.ENTRIES[-8:])
+        values = self._complex(self.ENTRIES[:8], self.ENTRIES[-8:])
         for a in (values, values[::-1], values * 1j):
             a = a[: math.prod(shape)].reshape(shape)
             pairs = [[float(v.real), float(v.imag)] for v in a.reshape(-1)]
-            assert _json(a) == _json(pairs)
-            assert json.loads(_json(a)) == pairs
+            assert _text(a) == _text(pairs) == _reference_pairs(a)
+            assert json.loads(_text(a)) == pairs
+
+    # sizes on both sides of one and of several chunks, and strided views
+    @pytest.mark.parametrize("size", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+    def test_long_complex_array_in_chunks(self, size):
+        rng = np.random.default_rng(size)
+        a = self._complex(rng.choice(self.ENTRIES, size), rng.choice(self.ENTRIES, size))
+        a[rng.random(size) < 0.5] *= rng.normal(size=1)[0]
+        for view in (a, a[::-1], a[::3], np.stack([a, a]).T):
+            text = _text(view)
+            assert text == _reference_pairs(view)
+            assert json.loads(text) == [[float(v.real), float(v.imag)] for v in view.reshape(-1)]
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 16, 32])  # D = 32: factors in two chunks
     def test_factor_list_as_dicts(self, dim):
         factors = two_level_decompose(haar_random_unitary(dim, RngStream(dim)))
-        expected = [_json({"support": list(f.support), "block": f.block}) for f in factors]
-        assert _factors_json(factors) == expected
+        expected = [{"support": list(f.support), "block": f.block} for f in factors]
+        assert _text(factors) == _text(expected)
+        assert json.loads(_text(factors)) == [
+            {"support": list(f.support),
+             "block": [[float(v.real), float(v.imag)] for v in f.block.reshape(-1)]}
+            for f in factors
+        ]
 
     def test_empty_factor_list(self):
-        assert _json(_factors_json([])) == "[]"
+        assert _text([]) == "[]"
+
+    def test_state_as_dict(self):
+        s = ketsim.StateVector(self._complex([0.6, 0.0, -0.0, 0.0], [0.0, -0.0, 0.8, 0.0]))
+        fields = {"num_qubits": 2, "ket": ketsim.format_ket(s), "amplitudes": s.amplitudes}
+        assert _text(s) == _text(fields)
+        assert json.loads(_text(s)) == {
+            "num_qubits": 2, "ket": "0.6|00> + 0.8i|10>",
+            "amplitudes": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.8], [0.0, 0.0]],
+        }
+
+
+class _CountingSink:
+    """A stdout that counts the UTF-8 bytes written to it and keeps none."""
+
+    def __init__(self):
+        self.bytes = 0
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.bytes += len(text.encode())
+        self.writes += 1
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _dump_circuit(n: int) -> str:
+    """A measurement-free circuit whose every amplitude is generic."""
+    layer = [f"u2 {q} a=0.{q + 1} b=0.3 c=0.{q + 2} d=0.7" for q in range(n)]
+    return "\n".join([f"qubits {n}", *(f"h {q}" for q in range(n)), *layer]) + "\n"
+
+
+class TestStreamedRender:
+    def test_state_dump_peak_below_output_size(self, monkeypatch, tmp_path):
+        # an n = 16 state (1 MiB) prints about 6 MB; a renderer that holds
+        # the whole document peaks at over twice that
+        circuit = tmp_path / "dump16.qc"
+        circuit.write_text(_dump_circuit(16))
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["run", str(circuit)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.bytes > 4_000_000
+        assert sink.writes > 2
+        assert peak < sink.bytes
+
+    @pytest.mark.parametrize("last_line, argv, document", [
+        ("foo 3", [], '{"error": {"kind": "ParseError", "detail": "line 34: unknown opcode \'foo\'"}}'),
+        ("h 3", ["--max-qubits", "15"],
+         '{"error": {"kind": "CapacityExceeded", "detail": "16 qubits exceeds the cap of 15"}}'),
+    ])
+    def test_error_prints_only_its_document(self, capsys, tmp_path, last_line, argv, document):
+        # a large state dump but for its last line, or for its qubit cap
+        circuit = tmp_path / "dump16.qc"
+        circuit.write_text(_dump_circuit(16) + last_line + "\n")
+        code, out = run_cli(capsys, "run", str(circuit), *argv)
+        assert code == 1
+        assert out == document + "\n"
 
 
 class TestExitCodes:

@@ -33,7 +33,8 @@ from ketsim import (
     two_level_decompose,
     u2_from_params,
 )
-from ketsim.state import NORM_ATOL
+import ketsim.state
+from ketsim.state import NORM_ATOL, RENDER_EPS, ket_chunks
 from conftest import rand_state
 
 
@@ -286,7 +287,85 @@ class TestTrustedConstructor:
             StateVector._trusted(np.array(amps, dtype=complex))
 
 
+def _format_amplitude(a: complex) -> str:
+    """One term's amplitude as the per-term renderer printed it."""
+    if abs(a.imag) < RENDER_EPS:
+        return f"{a.real:.6g}"
+    if abs(a.real) < RENDER_EPS:
+        return f"{a.imag:.6g}i"
+    return f"({a.real:.6g}{a.imag:+.6g}i)"
+
+
+def _reference_ket(s: StateVector) -> str:
+    """The per-term loop that ``format_ket`` replaced: the oracle for the
+    bulk renderer."""
+    parts: list[str] = []
+    for i, a in enumerate(s.amplitudes):
+        if abs(a) < RENDER_EPS:
+            continue
+        text = _format_amplitude(complex(a))
+        label = format(i, f"0{s.num_qubits}b")
+        if not parts:
+            parts.append(f"{text}|{label}>")
+        elif text.startswith("-"):
+            parts.append(f"- {text[1:]}|{label}>")
+        else:
+            parts.append(f"+ {text}|{label}>")
+    return " ".join(parts) if parts else "0"
+
+
+# components on both sides of every cutoff and of every sign, and values
+# whose 6-digit text rounds up a decade or switches notation
+_EDGE = [0.0, -0.0, RENDER_EPS, -RENDER_EPS, math.nextafter(RENDER_EPS, 0),
+         math.nextafter(RENDER_EPS, 1), 7.0710678118654e-10, -7.0710678118655e-10,
+         5e-324, 1e-300, 0.5, -1 / 3, 0.9999995, -9.999995e-5, 1e-4, 123456.5, -1.0]
+
+
+def _edge_state(rng, n: int, zero_share: float) -> StateVector:
+    """An unnormalised 2**n-amplitude state whose components are drawn from
+    ``_EDGE``, scaled or not, with about ``zero_share`` exact zeros; the
+    parts are set one at a time, so signed zeros survive."""
+    size = 1 << n
+    amps = np.empty(size, dtype=np.complex128)
+    for part in (amps.real, amps.imag):
+        values = rng.choice(_EDGE, size)
+        scaled = rng.random(size) < 0.3
+        values[scaled] *= rng.uniform(0.5, 2.0, scaled.sum())
+        values[rng.random(size) < zero_share] = 0.0
+        part[:] = values
+    state = StateVector.__new__(StateVector)  # the renderer reads only these
+    state.num_qubits = n
+    state.amplitudes = amps
+    return state
+
+
 class TestFormatKet:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_bulk_matches_per_term_loop(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for zero_share in (0.0, 0.5, 0.95, 1.0):
+            s = _edge_state(rng, n, zero_share)
+            assert format_ket(s) == _reference_ket(s)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        # the leading term's sign fix-up and the separators between chunks,
+        # with runs of chunks that keep no term at all
+        monkeypatch.setattr(ketsim.state, "KET_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for n in (1, 5, 9):
+            for zero_share in (0.5, 0.9, 0.99):
+                s = _edge_state(rng, n, zero_share)
+                assert "".join(ket_chunks(s)) == _reference_ket(s)
+
+    def test_random_states(self):
+        rng = RngStream(7)
+        for n in range(1, 9):
+            s = rand_state(n, rng)
+            assert format_ket(s) == _reference_ket(s)
+        s = StateVector([1.0])  # zero qubits: the label of index 0 is "0"
+        assert format_ket(s) == _reference_ket(s) == "1|0>"
+
     def test_plus_state(self):
         assert format_ket(apply(hadamard(), ket([0]))) == "0.707107|0> + 0.707107|1>"
 
