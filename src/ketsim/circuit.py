@@ -38,7 +38,17 @@ from .gates import (
 from .measure import Histogram, _check_shots, _Projection, walk_shots
 from .state import DEFAULT_QUBIT_CAP, StateVector, ket
 
-_TARGET_COUNTS = {"X": 1, "Y": 1, "Z": 1, "H": 1, "U2": 1, "CNOT": 2, "TOFFOLI": 3}
+# (target count, gate constructor) of each gate opcode; the constructor is
+# called with the instruction's params (empty but for u2)
+_GATES = {
+    "X": (1, pauli_x),
+    "Y": (1, pauli_y),
+    "Z": (1, pauli_z),
+    "H": (1, hadamard),
+    "U2": (1, u2_from_params),
+    "CNOT": (2, cnot),
+    "TOFFOLI": (3, toffoli_unitary),
+}
 _U2_PARAM_NAMES = ("a", "b", "c", "d")
 
 
@@ -148,12 +158,12 @@ def parse_circuit(
                 raise ParseError("u2 needs a target qubit", line_no)
             targets = (_parse_target(tokens[1], line_no),)
             ins = Instruction("U2", targets, params=_parse_u2_params(tokens[2:], line_no))
-        elif opcode in _TARGET_COUNTS:
+        elif opcode in _GATES:
             targets = _parse_targets(tokens[1:], line_no)
-            if len(targets) != _TARGET_COUNTS[opcode]:
+            count = _GATES[opcode][0]
+            if len(targets) != count:
                 raise ParseError(
-                    f"{word} takes {_TARGET_COUNTS[opcode]} target(s), got {len(targets)}",
-                    line_no,
+                    f"{word} takes {count} target(s), got {len(targets)}", line_no
                 )
             ins = Instruction(opcode, targets)
         elif opcode == "ORACLE":
@@ -209,18 +219,6 @@ def render_circuit(program: CircuitProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-# gate constructors, called with the instruction's params (empty but for u2)
-_GATES = {
-    "X": pauli_x,
-    "Y": pauli_y,
-    "Z": pauli_z,
-    "H": hadamard,
-    "CNOT": cnot,
-    "TOFFOLI": toffoli_unitary,
-    "U2": u2_from_params,
-}
-
-
 def _compile(program: CircuitProgram, tables: Mapping[str, TruthTable]) -> list:
     """The program's steps for ``walk_shots``, each built once: a gate or
     oracle as a function of states, or the measurement of its targets,
@@ -233,7 +231,7 @@ def _compile(program: CircuitProgram, tables: Mapping[str, TruthTable]) -> list:
         elif ins.opcode == "ORACLE":
             steps.append(compile_oracle(tables[ins.table], ins.targets, n))
         else:
-            steps.append(compile_gate(_GATES[ins.opcode](*ins.params), ins.targets, n))
+            steps.append(compile_gate(_GATES[ins.opcode][1](*ins.params), ins.targets, n))
     return steps
 
 

@@ -51,6 +51,7 @@ from .protocols import (
 from .rng import RngStream
 from .state import (
     DEFAULT_QUBIT_CAP,
+    KET_CHUNK,
     StateVector,
     ket_chunks,
     qubit_from_angles,
@@ -61,8 +62,6 @@ from .state import (
 
 _STRING_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"'}
 _STRING_ESCAPES.update({c: f"\\u{c:04x}" for c in range(0x20)})
-# entries of a rendered complex array formatted per ``%`` call
-_CHUNK_PAIRS = 1 << 12
 
 
 def _json(value) -> Iterator[str]:
@@ -97,10 +96,10 @@ def _json(value) -> Iterator[str]:
     elif isinstance(value, np.ndarray) and value.dtype == np.complex128:
         flat = value.reshape(-1)
         yield "["
-        for start in range(0, flat.size, _CHUNK_PAIRS):
+        for start in range(0, flat.size, KET_CHUNK):
             if start:
                 yield ", "
-            yield _pairs_text(flat[start : start + _CHUNK_PAIRS])
+            yield _pairs_text(flat[start : start + KET_CHUNK])
         yield "]"
     else:
         yield _scalar_json(value)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, InvalidInput, NotUnitary, NumericalFailure
 from .gates import is_unitary
@@ -80,6 +79,8 @@ def unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors.  Degenerate eigenspaces therefore come out orthonormal
     without further work.
     """
+    import scipy.linalg  # loaded on first use: the package's one scipy call
+
     u = np.asarray(u, dtype=np.complex128)
     if not is_unitary(u, 1e-9):
         raise NotUnitary("eigensystem requires a unitary matrix")

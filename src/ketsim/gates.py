@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -159,9 +159,9 @@ def bell_pair(i: int, j: int) -> StateVector:
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether ||M* M - I||_F <= tol for a square matrix."""
+    """Whether ||M* M - I||_F <= tol for a square matrix of finite entries."""
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
         return False
     gram = m.conj().T @ m
     return bool(np.linalg.norm(gram - np.eye(m.shape[0])) <= tol)
@@ -175,17 +175,10 @@ def _check_dense_dim(dim: int) -> None:
         )
 
 
-@lru_cache(maxsize=16)
-def _slice_bits(k: int) -> tuple[tuple[int, ...], ...]:
-    """The bits of every r < 2**k: the index of slice r of a k-target view."""
-    return tuple(index_to_bits(r, k) for r in range(1 << k))
-
-
 class _GatePlan:
-    """Gate ``g`` on the ``targets`` of 2**n rows (qubit 0 most significant)
-    of ``columns`` amplitudes each, such as the columns of a matrix,
-    planned once.  ``apply(amps)`` returns a fresh array with ``g`` applied;
-    calling the plan applies it to a state's amplitudes.
+    """Gate ``g`` on the ``targets`` of 2**n amplitudes (qubit 0 most
+    significant), planned once.  ``apply(amps)`` returns a fresh array with
+    ``g`` applied; calling the plan applies it to a state's amplitudes.
 
     The first target is the gate's high-order qubit.  On a reshape of the
     amplitudes that copies nothing, output slice r (the amplitudes whose
@@ -197,13 +190,13 @@ class _GatePlan:
     same order, as one contraction of the whole state.
     """
 
-    __slots__ = ("k", "shape", "order", "g", "sources", "axis", "step", "block_shape")
+    __slots__ = ("k", "shape", "order", "g", "copies", "axis", "step", "block_shape")
 
-    def __init__(self, g: np.ndarray, targets: list[int], n: int, columns: int = 1):
+    def __init__(self, g: np.ndarray, targets: list[int], n: int):
         if not np.isfinite(g).all():
             raise InvalidInput("gate entries must be finite")
         self.k = k = len(targets)
-        shape, order = _split_axes(n, targets, columns)
+        shape, order = _split_axes(n, targets)
         self.shape, self.order = tuple(shape), tuple(order)
         # the one input slice each output slice copies, if every row of g
         # is a unit vector
@@ -212,15 +205,18 @@ class _GatePlan:
             for row in g.tolist()
         ]
         if None not in sources:
-            self.g, self.sources = None, tuple(sources)
+            # (output slice, input slice) index pairs: the bits of r and c
+            self.g, self.copies = None, tuple(
+                (index_to_bits(r, k), index_to_bits(c, k)) for r, c in enumerate(sources)
+            )
             return
-        self.g, self.sources = g, None
+        self.g, self.copies = g, None
         # Otherwise gather one block at a time.  Blocks cut the outermost
         # non-target axis with at least ``count`` entries (else the longest),
         # so that each block is a few contiguous runs.  Every size is a power
         # of two, so the blocks are equal and share two buffers.
         viewed = [shape[a] for a in order]
-        count = max(1, (16 * columns << n) // _BLOCK_BYTES)
+        count = max(1, (16 << n) // _BLOCK_BYTES)
         rest = range(k, len(viewed))
         longest = max(rest, key=viewed.__getitem__, default=None)
         axis = next((a for a in rest if viewed[a] >= count), longest)
@@ -237,10 +233,9 @@ class _GatePlan:
         # with the bits of r picks slice r.
         src = amps.reshape(self.shape).transpose(self.order)
         dst = out.transpose(self.order)
-        if self.sources is not None:
-            bits = _slice_bits(self.k)
-            for r, c in enumerate(self.sources):
-                dst[bits[r]] = src[bits[c]]
+        if self.copies is not None:
+            for r, c in self.copies:
+                dst[r] = src[c]
             return out.reshape(amps.shape)
         gathered = np.empty(self.block_shape, dtype=np.complex128)
         product = np.empty_like(gathered)
@@ -258,11 +253,12 @@ class _GatePlan:
 
 
 def _embed(g: np.ndarray, targets: list[int], n: int) -> np.ndarray:
-    # The columns of the identity, each a basis state, pass through the kernel.
+    # The columns of the identity, each a basis state, pass through the
+    # kernel: row-major, they are the low n qubits of a 2n-qubit register.
     _check_qubits(targets, n)
     dim = 1 << n
     _check_dense_dim(dim)
-    return _GatePlan(g, targets, n, columns=dim).apply(identity(dim))
+    return _GatePlan(g, targets, 2 * n).apply(identity(dim))
 
 
 def embed_single(g: np.ndarray, i: int, n: int) -> np.ndarray:
@@ -340,7 +336,7 @@ class _OraclePlan:
     __slots__ = ("shape", "mask", "output_axis")
 
     def __init__(self, f: TruthTable, targets: list[int], n: int):
-        shape, order = _split_axes(n, targets, 1)
+        shape, order = _split_axes(n, targets)
         self.shape = tuple(shape)
         # f along the input axes and size 1 along the others, in listed-first
         # order, then moved to the view's order
@@ -400,10 +396,8 @@ def basis_cloner(n: int) -> np.ndarray:
     if not 2 <= n <= 32:
         raise InvalidInput(f"basis_cloner supports 2 <= n <= 32, got {n}")
     mapping: dict[tuple[int, int], tuple[int, int]] = {(i, 0): (i, i) for i in range(n)}
-    used = set(mapping.values())
-    free = iter(
-        (k, l) for k in range(n) for l in range(n) if (k, l) not in used
-    )
+    # the targets taken so far are exactly the diagonal pairs
+    free = iter((k, l) for k in range(n) for l in range(n) if k != l)
     for j in range(1, n):
         for i in range(n):
             mapping[(i, j)] = next(free)

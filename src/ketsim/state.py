@@ -105,15 +105,15 @@ def _check_qubits(qubits: Sequence[int], n: int) -> None:
             raise InvalidInput(f"qubit index {q} out of range for {n} qubits")
 
 
-def _split_axes(n: int, qubits: Sequence[int], columns: int) -> tuple[list, list]:
-    """Shape viewing 2**n rows of ``columns`` amplitudes with one size-2
-    axis per listed qubit, and the axis order that puts the listed qubits'
-    axes first, in list order, and keeps the others after them in place.
+def _split_axes(n: int, qubits: Sequence[int]) -> tuple[list, list]:
+    """Shape viewing 2**n amplitudes with one size-2 axis per listed qubit,
+    and the axis order that puts the listed qubits' axes first, in list
+    order, and keeps the others after them in place.
 
     On ``a.reshape(shape).transpose(order)`` the first k indices are the
-    listed qubits' bits.  The qubits in between (and the columns) share one
-    merged axis per gap; an empty gap gets no axis, since a size-1 axis
-    would leave numpy an inner loop of length 1.
+    listed qubits' bits.  The qubits in between share one merged axis per
+    gap; an empty gap gets no axis, since a size-1 axis would leave numpy
+    an inner loop of length 1.
     """
     shape: list[int] = []
     axes: dict[int, int] = {}
@@ -124,7 +124,7 @@ def _split_axes(n: int, qubits: Sequence[int], columns: int) -> tuple[list, list
         axes[q] = len(shape)
         shape.append(2)
         prev = q
-    rest = (1 << (n - 1 - prev)) * columns
+    rest = 1 << (n - 1 - prev)
     if rest > 1:
         shape.append(rest)
     order = [axes[q] for q in qubits]
@@ -208,7 +208,8 @@ def is_product_split(s: StateVector, left_qubits: int) -> bool:
 _TERM_TEMPLATES = np.array(
     ["+ %.6g%s|%s>", "- %.6g%s|%s>", "+ (%.6g%+.6gi)|%s>"], dtype=object
 )
-#: Amplitudes examined per chunk of a rendered ket.
+#: Amplitudes per rendered chunk: of a ket, and of a complex array's
+#: ``[re, im]`` pairs in the JSON output.
 KET_CHUNK = 1 << 12
 
 

@@ -751,3 +751,20 @@ class TestExitCodes:
         code, payload = run_json(capsys, "bell")
         assert code == 1
         assert payload["error"]["kind"] == "InvalidInput"
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy serves decompose alone and loads on its first call, so the
+        # other subcommands start without it
+        script = (
+            "import sys\n"
+            "import ketsim.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ketsim.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

@@ -615,3 +615,10 @@ class TestIsUnitary:
 
     def test_non_square_rejected(self):
         assert not is_unitary(np.ones((2, 3)), 1e-9)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+    def test_non_finite_rejected_without_warning(self, bad):
+        # an inf entry made the Gram product warn (an error under -W error)
+        m = hadamard()
+        m[0, 1] = bad
+        assert not is_unitary(m, 1e-9)
