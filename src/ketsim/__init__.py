@@ -1,6 +1,8 @@
 """ketsim: dense state-vector quantum simulation with exact-rational
 probability-bound and Bell-inequality engines, plus a batch CLI."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CapacityExceeded,
     DimensionMismatch,
@@ -96,4 +98,7 @@ from .circuit import CircuitProgram, Instruction, parse_circuit, render_circuit,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names imported above, without the submodules those imports bind.
+__all__ = [
+    n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)
+]

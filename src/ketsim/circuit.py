@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from .errors import CapacityExceeded, InvalidInput, ParseError
 from .gates import (
     TruthTable,
+    _GatePlan,
+    _OraclePlan,
     cnot,
-    compile_gate,
-    compile_oracle,
     hadamard,
     pauli_x,
     pauli_y,
@@ -229,9 +229,9 @@ def _compile(program: CircuitProgram, tables: Mapping[str, TruthTable]) -> list:
         if ins.opcode == "MEASURE":
             steps.append(_Projection(ins.targets or range(n), n))
         elif ins.opcode == "ORACLE":
-            steps.append(compile_oracle(tables[ins.table], ins.targets, n))
+            steps.append(_OraclePlan(tables[ins.table], ins.targets, n))
         else:
-            steps.append(compile_gate(_GATES[ins.opcode][1](*ins.params), ins.targets, n))
+            steps.append(_GatePlan(_GATES[ins.opcode][1](*ins.params), ins.targets, n))
     return steps
 
 

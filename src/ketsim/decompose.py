@@ -159,12 +159,13 @@ def two_level_decompose(u: np.ndarray) -> list[TwoLevelFactor]:
     usually much shorter.
     """
     u = np.asarray(u, dtype=np.complex128)
-    if not is_unitary(u, 1e-9):
-        raise NotUnitary("two_level_decompose requires a unitary matrix")
-    if u.shape[0] > DECOMPOSE_DIM_CAP:
+    # The cap comes first: the unitarity check alone is an O(D**3) product.
+    if u.ndim == 2 and u.shape[0] == u.shape[1] > DECOMPOSE_DIM_CAP:
         raise InvalidInput(
             f"dimension {u.shape[0]} exceeds the decomposition cap of {DECOMPOSE_DIM_CAP}"
         )
+    if not is_unitary(u, 1e-9):
+        raise NotUnitary("two_level_decompose requires a unitary matrix")
     eigenvalues, vectors = unitary_eigensystem(u)
     factors: list[TwoLevelFactor] = []
     for k in range(u.shape[0]):

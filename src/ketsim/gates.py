@@ -179,6 +179,7 @@ class _GatePlan:
     """Gate ``g`` on the ``targets`` of 2**n amplitudes (qubit 0 most
     significant), planned once.  ``apply(amps)`` returns a fresh array with
     ``g`` applied; calling the plan applies it to a state's amplitudes.
+    It checks the targets, then the gate's shape, then its entries.
 
     The first target is the gate's high-order qubit.  On a reshape of the
     amplitudes that copies nothing, output slice r (the amplitudes whose
@@ -192,12 +193,16 @@ class _GatePlan:
 
     __slots__ = ("k", "shape", "order", "g", "copies", "axis", "step", "block_shape")
 
-    def __init__(self, g: np.ndarray, targets: list[int], n: int):
+    def __init__(self, g: np.ndarray, targets: Sequence[int], n: int):
+        targets = list(targets)
+        self.k = k = len(targets)
+        _check_qubits(targets, n)
+        g = np.asarray(g, dtype=np.complex128)
+        if g.shape != (1 << k, 1 << k):
+            raise DimensionMismatch(f"gate shape {g.shape} does not act on {k} qubits")
         if not np.isfinite(g).all():
             raise InvalidInput("gate entries must be finite")
-        self.k = k = len(targets)
-        shape, order = _split_axes(n, targets)
-        self.shape, self.order = tuple(shape), tuple(order)
+        self.shape, self.order = _split_axes(n, targets)
         # the one input slice each output slice copies, if every row of g
         # is a unit vector
         sources = [
@@ -215,7 +220,7 @@ class _GatePlan:
         # non-target axis with at least ``count`` entries (else the longest),
         # so that each block is a few contiguous runs.  Every size is a power
         # of two, so the blocks are equal and share two buffers.
-        viewed = [shape[a] for a in order]
+        viewed = [self.shape[a] for a in self.order]
         count = max(1, (16 << n) // _BLOCK_BYTES)
         rest = range(k, len(viewed))
         longest = max(rest, key=viewed.__getitem__, default=None)
@@ -255,6 +260,7 @@ class _GatePlan:
 def _embed(g: np.ndarray, targets: list[int], n: int) -> np.ndarray:
     # The columns of the identity, each a basis state, pass through the
     # kernel: row-major, they are the low n qubits of a 2n-qubit register.
+    # The plan checks the targets against 2n qubits, so here they meet n.
     _check_qubits(targets, n)
     dim = 1 << n
     _check_dense_dim(dim)
@@ -263,9 +269,6 @@ def _embed(g: np.ndarray, targets: list[int], n: int) -> np.ndarray:
 
 def embed_single(g: np.ndarray, i: int, n: int) -> np.ndarray:
     """Extend a 1-qubit gate to act on qubit ``i`` of an n-qubit register."""
-    g = np.asarray(g, dtype=np.complex128)
-    if g.shape != (2, 2):
-        raise DimensionMismatch(f"embed_single needs a 2x2 gate, got {g.shape}")
     return _embed(g, [i], n)
 
 
@@ -275,9 +278,6 @@ def embed_two(g: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
     Qubit ``i`` plays the gate's high-order role (the control, for CNOT);
     all other qubits are left untouched.
     """
-    g = np.asarray(g, dtype=np.complex128)
-    if g.shape != (4, 4):
-        raise DimensionMismatch(f"embed_two needs a 4x4 gate, got {g.shape}")
     return _embed(g, [i, j], n)
 
 
@@ -293,19 +293,6 @@ def apply(g: np.ndarray, s: StateVector) -> StateVector:
     return StateVector(g @ s.amplitudes)
 
 
-def compile_gate(g: np.ndarray, targets: Sequence[int], n: int) -> _GatePlan:
-    """``apply_gate_at`` of ``g`` on ``targets`` as a function of n-qubit
-    states: the checks, the gate's finiteness and the kernel's plan are
-    done once here, not on every call."""
-    targets = list(targets)
-    k = len(targets)
-    _check_qubits(targets, n)
-    g = np.asarray(g, dtype=np.complex128)
-    if g.shape != (1 << k, 1 << k):
-        raise DimensionMismatch(f"gate shape {g.shape} does not act on {k} qubits")
-    return _GatePlan(g, targets, n)
-
-
 def apply_gate_at(g: np.ndarray, targets: Sequence[int], s: StateVector) -> StateVector:
     """Apply a small gate to the listed qubits without materializing 2**n x 2**n.
 
@@ -313,7 +300,7 @@ def apply_gate_at(g: np.ndarray, targets: Sequence[int], s: StateVector) -> Stat
     amplitude updates.  The first listed qubit is the gate's high-order
     qubit.
     """
-    return compile_gate(g, targets, s.num_qubits)(s)
+    return _GatePlan(g, targets, s.num_qubits)(s)
 
 
 def oracle_from_truth_table(f: TruthTable) -> np.ndarray:
@@ -331,16 +318,22 @@ def oracle_from_truth_table(f: TruthTable) -> np.ndarray:
 
 class _OraclePlan:
     """The oracle of ``f`` on ``targets`` of an n-qubit state, planned once:
-    amplitudes whose inputs have f = 1 swap with their output-flipped twin."""
+    amplitudes whose inputs have f = 1 swap with their output-flipped twin.
+    It checks the target count (arity + 1), then the targets."""
 
     __slots__ = ("shape", "mask", "output_axis")
 
-    def __init__(self, f: TruthTable, targets: list[int], n: int):
-        shape, order = _split_axes(n, targets)
-        self.shape = tuple(shape)
+    def __init__(self, f: TruthTable, targets: Sequence[int], n: int):
+        targets = list(targets)
+        if len(targets) != f.arity + 1:
+            raise InvalidInput(
+                f"oracle of arity {f.arity} needs {f.arity + 1} targets, got {len(targets)}"
+            )
+        _check_qubits(targets, n)
+        self.shape, order = _split_axes(n, targets)
         # f along the input axes and size 1 along the others, in listed-first
         # order, then moved to the view's order
-        sizes = [2] * f.arity + [1] * (len(shape) - f.arity)
+        sizes = [2] * f.arity + [1] * (len(self.shape) - f.arity)
         mask = np.asarray(f.outputs, dtype=bool).reshape(sizes).transpose(np.argsort(order))
         self.mask, self.output_axis = mask, order[f.arity]
 
@@ -350,25 +343,13 @@ class _OraclePlan:
         return StateVector._trusted(np.where(self.mask, flipped, view).reshape(-1))
 
 
-def compile_oracle(f: TruthTable, targets: Sequence[int], n: int) -> _OraclePlan:
-    """``apply_oracle_at`` of ``f`` on ``targets`` as a function of n-qubit
-    states, with its checks and mask built once."""
-    targets = list(targets)
-    if len(targets) != f.arity + 1:
-        raise InvalidInput(
-            f"oracle of arity {f.arity} needs {f.arity + 1} targets, got {len(targets)}"
-        )
-    _check_qubits(targets, n)
-    return _OraclePlan(f, targets, n)
-
-
 def apply_oracle_at(f: TruthTable, targets: Sequence[int], s: StateVector) -> StateVector:
     """O(2**n) kernel for the oracle of ``f``.
 
     ``targets`` lists the arity input qubits (first = x1) followed by the
     output qubit that receives y xor f(x).
     """
-    return compile_oracle(f, targets, s.num_qubits)(s)
+    return _OraclePlan(f, targets, s.num_qubits)(s)
 
 
 def walsh_hadamard(n: int) -> np.ndarray:

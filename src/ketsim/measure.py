@@ -102,8 +102,7 @@ class _Projection:
         self.width = len(qubits)
         # Views with the listed qubits' axes first: the first k indices spell
         # an outcome and the others run in basis-index order.
-        shape, order = _split_axes(n, qubits)
-        self.shape, self.order = tuple(shape), tuple(order)
+        self.shape, self.order = _split_axes(n, qubits)
 
     def weights(self, s: StateVector) -> np.ndarray:
         born = probabilities(s).reshape(self.shape).transpose(self.order)

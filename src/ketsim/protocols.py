@@ -130,8 +130,6 @@ def teleport_branch(psi: StateVector, a1: int, a2: int) -> StateVector:
     branches without sampling; for the branch :func:`teleport` draws, the
     two return the same state bit for bit.
     """
-    if a1 not in (0, 1) or a2 not in (0, 1):
-        raise InvalidInput("branch bits must be 0 or 1")
     _, _, psi2 = teleport_pre_measurement(psi)
     return _received(psi2, a1, a2)
 

@@ -105,7 +105,7 @@ def _check_qubits(qubits: Sequence[int], n: int) -> None:
             raise InvalidInput(f"qubit index {q} out of range for {n} qubits")
 
 
-def _split_axes(n: int, qubits: Sequence[int]) -> tuple[list, list]:
+def _split_axes(n: int, qubits: Sequence[int]) -> tuple[tuple, tuple]:
     """Shape viewing 2**n amplitudes with one size-2 axis per listed qubit,
     and the axis order that puts the listed qubits' axes first, in list
     order, and keeps the others after them in place.
@@ -127,8 +127,8 @@ def _split_axes(n: int, qubits: Sequence[int]) -> tuple[list, list]:
     rest = 1 << (n - 1 - prev)
     if rest > 1:
         shape.append(rest)
-    order = [axes[q] for q in qubits]
-    return shape, order + [a for a in range(len(shape)) if a not in order]
+    listed = [axes[q] for q in qubits]
+    return (*shape,), (*listed, *(a for a in range(len(shape)) if a not in listed))
 
 
 def ket(bits: Sequence[int], cap: int = DEFAULT_QUBIT_CAP) -> StateVector:

@@ -34,7 +34,7 @@ from ketsim import (
 )
 import ketsim.measure as measure
 from ketsim.circuit import _data_lines, _parse_int
-from ketsim.gates import compile_gate
+from ketsim.gates import _GatePlan
 from ketsim.measure import MAX_SHOTS, _Projection, walk_shots
 
 TABLES = {"f": TruthTable(1, (0, 1)), "g2": TruthTable(2, (0, 1, 1, 0))}
@@ -407,10 +407,10 @@ class TestExecutor:
         calls = []
 
         def counting(*args):
-            gate = compile_gate(*args)
+            gate = _GatePlan(*args)
             return lambda s: calls.append(args) or gate(s)
 
-        monkeypatch.setattr("ketsim.circuit.compile_gate", counting)
+        monkeypatch.setattr("ketsim.circuit._GatePlan", counting)
         program = parse_circuit(
             "qubits 3\nh 0\ncnot 0 1\nu2 2 a=0.1 b=0.2 c=0.3 d=0.4\ntoffoli 0 1 2\nmeasure"
         )
@@ -428,10 +428,10 @@ class TestExecutor:
         calls = []
 
         def counting(*args):
-            gate = compile_gate(*args)
+            gate = _GatePlan(*args)
             return lambda s: calls.append(args) or gate(s)
 
-        monkeypatch.setattr("ketsim.circuit.compile_gate", counting)
+        monkeypatch.setattr("ketsim.circuit._GatePlan", counting)
         hist = run_program(parse_circuit(text), shots=shots, seed=3)
         assert sum(hist.counts.values()) == shots
         assert len(calls) == runs

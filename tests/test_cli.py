@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,17 @@ class TestDecomposeCommand:
         )
         assert code == 1
         assert payload["error"]["kind"] == "NotUnitary"
+
+    @pytest.mark.parametrize("entry", ["1,0", "2,0"], ids=["identity", "not_unitary"])
+    def test_dimension_cap(self, capsys, tmp_path, entry):
+        dim = 257
+        rows = (" ".join(entry if c == r else "0,0" for c in range(dim)) for r in range(dim))
+        matrix = tmp_path / "big.mat"
+        matrix.write_text(f"d={dim}\n" + "\n".join(rows) + "\n")
+        code, payload = run_json(capsys, "decompose", "--matrix", str(matrix))
+        assert code == 1
+        assert payload["error"]["kind"] == "InvalidInput"
+        assert payload["error"]["detail"] == "dimension 257 exceeds the decomposition cap of 256"
 
 
 class TestBellCommand:
@@ -754,6 +766,13 @@ class TestExitCodes:
 
 
 class TestImports:
+    def test_star_import_binds_no_module(self):
+        namespace: dict = {}
+        exec("from ketsim import *", namespace)
+        modules = [name for name, v in namespace.items() if isinstance(v, types.ModuleType)]
+        assert modules == []
+        assert len(ketsim.__all__) == 88
+
     def test_cli_import_loads_no_scipy(self):
         # scipy serves decompose alone and loads on its first call, so the
         # other subcommands start without it

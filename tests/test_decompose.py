@@ -243,6 +243,14 @@ class TestDecompose:
         with pytest.raises(InvalidInput):
             two_level_decompose(np.eye(512, dtype=complex))
 
+    @pytest.mark.parametrize(
+        "u", [np.eye(257), np.ones((257, 257))], ids=["unitary", "not_unitary"]
+    )
+    def test_cap_checked_before_unitarity(self, u):
+        message = "^dimension 257 exceeds the decomposition cap of 256$"
+        with pytest.raises(InvalidInput, match=message):
+            two_level_decompose(u)
+
 
 class TestRecompose:
     def test_empty_is_identity(self):

@@ -546,6 +546,40 @@ class TestKernelInputs:
         with pytest.raises(InvalidInput):
             apply_gate_at(gate, [1], s)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: apply_gate_at(cnot(), [0], ket([0, 0])),
+            lambda: embed_single(cnot(), 0, 2),
+            lambda: embed_two(hadamard(), 0, 1, 2),
+        ],
+        ids=["apply_gate_at", "embed_single", "embed_two"],
+    )
+    def test_wrong_shape_rejected(self, call):
+        with pytest.raises(DimensionMismatch, match="does not act on"):
+            call()
+
+    @pytest.mark.parametrize(
+        "targets", [[0, 1], [0, 1, 2, 0], [2, 0, 3]], ids=["too_few", "too_many", "out_of_range"]
+    )
+    def test_bad_oracle_targets_rejected(self, targets):
+        s = rand_state(3, RngStream(16))
+        with pytest.raises(InvalidInput):
+            apply_oracle_at(TruthTable(2, (0, 1, 1, 0)), targets, s)
+
+    @pytest.mark.parametrize(
+        "gate,targets,error",
+        [
+            (hadamard(), [1, 1], InvalidInput),
+            (np.full((4, 4), math.nan), [0], DimensionMismatch),
+        ],
+        ids=["targets_before_shape", "shape_before_entries"],
+    )
+    def test_check_order(self, gate, targets, error):
+        s = rand_state(2, RngStream(17))
+        with pytest.raises(error):
+            apply_gate_at(gate, targets, s)
+
 
 class TestWalshHadamard:
     def test_n1(self):
