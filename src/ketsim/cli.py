@@ -156,8 +156,58 @@ def _header(lines: Iterator[tuple[int, list[str]]], kind: str, key: str, what: s
 
 
 def load_truth_table(path: str) -> TruthTable:
-    """Table file: first line ``n=<arity>``, then 2**n lines ``x f(x)``."""
-    lines = _data_lines(_read_text(path))
+    """Table file: first line ``n=<arity>``, then 2**n lines ``x f(x)``.
+
+    A file in the strict layout is decoded in bulk; any other file,
+    including every malformed one, is walked line by line.
+    """
+    text = _read_text(path)
+    table = _bulk_truth_table(text)
+    return table if table is not None else _walk_truth_table(text)
+
+
+def _bulk_truth_table(text: str) -> TruthTable | None:
+    """The table of a file in the strict layout, or None for any other file.
+
+    The strict layout is ASCII: a line ``n=<arity>`` of at most two digits,
+    then exactly 2**arity rows ``<arity bits> <0|1>\\n`` in index order.  No
+    file holds 2**100 rows, and with two digits ``1 << arity`` stays small
+    whatever the header says.  The rows are checked and decoded as one
+    ``uint8`` array; every file taken here gives the walk's table, and the
+    walk owns every error message.
+    """
+    head, _, body = text.partition("\n")
+    digits = head.removeprefix("n=")
+    if not (text.isascii() and digits != head and digits.isdigit() and len(digits) <= 2):
+        return None
+    arity = int(digits)
+    width = arity + 3
+    rows, extra = divmod(len(body), width)
+    if arity < 1 or extra or rows != 1 << arity:
+        return None
+    data = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(rows, width)
+    # every byte, OR-ed with its column's mask, equals its column's target:
+    # ``b | 1 == ord("1")`` holds for ``b`` in "01" alone
+    mask = np.ones(width, dtype=np.uint8)
+    mask[arity] = mask[-1] = 0
+    target = np.full(width, ord("1"), dtype=np.uint8)
+    target[arity], target[-1] = ord(" "), ord("\n")
+    if not ((data | mask) == target).all():
+        return None
+    index = np.zeros(rows, dtype=np.int64)
+    for column in range(arity):
+        index <<= 1
+        index |= data[:, column] & 1
+    if not np.array_equal(index, np.arange(rows)):
+        return None
+    return TruthTable(arity, tuple((data[:, arity + 1] & 1).tolist()))
+
+
+def _walk_truth_table(text: str) -> TruthTable:
+    """The table of any valid file, walked line by line: comments, blank
+    lines and any whitespace are allowed.  Every error message and line
+    number of a table file comes from here."""
+    lines = _data_lines(text)
     arity = _header(lines, "truth table file", "n", "arity")
     entries: dict[int, int] = {}
     for line_no, tokens in lines:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from operator import countOf
 
 import numpy as np
 
@@ -57,10 +58,12 @@ class TruthTable:
                 f"truth table of arity {self.arity} needs {_table_size_text(self.arity)} "
                 f"outputs, got {count}"
             )
-        if any(v not in (0, 1) for v in self.outputs):
+        # two C-level passes of ==: unlike a set lookup, they reject an
+        # unhashable entry instead of raising TypeError
+        if countOf(self.outputs, 0) + countOf(self.outputs, 1) != count:
             raise InvalidInput("truth table outputs must be 0 or 1")
 
-    @property
+    @cached_property
     def ones(self) -> int:
         return sum(self.outputs)
 

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,8 +15,17 @@ import numpy as np
 import pytest
 
 import ketsim
-from ketsim import RngStream, haar_random_unitary, two_level_decompose
-from ketsim.cli import _json, exit_code_for, load_truth_table, main
+import ketsim.cli as cli
+from ketsim import RngStream, TruthTable, haar_random_unitary, two_level_decompose
+from ketsim.cli import (
+    _bulk_truth_table,
+    _json,
+    _read_text,
+    _walk_truth_table,
+    exit_code_for,
+    load_truth_table,
+    main,
+)
 from ketsim.errors import (
     CapacityExceeded,
     DimensionMismatch,
@@ -26,6 +37,14 @@ from ketsim.errors import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_cli(capsys, *argv):
@@ -629,6 +648,144 @@ class TestLazyReader:
             tracemalloc.stop()
         assert table.is_balanced()
         assert peak < 15 * path.stat().st_size
+
+
+def _strict_table(arity: int, outputs, order) -> str:
+    """A table file in the strict layout, its rows in the given order."""
+    return f"n={arity}\n" + "".join(f"{x:0{arity}b} {outputs[x]}\n" for x in order)
+
+
+def _table_outcome(load, arg):
+    """``load(arg)``'s table, or its ParseError's message and line."""
+    try:
+        return load(arg)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _small_table(rng: random.Random, arity: int = 3) -> tuple[list[int], list[int]]:
+    """Seeded outputs of a balanced table and a shuffled row order."""
+    outputs = [0, 1] * (1 << arity - 1)
+    rng.shuffle(outputs)
+    order = list(range(1 << arity))
+    rng.shuffle(order)
+    return outputs, order
+
+
+def _irregular_tables() -> list[str]:
+    """Valid table files that are not in the strict layout."""
+    outputs, order = _small_table(random.Random("irregular"))
+    rows = [f"{x:03b} {outputs[x]}" for x in order]
+    return [
+        "# a comment\nn=3\n" + "".join(r + "\n" for r in rows),
+        "n=3 # arity\n" + "".join(r + " # row\n" for r in rows),
+        "n=3\r\n" + "".join(r + "\r\n" for r in rows),
+        "n=3\n" + "".join(r.replace(" ", "\t") + "\n" for r in rows),
+        "n=3\n\n" + "\n\n".join(rows) + "\n\n",
+        "n=3\n" + "\n".join(rows),
+        "n=3\n" + "".join("  " + r + "  \n" for r in rows),
+        "n=003\n" + "".join(r + "\n" for r in rows),
+        "n=03\n" + "".join(r + "\n" for r in rows),
+        "\nn=3\n" + "".join(r + "\n" for r in rows),
+    ]
+
+
+def _broken_tables() -> list[str]:
+    """Table files that the walk rejects, most of them one fault away from
+    the strict layout."""
+    outputs, order = _small_table(random.Random("broken"))
+    rows = [f"{x:03b} {outputs[x]}\n" for x in order]
+    faults = [
+        rows[:-1] + [rows[0]],                       # a duplicate row
+        rows[:-1],                                   # a missing row
+        rows + [rows[0]],                            # one row too many
+        [rows[0].replace("\n", " 1\n")] + rows[1:],  # an extra token
+        [rows[0][:4] + "2\n"] + rows[1:],            # a 2 value
+        [rows[0][1:]] + rows[1:],                    # a pattern too short
+        ["0" + rows[0]] + rows[1:],                  # a pattern too long
+        ["0" + rows[0], rows[1][1:]] + rows[2:],     # too long, then too short
+    ]
+    return ["n=3\n" + "".join(r) for r in faults] + [
+        "n=0\n 0\n",  # arity 0, in rows of the strict width
+        "n=3\n",
+        "n=x\n" + "".join(rows),
+        "n=3 x\n" + "".join(rows),
+        "n=\u0663\n" + "".join(rows),
+    ]
+
+
+def _replaced_characters() -> list[str]:
+    """A strict-layout table with one character of its first row replaced by
+    a non-ASCII digit, a control character or Unicode whitespace."""
+    outputs, order = _small_table(random.Random("replaced"))
+    text = _strict_table(3, outputs, order)
+    chars = ("\u0661", "\x00", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028")
+    # the first row's first bit, separator and value
+    return [text[:at] + char + text[at + 1:] for char in chars for at in (4, 7, 8)]
+
+
+class TestBulkTable:
+    """``load_truth_table`` decodes strict-layout files in bulk and walks all
+    others; either way it must give what the line walk alone gives."""
+
+    @staticmethod
+    def _differential(tmp_path, text):
+        path = tmp_path / "t.tbl"
+        path.write_text(text, encoding="utf-8")
+        loaded = _table_outcome(load_truth_table, str(path))
+        walked = _table_outcome(_walk_truth_table, _read_text(str(path)))
+        assert loaded == walked
+        return loaded
+
+    @pytest.mark.parametrize("arity", range(1, 13))
+    @pytest.mark.parametrize("kind", ["constant", "balanced", "random"])
+    def test_well_formed(self, tmp_path, arity, kind):
+        rng = random.Random(f"bulk:{kind}:{arity}")
+        size = 1 << arity
+        if kind == "constant":
+            outputs = [rng.randrange(2)] * size
+        elif kind == "balanced":
+            outputs = [0, 1] * (size // 2)
+            rng.shuffle(outputs)
+        else:
+            outputs = [rng.randrange(2) for _ in range(size)]
+        shuffled = list(range(size))
+        rng.shuffle(shuffled)
+        for order in (range(size), shuffled):
+            text = _strict_table(arity, outputs, order)
+            assert self._differential(tmp_path, text) == TruthTable(arity, tuple(outputs))
+        # rows out of index order are walked
+        assert _bulk_truth_table(_strict_table(arity, outputs, range(size))) is not None
+
+    @pytest.mark.parametrize("text", _irregular_tables())
+    def test_irregular_but_valid(self, tmp_path, text):
+        assert isinstance(self._differential(tmp_path, text), TruthTable)
+
+    @pytest.mark.parametrize("text", _broken_tables())
+    def test_broken(self, tmp_path, text):
+        assert not isinstance(self._differential(tmp_path, text), TruthTable)
+        assert _bulk_truth_table(text) is None
+
+    @pytest.mark.parametrize("text", _replaced_characters())
+    def test_replaced_character(self, tmp_path, text):
+        # some of these are valid: str.split() takes "\xa0" for a space
+        self._differential(tmp_path, text)
+        assert _bulk_truth_table(text) is None
+
+    def test_generated_layout_is_decoded_in_bulk(self, tmp_path, monkeypatch):
+        gen = _perfbench_module("gen")
+        outputs = gen._random_table(random.Random(7), 10, balanced=True)
+        path = tmp_path / "gen.tbl"
+        path.write_text(gen.render_table(10, outputs), encoding="utf-8")
+        walks = []
+        monkeypatch.setattr(
+            cli, "_walk_truth_table", lambda text: walks.append(1) or _walk_truth_table(text)
+        )
+        assert load_truth_table(str(path)) == TruthTable(10, tuple(outputs))
+        assert walks == []
+        path.write_text("# generated\n" + gen.render_table(10, outputs), encoding="utf-8")
+        assert load_truth_table(str(path)) == TruthTable(10, tuple(outputs))
+        assert walks == [1]
 
 
 def _text(value) -> str:

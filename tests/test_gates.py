@@ -492,6 +492,15 @@ class TestOracle:
         with pytest.raises(InvalidInput):
             TruthTable(1, (0, 2))
 
+    @pytest.mark.parametrize("entry", [2, -1, 0.5, None, "0", "1", [0], {1}])
+    def test_truth_table_rejects_every_other_entry(self, entry):
+        # unhashable entries too: the check compares, it does not hash
+        with pytest.raises(InvalidInput, match="^truth table outputs must be 0 or 1$"):
+            TruthTable(1, (0, entry))
+
+    def test_truth_table_accepts_bools(self):
+        assert TruthTable(1, (False, True)).is_balanced()
+
     @pytest.mark.parametrize("arity,required", [(3, "8"), (14284, None), (14285, "2**14285"),
                                                 (100000, "2**100000"), (10**12, "2**1000000000000")])
     def test_truth_table_huge_arity(self, arity, required):

@@ -6,6 +6,11 @@ oversized headers, NUL and other control characters), and runs the
 matching subcommand in-process.  Whatever the input, the command must end
 with exit code 0, 1 or 2 and exactly one line of JSON on stdout, an error
 document exactly when the exit code is nonzero, and no exception escaping.
+
+Token mutations re-join the tokens with single spaces, so most of them leave
+a table file in the strict layout that ``load_truth_table`` decodes in bulk.
+Single-character flips of a strict-layout table cover the rest: each must
+print the same document as the line walk alone.
 """
 
 import json
@@ -14,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import ketsim.cli as cli
 from ketsim.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -70,3 +76,34 @@ def test_mutated_input_ends_in_one_json_document(capsys, tmp_path, case):
     doc = json.loads(out)
     assert ("error" in doc) == (code != 0)
 
+
+# what a flipped character of a table file becomes
+FLIPS = ("0", "1", "2", " ", "\n", "#", "\x00", "\u0661")
+
+FLIP_CASES = 120
+
+
+def _strict_table(rng: random.Random, arity: int) -> str:
+    """A constant or balanced table in the strict layout, rows in seeded order."""
+    size = 1 << arity
+    outputs = [rng.randrange(2)] * size if rng.randrange(2) else [0, 1] * (size // 2)
+    rng.shuffle(outputs)
+    order = list(range(size))
+    if rng.randrange(2):
+        rng.shuffle(order)
+    return f"n={arity}\n" + "".join(f"{x:0{arity}b} {outputs[x]}\n" for x in order)
+
+
+@pytest.mark.parametrize("case", range(FLIP_CASES))
+def test_table_flip_prints_what_the_line_walk_prints(capsys, tmp_path, monkeypatch, case):
+    rng = random.Random(f"flip:{case}")
+    text = _strict_table(rng, 6)
+    at = rng.randrange(len(text))
+    path = tmp_path / "flipped.tbl"
+    path.write_text(text[:at] + rng.choice(FLIPS) + text[at + 1:], encoding="utf-8")
+    argv = ["deutsch-jozsa", "--table", str(path)]
+    code = main(argv)
+    out = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_bulk_truth_table", lambda text: None)
+    assert main(argv) == code
+    assert capsys.readouterr().out == out
