@@ -20,7 +20,9 @@ middle and last qubits.  Permutation gates with a target on the
 innermost qubit, X on n-1, CNOT on [0, n-1] and Toffoli on [1, 3, n-1],
 run as ``x/n<N>/innermost``, ``cnot/...`` and ``toffoli/...``.
 ``measure_subset`` of 2 qubits at the same three positions and
-``measure_all`` run on the same states, each with a fresh ``RngStream``.  ``construct`` times ``StateVector(amps)``.
+``measure_all`` run on the same states, each with a fresh ``RngStream``.
+``construct`` times ``StateVector(amps)``, and ``construct/n20/drift``
+times it on the n = 20 state scaled by 1 + 1e-9, which it renormalises.
 ``two_level_decompose`` and ``recompose`` (of that decomposition's
 factors) run on a seeded ``haar_random_unitary`` at D = 16, 32, 64 and
 128.  ``load_truth_table`` reads a balanced table file of arity 14 and 17
@@ -162,6 +164,9 @@ def measure(repeats: int) -> dict[str, float]:
     out: dict[str, float] = {}
     for n, state in states.items():
         out[f"construct/n{n}"] = _median_time(lambda: StateVector(state.amplitudes), reps[n])
+    # a squared norm of about 1 + 2e-9, which every call renormalises
+    drifted = states[20].amplitudes * (1 + 1e-9)
+    out["construct/n20/drift"] = _median_time(lambda: StateVector(drifted), reps[20])
     for n, state in states.items():
         for name, g in gates.items():
             k = g.shape[0].bit_length() - 1

@@ -67,8 +67,14 @@ class CircuitProgram:
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    """``(line number, tokens)`` of each line with tokens once ``#`` comments are cut."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    """``(line number, tokens)`` of each line with tokens once ``#`` comments are cut.
+
+    Lines end at ``\\n`` alone.  ``str.split`` takes ``\\r``, ``\\x0b``,
+    ``\\x1c``, ``\\u2028`` and the other characters ``str.splitlines``
+    breaks at as whitespace, so none of them ends a comment or moves a
+    line number.
+    """
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             yield line_no, tokens

@@ -43,8 +43,8 @@ from .inequalities import (
     poincare_union,
 )
 from .protocols import (
+    _received,
     teleport,
-    teleport_branch,
     teleport_pre_measurement,
     deutsch_jozsa,
 )
@@ -360,12 +360,13 @@ def _cmd_teleport(args) -> dict:
     if args.branch is None:
         transcript = teleport(psi, RngStream(args.seed))
         a1, a2, bob = transcript.a1, transcript.a2, transcript.bob_state
+        psi0, psi1, psi2 = transcript.psi0, transcript.psi1, transcript.psi2
     elif len(args.branch) == 2 and set(args.branch) <= {"0", "1"}:
         a1, a2 = int(args.branch[0]), int(args.branch[1])
-        bob = teleport_branch(psi, a1, a2)
+        psi0, psi1, psi2 = teleport_pre_measurement(psi)
+        bob = _received(psi2, a1, a2)
     else:
         raise InvalidInput(f"--branch expects two bits, got {args.branch!r}")
-    psi0, psi1, psi2 = teleport_pre_measurement(psi)
     return {
         "input_state": psi,
         "a1": a1,

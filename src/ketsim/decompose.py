@@ -79,11 +79,16 @@ def unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors.  Degenerate eigenspaces therefore come out orthonormal
     without further work.
     """
-    import scipy.linalg  # loaded on first use: the package's one scipy call
-
     u = np.asarray(u, dtype=np.complex128)
     if not is_unitary(u, 1e-9):
         raise NotUnitary("eigensystem requires a unitary matrix")
+    return _schur_eigensystem(u)
+
+
+def _schur_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`unitary_eigensystem` of a complex128 ``u`` already checked unitary."""
+    import scipy.linalg  # loaded on first use: the package's one scipy call
+
     try:
         t, z = scipy.linalg.schur(u, output="complex")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -166,7 +171,7 @@ def two_level_decompose(u: np.ndarray) -> list[TwoLevelFactor]:
         )
     if not is_unitary(u, 1e-9):
         raise NotUnitary("two_level_decompose requires a unitary matrix")
-    eigenvalues, vectors = unitary_eigensystem(u)
+    eigenvalues, vectors = _schur_eigensystem(u)
     factors: list[TwoLevelFactor] = []
     for k in range(u.shape[0]):
         factors.extend(eigenvector_factors(vectors[:, k], eigenvalues[k]))

@@ -118,7 +118,9 @@ class _Projection:
         collapsed = np.zeros_like(s.amplitudes)
         src = s.amplitudes.reshape(self.shape).transpose(self.order)
         dst = collapsed.reshape(self.shape).transpose(self.order)
-        np.divide(src[(*bits, ...)], math.sqrt(weight), out=dst[(*bits, ...)])
+        # Bits of / sqrt(weight), weight <= 1: the division's added re*0, im*0 are exact zeros.
+        np.multiply(src[(*bits, ...)], complex(1.0 / math.sqrt(weight), -0.0),
+                    out=dst[(*bits, ...)])
         return StateVector._trusted(collapsed)
 
 

@@ -69,7 +69,8 @@ class StateVector:
         if not abs(norm_sq - 1.0) <= NORM_BUILD_TOL:  # also true for NaN
             raise InvalidInput(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
         if norm_sq != 1.0:
-            amps /= math.sqrt(norm_sq)
+            # Bits of amps / c, c near 1: numpy divides as (re + im*0)*(1/c), (im - re*0)*(1/c).
+            np.multiply(amps, complex(1.0 / math.sqrt(norm_sq), -0.0), out=amps)
         self.num_qubits = amps.size.bit_length() - 1
         self.amplitudes = amps
 

@@ -7,6 +7,11 @@ import numpy as np
 from ketsim import RngStream, StateVector
 from ketsim.inequalities import EventDistribution
 
+# The characters besides "\n" at which str.splitlines ends a line ("\r"
+# aside: reading a file in text mode turns it into "\n").  The readers end
+# lines at "\n" alone and take these as whitespace.
+OTHER_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
 
 def rand_state(num_qubits: int, rng: RngStream) -> StateVector:
     """Random state from normalized complex Gaussian amplitudes."""

@@ -114,11 +114,12 @@ class TestParse:
 
 class TestLineGrammar:
     def test_data_lines(self):
-        # str.splitlines boundaries (\r\n, \v, \f), comments cut, numbering from 1
+        # lines end at \n alone (\r, \v and \f are whitespace), comments
+        # cut, numbering from 1
         text = "qubits 1 # c\n\n  # only\r\nh 0\x0bx  0\x0c#\n"
         lines = _data_lines(text)
         assert next(lines) == (1, ["qubits", "1"])  # lazy: one line at a time
-        assert list(lines) == [(4, ["h", "0"]), (5, ["x", "0"])]
+        assert list(lines) == [(4, ["h", "0", "x", "0"])]
 
     @pytest.mark.parametrize("token", ["0", "7", "-0", "-12", "007", "123456789012345678901"])
     def test_integer_tokens(self, token):

@@ -35,6 +35,7 @@ from ketsim.errors import (
     ParseError,
     PromiseViolated,
 )
+from conftest import OTHER_LINE_BREAKS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -195,6 +196,16 @@ class TestTeleportCommand:
         [
             ("--seed", "5", "b76516872cfe67f7f715affd9d51b3f72f987ff3a9b6bc93a07e2c555b49dfc2"),
             ("--branch", "10", "1a2a2f817e40713c0121f4e4a11cc05bd1667ba4c8bd9b20ba9f2ad9d7ce7d49"),
+            # edge seeds and the other branches, recorded while the CLI
+            # built the pre-measurement stages a second time
+            ("--seed", "0", "b5d1b24d0d64ec2f3ff3170e75ac7875eebd870ecd55cef586deaabdb22accb4"),
+            ("--seed", "42", "1a2a2f817e40713c0121f4e4a11cc05bd1667ba4c8bd9b20ba9f2ad9d7ce7d49"),
+            ("--seed", str(2**64 - 1),
+             "b5d1b24d0d64ec2f3ff3170e75ac7875eebd870ecd55cef586deaabdb22accb4"),
+            ("--seed", "-1", "b5d1b24d0d64ec2f3ff3170e75ac7875eebd870ecd55cef586deaabdb22accb4"),
+            ("--branch", "00", "1080ae5b292b1e4458e0dd4628c6201a847c7f4fdd683e065d66e30095a26d13"),
+            ("--branch", "01", "b76516872cfe67f7f715affd9d51b3f72f987ff3a9b6bc93a07e2c555b49dfc2"),
+            ("--branch", "11", "b5d1b24d0d64ec2f3ff3170e75ac7875eebd870ecd55cef586deaabdb22accb4"),
         ],
     )
     def test_golden_bytes(self, capsys, option, value, digest):
@@ -595,6 +606,15 @@ MALFORMED = [
     ("bounds", "0 1_0/2_0\n1 1/2\n", "ParseError", "line 1: bad rational '1_0/2_0'"),  # ascii
     ("bounds", "0 1/2\n1 5e-0_1\n", "ParseError", "line 2: bad rational '5e-0_1'"),  # ascii
     ("bounds", "0 1/2\n1 5e-\u0661\n", "ParseError", "line 2: bad rational '5e-\u0661'"),  # ascii
+    # A "#" comment holding a line break other than "\n".  The rows marked
+    # "break" changed: the earlier reader also ended a line there, parsed the
+    # comment's tail ("h 0", "0 1") and numbered each later line one higher.
+    *(("run", f"qubits 1\n# a{c}h 0\nh 5\n",
+       "ParseError", "line 3: target 5 out of range for 1 qubits")  # break
+      for c in OTHER_LINE_BREAKS),
+    *(("deutsch-jozsa", f"n=1\n# a{c}0 1\n0 1\n1 2\n",
+       "ParseError", "line 4: bad output value '2'")  # break
+      for c in OTHER_LINE_BREAKS),
 ]
 
 

@@ -11,6 +11,10 @@ Token mutations re-join the tokens with single spaces, so most of them leave
 a table file in the strict layout that ``load_truth_table`` decodes in bulk.
 Single-character flips of a strict-layout table cover the rest: each must
 print the same document as the line walk alone.
+
+A third set puts one bad token into each fixture, among comments and
+separators that hold the other characters ``str.splitlines`` ends a line
+at: the error names the line that ``\n`` alone counts.
 """
 
 import json
@@ -21,6 +25,7 @@ import pytest
 
 import ketsim.cli as cli
 from ketsim.cli import main
+from conftest import OTHER_LINE_BREAKS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -107,3 +112,49 @@ def test_table_flip_prints_what_the_line_walk_prints(capsys, tmp_path, monkeypat
     monkeypatch.setattr(cli, "_bulk_truth_table", lambda text: None)
     assert main(argv) == code
     assert capsys.readouterr().out == out
+
+
+LINE_CASES = 120
+
+
+def _with_bad_token(text: str, rng: random.Random) -> tuple[str, int]:
+    """``text`` rewoven with other line breaks in comments and between
+    tokens, blank lines, CRLF endings and one data token replaced by
+    ``bogus``; returns the new text and the offset of ``bogus``."""
+    lines = []
+    for raw in text.splitlines():
+        data, hash_, comment = raw.partition("#")
+        lines.append([data.split(), hash_ + comment])
+    row = rng.choice([i for i, (tokens, _) in enumerate(lines) if tokens])
+    col = rng.randrange(len(lines[row][0]))
+    lines[row][0][col] = "bogus"
+    out, at = [], 0
+    for i, (tokens, comment) in enumerate(lines):
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            out.append(rng.choice(("", f"# a{rng.choice(OTHER_LINE_BREAKS)}h 0 b", " \t")))
+            out.append(rng.choice(("\n", "\r\n")))
+        for j, token in enumerate(tokens):
+            if j:
+                out.append(rng.choice((" ", "\t", *OTHER_LINE_BREAKS)))
+            if (i, j) == (row, col):
+                at = sum(map(len, out))
+            out.append(token)
+        if rng.randrange(2):
+            comment = f"{comment or '#'} {rng.choice(OTHER_LINE_BREAKS)}0 1"
+        out.append(f" {comment}" if comment else "")
+        out.append(rng.choice(("\n", "\r\n")))
+    return "".join(out), at
+
+
+@pytest.mark.parametrize("case", range(LINE_CASES))
+def test_parse_error_line_counts_newlines_alone(capsys, tmp_path, case):
+    rng = random.Random(f"lines:{case}")
+    name = list(COMMANDS)[case % len(COMMANDS)]
+    text, at = _with_bad_token((FIXTURES / name).read_text(encoding="utf-8"), rng)
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code = main([arg.format(path=path) for arg in COMMANDS[name]])
+    error = json.loads(capsys.readouterr().out)["error"]
+    line = text.count("\n", 0, at) + 1
+    assert code == 1 and error["kind"] == "ParseError"
+    assert error["detail"].startswith(f"line {line}: ")

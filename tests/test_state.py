@@ -34,6 +34,7 @@ from ketsim import (
     u2_from_params,
 )
 import ketsim.state
+from ketsim.measure import _Projection
 from ketsim.state import NORM_ATOL, RENDER_EPS, ket_chunks
 from conftest import rand_state
 
@@ -285,6 +286,95 @@ class TestTrustedConstructor:
     def test_rejects_what_the_constructor_rejects(self, amps):
         with pytest.raises(InvalidInput, match="state is not normalized"):
             StateVector._trusted(np.array(amps, dtype=complex))
+
+
+def _divide_adopt(amps: np.ndarray) -> np.ndarray:
+    """The renormalisation ``_adopt`` replaced, kept as the reference: one
+    norm pass, then complex / real division by its square root."""
+    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if norm_sq != 1.0:
+        amps /= math.sqrt(norm_sq)
+    return amps
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint64)
+
+
+# Sizes 1 to 2**16, and non-powers of two for the raw arithmetic.
+_SIZES = (1, 2, 3, 8, 31, 256, 1000, 4096, 1 << 16)
+
+
+def _awkward_amps(rng, size: int) -> np.ndarray:
+    """Seeded amplitudes with +-0 in either part, subnormal parts and,
+    for one case in four, a single nonzero entry; parts are set one at a
+    time, so signed zeros survive."""
+    amps = np.empty(size, dtype=np.complex128)
+    single = rng.random() < 0.25
+    for part in (amps.real, amps.imag):
+        if single:
+            part[:] = rng.choice([0.0, -0.0], size)
+            continue
+        values = rng.normal(size=size)
+        kind = rng.integers(0, 5, size)
+        values[kind == 1] = 0.0
+        values[kind == 2] = -0.0
+        values[kind == 3] = np.ldexp(rng.uniform(-1, 1, (kind == 3).sum()), -1060)
+        part[:] = values
+    k = rng.integers(size)
+    if single:
+        amps[k] = complex(*rng.choice([[1.0, 0.0], [1.0, -0.0], [-0.0, 1.0], [0.0, -1.0]]))
+    else:  # one entry of normal size, so the norm is not zero
+        amps[k] = complex(*rng.normal(size=2))
+    return amps
+
+
+class TestRenormaliseBits:
+    """Renormalising by ``complex(1/c, -0.0)`` gives the bits of ``a / c``;
+    a numpy whose division rounds otherwise fails here first.
+
+    The division adds its zero terms before scaling and the multiply
+    after, so they agree while no nonzero part scales to zero: for
+    1/c > 0.5.  Both call sites scale by 1/c >= 1 - 5e-7."""
+
+    @pytest.mark.parametrize("size", _SIZES)
+    def test_multiply_matches_division(self, size):
+        rng = np.random.default_rng(900 + size)
+        for c in (1e-150, 1e-3, 0.5, 1 - 1e-9, math.nextafter(1, 0), math.nextafter(1, 2),
+                  1 + 3e-7, 1.5, math.nextafter(2, 0), *rng.uniform(1e-3, 2.0, 4)):
+            a = _awkward_amps(rng, size)
+            product = np.multiply(a, complex(1.0 / c, -0.0))
+            assert np.array_equal(_bits(product), _bits(a / c)), c
+
+    @pytest.mark.parametrize("n", range(0, 17, 2))
+    def test_adopt_matches_division(self, n):
+        rng = np.random.default_rng(950 + n)
+        for drift in (-3e-7, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 3e-7):
+            a = _awkward_amps(rng, 1 << n)
+            a *= (1 + drift) / math.sqrt(float(np.sum(np.abs(a) ** 2)))
+            want = _divide_adopt(a.copy())
+            assert np.array_equal(_bits(StateVector(a).amplitudes), _bits(want)), drift
+            assert np.array_equal(_bits(StateVector._trusted(a).amplitudes), _bits(want)), drift
+
+    @pytest.mark.parametrize("n", range(1, 17, 3))
+    def test_collapse_matches_division(self, n):
+        rng = np.random.default_rng(980 + n)
+        for _ in range(3):
+            a = _awkward_amps(rng, 1 << n)
+            s = StateVector(a / math.sqrt(float(np.sum(np.abs(a) ** 2))))
+            qubits = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
+            projection = _Projection(qubits, n)
+            weights = projection.weights(s)
+            live = np.nonzero(weights >= 1e-12)[0]
+            for outcome in rng.choice(live, min(live.size, 8), replace=False).tolist():
+                # the collapse it replaced: divide, then adopt by dividing
+                want = np.zeros_like(s.amplitudes)
+                bits = index_to_bits(outcome, len(qubits))
+                src = s.amplitudes.reshape(projection.shape).transpose(projection.order)
+                dst = want.reshape(projection.shape).transpose(projection.order)
+                np.divide(src[(*bits, ...)], math.sqrt(weights[outcome]), out=dst[(*bits, ...)])
+                got = projection.collapse(s, outcome, weights[outcome]).amplitudes
+                assert np.array_equal(_bits(got), _bits(_divide_adopt(want))), (qubits, outcome)
 
 
 def _format_amplitude(a: complex) -> str:
