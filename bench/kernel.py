@@ -26,7 +26,9 @@ times it on the n = 20 state scaled by 1 + 1e-9, which it renormalises.
 ``two_level_decompose`` and ``recompose`` (of that decomposition's
 factors) run on a seeded ``haar_random_unitary`` at D = 16, 32, 64 and
 128.  ``load_truth_table`` reads a balanced table file of arity 14 and 17
-(0.27 and 2.5 MB), and ``parse_circuit`` parses a 20,000-line circuit
+(0.27 and 2.5 MB), ``load_matrix/D128`` reads a seeded D = 128 Haar
+unitary written as the benchmark writes its matrices (0.7 MB), and
+``parse_circuit`` parses a 20,000-line circuit
 that cycles through the opcodes, comments and blank lines.  ``run_program``
 runs a circuit shaped like the benchmark's ``branch12`` job (12 qubits, a
 Hadamard layer, four 2-qubit measurements among the first gates, 70 gates
@@ -35,7 +37,9 @@ after a warm-up call, and ``sample`` draws 10**6 shots of a Bell state.
 ``format_ket/n17`` renders the ket of a generic n = 17 state, and
 ``render/n17`` runs ``ketsim.cli.main`` on a measurement-free n = 17
 circuit (a Hadamard and a ``u2`` layer) whose 13 MB ``final_state``
-document goes to a stdout that keeps nothing.
+document goes to a stdout that keeps nothing; ``render/decompose/D64``
+runs ``ketsim decompose`` on a seeded D = 64 Haar unitary (8,128 factors)
+into the same stdout.
 Every process is pinned to one core with a one-thread BLAS pool.
 """
 
@@ -62,6 +66,8 @@ CIRCUIT_LINES = 20_000
 BRANCHING_SHOTS = (1_000, 10_000)
 SAMPLE_SHOTS = 1_000_000
 RENDER_QUBITS = 17
+MATRIX_DIM = 128
+RENDER_DECOMPOSE_DIM = 64
 
 
 def _pin() -> None:
@@ -119,15 +125,22 @@ class _Sink:
         pass
 
 
-def _render_case(path: Path) -> Callable[[], None]:
-    """``ketsim run`` of ``path`` with stdout sent to a sink."""
+def _matrix_text(m) -> str:
+    """A matrix file with each part as its ``repr``, as ``perfbench/gen.py``
+    writes one."""
+    rows = (" ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row) for row in m)
+    return f"d={m.shape[0]}\n" + "".join(row + "\n" for row in rows)
+
+
+def _render_case(argv: list[str]) -> Callable[[], None]:
+    """``ketsim`` with ``argv`` and stdout sent to a sink."""
     from ketsim.cli import main
 
     def run() -> None:
         stdout, sys.stdout = sys.stdout, _Sink()
         try:
-            if main(["run", str(path)]) != 0:
-                raise RuntimeError(f"ketsim run {path} failed")
+            if main(argv) != 0:
+                raise RuntimeError(f"ketsim {' '.join(argv)} failed")
         finally:
             sys.stdout = stdout
 
@@ -141,7 +154,7 @@ def measure(repeats: int) -> dict[str, float]:
     from ketsim import RngStream, measure_all, measure_subset, pauli_x, toffoli_unitary
     from ketsim import haar_random_unitary, parse_circuit, recompose, two_level_decompose
     from ketsim import bell_pair, format_ket, run_program, sample
-    from ketsim.cli import load_truth_table
+    from ketsim.cli import load_matrix, load_truth_table
 
     rng = np.random.default_rng(5)
 
@@ -209,7 +222,15 @@ def measure(repeats: int) -> dict[str, float]:
         path.write_text("\n".join(
             [f"qubits {n}", *(f"h {q}" for q in range(n)),
              *(f"u2 {q} a=0.{q + 1} b=0.3 c=0.{q + 2} d=0.7" for q in range(n))]) + "\n")
-        out[f"render/n{n}"] = _median_time(_render_case(path), repeats)
+        out[f"render/n{n}"] = _median_time(_render_case(["run", str(path)]), repeats)
+        matrix = Path(tmp) / f"haar{MATRIX_DIM}.mat"
+        matrix.write_text(_matrix_text(haar_random_unitary(MATRIX_DIM, RngStream(MATRIX_DIM))))
+        out[f"load_matrix/D{MATRIX_DIM}"] = _median_time(lambda: load_matrix(str(matrix)), repeats)
+        dim = RENDER_DECOMPOSE_DIM
+        path = Path(tmp) / f"haar{dim}.mat"
+        path.write_text(_matrix_text(haar_random_unitary(dim, RngStream(dim))))
+        out[f"render/decompose/D{dim}"] = _median_time(
+            _render_case(["decompose", "--matrix", str(path)]), repeats)
     text = _circuit_text(CIRCUIT_LINES)
     tables = {"f": table}
     out[f"parse_circuit/lines{CIRCUIT_LINES}"] = _median_time(

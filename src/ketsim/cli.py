@@ -16,7 +16,6 @@ import math
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -76,6 +75,15 @@ def _json(value) -> Iterator[str]:
             yield f"{', ' if i else ''}{_scalar_json(str(k))}: "
             yield from _json(v)
         yield "}"
+    elif isinstance(value, list) and value and all(
+        isinstance(v, TwoLevelFactor) for v in value
+    ):
+        yield "["
+        for start in range(0, len(value), FACTOR_CHUNK):
+            if start:
+                yield ", "
+            yield _factors_text(value[start : start + FACTOR_CHUNK])
+        yield "]"
     elif isinstance(value, (list, tuple)):
         yield "["
         for i, v in enumerate(value):
@@ -90,9 +98,6 @@ def _json(value) -> Iterator[str]:
         yield '", "amplitudes": '
         yield from _json(value.amplitudes)
         yield "}"
-    elif isinstance(value, TwoLevelFactor):
-        support = ", ".join(map(str, value.support))
-        yield f'{{"support": [{support}], "block": [{_pairs_text(value.block)}]}}'
     elif isinstance(value, np.ndarray) and value.dtype == np.complex128:
         flat = value.reshape(-1)
         yield "["
@@ -128,12 +133,39 @@ def _pairs_text(a: np.ndarray) -> str:
     return ", ".join(["[%.17g, %.17g]"] * a.size) % tuple(floats)
 
 
+#: Two-level factors per rendered chunk of a ``decompose`` document.
+FACTOR_CHUNK = 1 << 8
+
+# A factor's text with ``%d`` for its support and ``%%.17g`` for its
+# block's parts, by support size: formatting the supports first leaves
+# ``%.17g`` for the parts.
+_FACTOR_TEMPLATES = {
+    size: '{"support": [%s], "block": [%s]}'
+    % (", ".join(["%d"] * size), ", ".join(["[%%.17g, %%.17g]"] * size * size))
+    for size in (1, 2)
+}
+
+
+def _factors_text(factors: list[TwoLevelFactor]) -> str:
+    """The factors' JSON objects, comma-separated, by one ``%`` call over
+    the supports and one over the blocks' parts, each block in C order."""
+    supports = [f.support for f in factors]
+    template = ", ".join([_FACTOR_TEMPLATES[len(s)] for s in supports]) % tuple(
+        itertools.chain.from_iterable(supports)
+    )
+    parts = np.concatenate([f.block for f in factors], axis=None).view(np.float64)
+    return template % tuple(parts.tolist())
+
+
 # --- input file formats ----------------------------------------------------
 
 
 def _read_text(path: str) -> str:
+    """The file's text as stored: ``\\r`` is kept, so that lines end at
+    ``\\n`` alone for the CLI as for ``parse_circuit``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
 
@@ -234,10 +266,62 @@ def _walk_truth_table(text: str) -> TruthTable:
 def load_matrix(path: str) -> np.ndarray:
     """Matrix file: first line ``d=<D>``, then D rows of D ``re,im`` pairs.
 
-    The D x D array is built once every row has passed, so its size is
-    bounded by the entries the file holds.
+    A file in the strict layout is parsed in one pass; any other file,
+    including every malformed one, is walked line by line.  Either way the
+    D x D array is built once every row has passed, so its size is bounded
+    by the entries the file holds.
     """
-    lines = list(_data_lines(_read_text(path)))  # counted before any row is parsed
+    text = _read_text(path)
+    matrix = _bulk_matrix(text)
+    return matrix if matrix is not None else _walk_matrix(text)
+
+
+# The bytes a number of a strict-layout matrix file is made of: printable
+# ASCII but the "," separator, "#" and "_".  Deleting them from the rows
+# leaves each row's separators alone.
+_NUMBER_BYTES = bytes(b for b in range(0x21, 0x7F) if b not in b",#_")
+
+
+def _bulk_matrix(text: str) -> np.ndarray | None:
+    """The matrix of a file in the strict layout, or None for any other file.
+
+    The strict layout is ASCII: a line ``d=<D>`` of at most six digits,
+    then exactly D rows of D ``re,im`` entries, separated by one space and
+    ended by ``\\n``, with no ``#``, ``_``, ``\\r`` or other whitespace.  Its
+    numbers are the walk's tokens, parsed by the same ``float``; every file
+    taken here gives the walk's matrix, and the walk owns every error
+    message.
+    """
+    head, _, body = text.partition("\n")
+    digits = head.removeprefix("d=")
+    if not (text.isascii() and digits != head and digits.isdigit() and len(digits) <= 6):
+        return None
+    dim = int(digits)
+    # the rows counted, and nothing after the last, before any array is built
+    if dim < 1 or body.count("\n") != dim or not body.endswith("\n"):
+        return None
+    # each row's separators: "," and " " after each entry but the last,
+    # then "," and "\n"; any other byte is left in and fails the match
+    seps = body.encode("ascii").translate(None, _NUMBER_BYTES)
+    if len(seps) != 2 * dim * dim or seps != (b", " * (dim - 1) + b",\n") * dim:
+        return None
+    # row by row, so that no more than one row's number texts are held
+    values = itertools.chain.from_iterable(
+        map(float, row.split()) for row in body.replace(",", " ").split("\n")
+    )
+    try:
+        # an empty number leaves fewer than 2*D*D parts, which fromiter rejects
+        parts = np.fromiter(values, np.float64, len(seps))
+    except ValueError:
+        return None
+    return parts.view(np.complex128).reshape(dim, dim)
+
+
+def _walk_matrix(text: str) -> np.ndarray:
+    """The matrix of any valid file, walked line by line: comments, blank
+    lines and any whitespace are allowed.  Every error message and line
+    number of a matrix file comes from here."""
+    lines = list(_data_lines(text))  # counted before any row is parsed
     dim = _header(iter(lines), "matrix file", "d", "dimension")
     if len(lines) != dim + 1:
         raise ParseError(f"expected {dim} matrix rows", lines[-1][0])

@@ -58,17 +58,38 @@ class TwoLevelFactor:
         out[np.ix_(self.support, self.support)] = self.block
         return out
 
+    @classmethod
+    def _trusted(cls, dim: int, support: tuple[int, ...], block: np.ndarray) -> "TwoLevelFactor":
+        """A factor built in the package, whose support and block already
+        agree: the checks of ``__post_init__`` are skipped."""
+        factor = cls.__new__(cls)
+        # set one by one, as the dataclass __init__ does: an instance whose
+        # __dict__ was touched keeps a full dict, about 140 bytes more
+        object.__setattr__(factor, "dim", dim)
+        object.__setattr__(factor, "support", support)
+        object.__setattr__(factor, "block", block)
+        return factor
+
     def apply_to(self, a: np.ndarray) -> None:
         """``a = expand() @ a`` in place, for a length-D vector or a D x m
         matrix: only the rows on the support are rewritten, O(m) work."""
-        if a.shape[0] != self.dim:
+        _apply_in_place([self], a)
+
+
+def _apply_in_place(factors: list[TwoLevelFactor], a: np.ndarray) -> None:
+    """``a = recompose(factors, D) @ a`` in place, the last factor first,
+    each rewriting the one or two rows on its support."""
+    rows = a.shape[0]
+    for factor in reversed(factors):  # all checked before any row changes
+        if factor.dim != rows:
             raise DimensionMismatch(
-                f"factor of dimension {self.dim} applied to {a.shape[0]} rows"
+                f"factor of dimension {factor.dim} applied to {rows} rows"
             )
-        first, last = self.support[0], self.support[-1]
+    for factor in reversed(factors):
+        first, last = factor.support[0], factor.support[-1]
         # the support's rows as one strided view, not a gathered copy
-        rows = a[first : last + 1 : max(last - first, 1)]
-        rows[...] = self.block @ rows
+        view = a[first : last + 1 : max(last - first, 1)]
+        view[...] = factor.block @ view
 
 
 def unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,40 +139,68 @@ def eigenvector_factors(vector: np.ndarray, eigenvalue: complex) -> list[TwoLeve
         # Eigenvectors are phase-free; pin the pivot entry real-positive so
         # axis-aligned eigenvectors produce no rotations at all.
         c *= np.conj(c[pivot]) / abs(c[pivot])
+    # The scalar abs(c[i]) bit for bit: np.abs of a complex array rounds
+    # differently from the scalar (about a third of random entries), hypot
+    # of the parts does not.
+    mags = np.hypot(c.real, c.imag)
 
-    forward: list[TwoLevelFactor] = []
-    for other in range(dim):
-        if other == pivot:
-            continue
-        cp, co = c[pivot], c[other]
-        r = math.hypot(abs(cp), abs(co))
+    # The sweep rotates c[other] into c[pivot] for each other in index
+    # order.  A zero entry rotates by hypot(r, 0) == r: the first one turns
+    # a complex pivot into its modulus, and later ones change nothing and
+    # emit nothing, so they are left out.
+    swept = mags != 0.0
+    zeros = np.flatnonzero(~swept)
+    swept[zeros[zeros != pivot][:1]] = True
+    swept[pivot] = False
+    others = np.flatnonzero(swept)
+    # Only the modulus recurrence runs in Python: the pivot entry becomes
+    # r = hypot(|c[pivot]|, |c[other]|) after each rotation that is not
+    # skipped, and a skipped one leaves it unchanged.
+    rotated: list[int] = []
+    radii: list[float] = []
+    r_pivot = float(mags[pivot])
+    for k, m in enumerate(mags[others].tolist()):
+        r = math.hypot(r_pivot, m)
         if r < PIVOT_EPS:
             continue
-        c[pivot] = r
-        c[other] = 0.0
-        # The largest entry of block - identity, tested before any block is
-        # built: most rotations of a sparse eigenvector are elided.
-        if max(abs(cp / r - 1), abs(co / r)) < ELIDE_EPS:
-            continue
-        # on (pivot, other); on (other, pivot) its rows and columns reverse
-        block = np.array(
-            [[np.conj(cp) / r, np.conj(co) / r], [-co / r, cp / r]],
-            dtype=np.complex128,
-        )
-        if pivot < other:
-            forward.append(TwoLevelFactor(dim, (pivot, other), block))
-        else:
-            forward.append(TwoLevelFactor(dim, (other, pivot), block[::-1, ::-1].copy()))
+        rotated.append(k)
+        radii.append(r)
+        r_pivot = r
 
-    factors: list[TwoLevelFactor] = [
-        TwoLevelFactor(f.dim, f.support, f.block.conj().T) for f in forward
+    blocks = np.empty((0, 2, 2), dtype=np.complex128)
+    others = others[rotated]
+    if radii:
+        r = np.array(radii)
+        co = c[others]
+        cp = np.empty_like(co)  # the pivot entry before each rotation
+        cp[0] = c[pivot]
+        cp[1:] = r[:-1]
+        cp_r, co_r = cp / r, co / r
+        # The largest entry of block - identity, taken as Python's max of
+        # the two moduli; most rotations of a sparse eigenvector are elided.
+        shift = cp_r - 1
+        dev_p, dev_o = np.hypot(shift.real, shift.imag), np.hypot(co_r.real, co_r.imag)
+        keep = ~(np.where(dev_o > dev_p, dev_o, dev_p) < ELIDE_EPS)
+        cp, co, r, others = cp[keep], co[keep], r[keep], others[keep]
+        # on (pivot, other); on (other, pivot) its rows and columns reverse
+        blocks = np.empty((others.size, 2, 2), dtype=np.complex128)
+        blocks[:, 0, 0] = np.conj(cp) / r
+        blocks[:, 0, 1] = np.conj(co) / r
+        blocks[:, 1, 0] = -co / r
+        blocks[:, 1, 1] = cp_r[keep]
+        below = others < pivot
+        blocks[below] = blocks[below, ::-1, ::-1]
+
+    supports = list(zip(np.minimum(others, pivot).tolist(), np.maximum(others, pivot).tolist()))
+    trusted = TwoLevelFactor._trusted
+    forward = [trusted(dim, s, block) for s, block in zip(supports, blocks)]
+    factors = [
+        trusted(dim, s, block) for s, block in zip(supports, blocks.conj().transpose(0, 2, 1))
     ]
     lam = complex(eigenvalue)
     lam /= abs(lam)
     if abs(lam - 1.0) >= ELIDE_EPS:
-        factors.append(
-            TwoLevelFactor(dim, (pivot,), np.array([[lam]], dtype=np.complex128))
-        )
+        factors.append(trusted(dim, (pivot,), np.array([[lam]], dtype=np.complex128)))
     factors.extend(reversed(forward))
     return factors
 
@@ -185,8 +234,7 @@ def recompose(factors: list[TwoLevelFactor], dim: int) -> np.ndarray:
     rewriting its one or two rows: O(F*D) work for F factors.
     """
     out = np.eye(dim, dtype=np.complex128)
-    for factor in reversed(factors):
-        factor.apply_to(out)
+    _apply_in_place(factors, out)
     return out
 
 
@@ -194,8 +242,7 @@ def apply_factors(factors: list[TwoLevelFactor], s: StateVector) -> StateVector:
     """The state ``recompose(factors, s.dim) @ s`` without forming the
     product: each factor rewrites one or two amplitudes."""
     amps = s.amplitudes.copy()
-    for factor in reversed(factors):
-        factor.apply_to(amps)
+    _apply_in_place(factors, amps)
     return StateVector._trusted(amps)
 
 

@@ -7,9 +7,10 @@ import numpy as np
 from ketsim import RngStream, StateVector
 from ketsim.inequalities import EventDistribution
 
-# The characters besides "\n" at which str.splitlines ends a line ("\r"
-# aside: reading a file in text mode turns it into "\n").  The readers end
-# lines at "\n" alone and take these as whitespace.
+# The characters besides "\n" and "\r" at which str.splitlines ends a line.
+# The readers end lines at "\n" alone and take these, and "\r", as
+# whitespace; files are read with their "\r" kept, and the golden error
+# documents of CR-only files are in test_cli.MALFORMED.
 OTHER_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 

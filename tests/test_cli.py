@@ -18,11 +18,14 @@ import ketsim
 import ketsim.cli as cli
 from ketsim import RngStream, TruthTable, haar_random_unitary, two_level_decompose
 from ketsim.cli import (
+    _bulk_matrix,
     _bulk_truth_table,
     _json,
     _read_text,
+    _walk_matrix,
     _walk_truth_table,
     exit_code_for,
+    load_matrix,
     load_truth_table,
     main,
 )
@@ -615,6 +618,13 @@ MALFORMED = [
     *(("deutsch-jozsa", f"n=1\n# a{c}0 1\n0 1\n1 2\n",
        "ParseError", "line 4: bad output value '2'")  # break
       for c in OTHER_LINE_BREAKS),
+    # Files with "\r" line ends alone.  The rows marked "cr" changed: files
+    # were read with universal newlines, which ended a line at each "\r".
+    ("run", "qubits 1\rh 5\r",
+     "ParseError", "line 1: qubits directive takes one integer"),  # cr
+    ("deutsch-jozsa", "n=1\r0 1\r1 2\r", "ParseError", "line 1: unexpected '0' after 'n=1'"),  # cr
+    ("decompose", "d=1\r1,0\r", "ParseError", "line 1: unexpected '1,0' after 'd=1'"),  # cr
+    ("bounds", "0 1/2\r1 1/2\r", "ParseError", "line 1: expected '<bits> <rational>'"),  # cr
 ]
 
 
@@ -806,6 +816,158 @@ class TestBulkTable:
         path.write_text("# generated\n" + gen.render_table(10, outputs), encoding="utf-8")
         assert load_truth_table(str(path)) == TruthTable(10, tuple(outputs))
         assert walks == [1]
+        # CRLF line ends reach the loader as written, and are walked
+        path.write_bytes(gen.render_table(10, outputs).replace("\n", "\r\n").encode())
+        assert load_truth_table(str(path)) == TruthTable(10, tuple(outputs))
+        assert walks == [1, 1]
+
+
+def _matrix_outcome(load, arg):
+    """``load(arg)``'s matrix as bytes, or its ParseError's message and line."""
+    try:
+        return load(arg).tobytes()
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _strict_matrix(m: np.ndarray) -> str:
+    """A matrix file in the strict layout, each part as its ``repr``."""
+    rows = (" ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row) for row in m)
+    return f"d={m.shape[0]}\n" + "".join(row + "\n" for row in rows)
+
+
+# parts the walk takes as floats: signed zeros, subnormals, infinities,
+# NaN, exponents, signs and bare points
+SPECIAL_PARTS = ["-0.0", "0", "-0", "5e-324", "-4.9406564584124654e-324", "2.2250738585072009e-308",
+                 "inf", "-inf", "Infinity", "-INF", "nan", "1e308", "1E-5", "+1.5", ".5", "-2.",
+                 "0.1", "1e-400", "1e400", "00.25", "0x1"]
+
+
+def _special_matrices() -> list[str]:
+    """Strict-layout files whose parts are drawn from SPECIAL_PARTS (and one
+    part the walk rejects, "0x1")."""
+    rng = random.Random("special")
+    out = []
+    for dim in (1, 2, 3, 5):
+        for _ in range(4):
+            rows = [" ".join(f"{rng.choice(SPECIAL_PARTS[:-1])},{rng.choice(SPECIAL_PARTS[:-1])}"
+                             for _ in range(dim)) for _ in range(dim)]
+            out.append(f"d={dim}\n" + "".join(r + "\n" for r in rows))
+    out.append("d=2\n1,0 0,0\n0,0x1 1,0\n")
+    return out
+
+
+def _irregular_matrices() -> list[str]:
+    """Valid matrix files that are not in the strict layout."""
+    rows = ["1,0 0,-0.0", "-0.0,0 0,1"]
+    return [
+        "# a comment\nd=2\n" + "".join(r + "\n" for r in rows),
+        "d=2 # dimension\n" + "".join(r + " # row\n" for r in rows),
+        "d=2\r\n" + "".join(r + "\r\n" for r in rows),
+        "d=2\n" + "".join(r.replace(" ", "\t") + "\n" for r in rows),
+        "d=2\n" + "".join(r.replace(" ", "  ") + "\n" for r in rows),
+        "d=2\n\n" + "\n\n".join(rows) + "\n\n",
+        "d=2\n" + "\n".join(rows),
+        "d=2\n" + "".join("  " + r + " \n" for r in rows),
+        "d=0000002\n" + "".join(r + "\n" for r in rows),
+        "\nd=2\n" + "".join(r + "\n" for r in rows),
+        "d=2\n1,0 0,0\x0b\n0,0 1,0\n",
+        "d=2\n1,0 0,0\n0,0\xa01,0\n",
+    ]
+
+
+def _broken_matrices() -> list[str]:
+    """Matrix files that the walk rejects, most of them one fault away from
+    the strict layout."""
+    rows = ["1,0 0,0\n", "0,0 1,0\n"]
+    faults = [
+        rows[:1],                                  # a missing row
+        rows + rows[:1],                           # one row too many
+        ["1,0 0,0 0,0\n", "0,0\n"],                # three entries, then one
+        ["1,0,0 0\n", rows[1]],                    # two commas, then none
+        ["1,0 0\n", rows[1]],                      # an entry without a comma
+        [",0 0,0\n", rows[1]],                     # an empty real part
+        ["1, 0,0\n", rows[1]],                     # an empty imaginary part
+        ["1,0 0,0,\n", rows[1]],                   # a trailing comma
+        ["1,0 x,0\n", rows[1]],                    # not a number
+        ["1,0 0_0,0\n", rows[1]],                  # a "_" separator
+        ["1,0 0,\u0661\n", rows[1]],               # a non-ASCII digit
+        ["1,0 0,0 # c\n", "0,0\n"],                # a comment hiding an entry
+    ]
+    return ["d=2\n" + "".join(r) for r in faults] + [
+        "d=0\n",
+        "d=0\n\n",
+        "d=-1\n1,0\n",
+        "d=x\n1,0\n",
+        "d=1 1,0\n",
+        "d=999999\n1,0\n",
+        "d=1\n1,0\n1,0",
+        "d=1\n1,0\n5",
+        "d=1_0\n",
+        "d=\u0661\n1,0\n",
+    ]
+
+
+class TestBulkMatrix:
+    """``load_matrix`` parses strict-layout files in one pass and walks all
+    others; either way it must give what the line walk alone gives."""
+
+    @staticmethod
+    def _differential(tmp_path, text):
+        path = tmp_path / "m.mat"
+        path.write_text(text, encoding="utf-8")
+        loaded = _matrix_outcome(load_matrix, str(path))
+        walked = _matrix_outcome(_walk_matrix, _read_text(str(path)))
+        assert loaded == walked
+        return loaded
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 64])
+    def test_haar_bits(self, tmp_path, dim):
+        u = haar_random_unitary(dim, RngStream(dim))
+        text = _strict_matrix(u)
+        assert _bulk_matrix(text) is not None
+        assert self._differential(tmp_path, text) == u.tobytes()
+
+    @pytest.mark.parametrize("text", _special_matrices())
+    def test_special_parts(self, tmp_path, text):
+        self._differential(tmp_path, text)
+        assert (_bulk_matrix(text) is None) == ("0x1" in text)
+
+    @pytest.mark.parametrize("text", _irregular_matrices())
+    def test_irregular_but_valid(self, tmp_path, text):
+        assert isinstance(self._differential(tmp_path, text), bytes)
+        assert _bulk_matrix(text) is None
+
+    @pytest.mark.parametrize("text", _broken_matrices())
+    def test_broken(self, tmp_path, text):
+        assert not isinstance(self._differential(tmp_path, text), bytes)
+        assert _bulk_matrix(text) is None
+
+    @pytest.mark.parametrize("dim", [999_999, 1000])
+    def test_false_header_builds_nothing(self, dim):
+        # 1000 rows of one entry: a matrix of 10**12 entries, or a separator
+        # pattern of 2*D**2 bytes (2 MB at D = 1000), would be built in vain
+        text = f"d={dim}\n" + "1,0\n" * 1000
+        tracemalloc.start()
+        try:
+            assert _bulk_matrix(text) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_generated_layout_is_parsed_in_bulk(self, tmp_path, monkeypatch):
+        gen = _perfbench_module("gen")
+        u = haar_random_unitary(8, RngStream(8))
+        path = tmp_path / "gen.mat"
+        path.write_text(gen.render_matrix(u), encoding="utf-8")
+        walks = []
+        monkeypatch.setattr(cli, "_walk_matrix", lambda text: walks.append(1) or _walk_matrix(text))
+        assert load_matrix(str(path)).tobytes() == u.tobytes()
+        assert walks == []
+        path.write_text("# generated\n" + gen.render_matrix(u), encoding="utf-8")
+        assert load_matrix(str(path)).tobytes() == u.tobytes()
+        assert walks == [1]
 
 
 def _text(value) -> str:
@@ -815,6 +977,44 @@ def _text(value) -> str:
 def _reference_pairs(a: np.ndarray) -> str:
     """The per-pair f-string loop that the bulk pair formatter replaced."""
     return "[" + ", ".join(f"[{v.real:.17g}, {v.imag:.17g}]" for v in a.reshape(-1)) + "]"
+
+
+def _reference_factors(factors) -> str:
+    """The per-factor renderer that the chunked factor renderer replaced."""
+    return "[" + ", ".join(
+        f'{{"support": [{", ".join(map(str, f.support))}], "block": {_reference_pairs(f.block)}}}'
+        for f in factors
+    ) + "]"
+
+
+def _first_difference(a: str, b: str):
+    """None for equal texts, else the first differing offset and the texts
+    around it: a long text's failure stays short to print."""
+    if a == b:
+        return None
+    at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return at, a[max(at - 40, 0) : at + 40], b[max(at - 40, 0) : at + 40]
+
+
+def _factor_lists():
+    """Decompositions of seeded Haar unitaries of D = 2 to 128 and of
+    block-diagonal unitaries, and lists on either side of one and of two
+    chunks."""
+    rng = RngStream(64)
+    for dim in (2, 3, 5, 8, 23, 24, 64, 128):
+        yield f"haar{dim}", two_level_decompose(haar_random_unitary(dim, rng))
+    for dim, block in ((16, 4), (128, 4), (96, 2)):
+        u = np.zeros((dim, dim), dtype=np.complex128)
+        for start in range(0, dim, block):
+            u[start:start + block, start:start + block] = haar_random_unitary(block, rng)
+        yield f"blockdiag{dim}x{block}", two_level_decompose(u)
+    many = two_level_decompose(haar_random_unitary(64, rng))
+    chunk = cli.FACTOR_CHUNK
+    for count in (chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
+        yield f"haar64[:{count}]", many[:count]
+    signed = [ketsim.TwoLevelFactor(3, (1,), np.array([[complex(-0.0, -0.0)]])),
+              ketsim.TwoLevelFactor(3, (0, 2), np.array([[5e-324, -0.0], [1j, -1e300]]))]
+    yield "signed-zeros", signed
 
 
 class TestJson:
@@ -847,7 +1047,7 @@ class TestJson:
             assert text == _reference_pairs(view)
             assert json.loads(text) == [[float(v.real), float(v.imag)] for v in view.reshape(-1)]
 
-    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 32])  # D = 32: factors in two chunks
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 32])  # D = 32: factors in several chunks
     def test_factor_list_as_dicts(self, dim):
         factors = two_level_decompose(haar_random_unitary(dim, RngStream(dim)))
         expected = [{"support": list(f.support), "block": f.block} for f in factors]
@@ -857,6 +1057,14 @@ class TestJson:
              "block": [[float(v.real), float(v.imag)] for v in f.block.reshape(-1)]}
             for f in factors
         ]
+
+    @pytest.mark.parametrize("name, factors", [
+        pytest.param(name, factors, id=name) for name, factors in _factor_lists()
+    ])
+    def test_factor_list_equals_per_factor_renderer(self, name, factors):
+        expected = _reference_factors(factors)
+        assert _first_difference(_text(factors), expected) is None
+        assert _first_difference(_text({"factors": factors}), '{"factors": ' + expected + "}") is None
 
     def test_empty_factor_list(self):
         assert _text([]) == "[]"

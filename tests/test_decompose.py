@@ -9,6 +9,7 @@ from ketsim import (
     InvalidInput,
     NotUnitary,
     RngStream,
+    StateVector,
     apply,
     apply_factors,
     eigenvector_factors,
@@ -73,6 +74,84 @@ def reference_eigenvector_factors(vector, eigenvalue):
     return factors
 
 
+def reference_apply_to(factor, a):
+    """Reference for the row updates of ``recompose`` and ``apply_factors``:
+    the per-factor method they inlined, its dimension check included."""
+    if a.shape[0] != factor.dim:
+        raise DimensionMismatch(f"factor of dimension {factor.dim} applied to {a.shape[0]} rows")
+    first, last = factor.support[0], factor.support[-1]
+    rows = a[first : last + 1 : max(last - first, 1)]
+    rows[...] = factor.block @ rows
+
+
+def reference_recompose(factors, dim):
+    out = np.eye(dim, dtype=np.complex128)
+    for factor in reversed(factors):
+        reference_apply_to(factor, out)
+    return out
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits, signed zeros and NaN payloads included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_factors(got, expected):
+    assert [(f.dim, f.support) for f in got] == [(f.dim, f.support) for f in expected]
+    assert [f.block.tobytes() for f in got] == [f.block.tobytes() for f in expected]
+    # the layout too: a block's matmul in recompose may round by its strides
+    assert [f.block.strides for f in got] == [f.block.strides for f in expected]
+
+
+def _parts(re, im):
+    a = np.empty(len(re), dtype=np.complex128)
+    a.real, a.imag = re, im  # set apart, so that signed zeros survive
+    return a
+
+
+def edge_vectors():
+    """Vectors, unit or not, that reach each branch of the sweep: exact
+    zeros on either side of the first nonzero entry, the pivot first or
+    last, entries below PIVOT_EPS, subnormal entries, signed zero parts,
+    and pivots too small to be pinned real."""
+    yield "zeros-before-first-nonzero", np.array([0, 0, 0.6, 0, 0.8j, 0])
+    yield "zeros-after-first-nonzero", np.array([0.6j, 0, 0.8, 0, 0])
+    yield "pivot-first", np.array([0.9, 0.3j, -0.1, 0, 0.2 - 0.1j, 0.05])
+    yield "pivot-last", np.array([0.1, 0, 0.3j, -0.2 + 0.1j, 0.9j])
+    yield "below-pivot-eps", np.array([1, 1e-15, 0, 3e-15j, 0.5, 5e-16 - 5e-16j])
+    yield "subnormal", _parts([5e-324, 0.8, -5e-324, 0, 1e-310, 0], [0, 0.6, 5e-324, -5e-324, 0, 0])
+    yield "signed-zeros", _parts([-0.0, 0.6, 0.0, -0.0, 0.0, -0.0], [-0.0, -0.8, -0.0, 0.0, 0.0, 0.0])
+    yield "negative-zero-parts", _parts([0.6, -0.0, -0.0, 0.8], [-0.0, -0.0, 0.3, 0.0])
+    yield "all-zero", np.zeros(5)
+    yield "one-entry", np.array([0.6 + 0.8j])
+    # |pivot| = PIVOT_EPS is not pinned: the first zero rotates the
+    # imaginary pivot onto its modulus and emits a block
+    yield "tiny-imaginary-pivot", np.array([0, 1e-14j, 0, 0])
+    yield "tiny-pivot-then-zero", np.array([1e-14j, 1e-20, 0, 0])
+    # the zero's rotation is skipped (r < PIVOT_EPS); a later entry rotates
+    yield "skipped-zero", np.array([9e-15j, 0, 0, 8e-15])
+    yield "all-skipped", np.array([5e-15j, 0, 0, 3e-15])
+    yield "near-axis", np.array([0, 1, 1e-13, 0, -1e-12j, 0])
+
+
+def random_edge_vectors(count):
+    """Seeded vectors of 1 to 40 entries mixing the edge cases above."""
+    rng = np.random.default_rng(2024)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-15, -1e-14, 1e-13, 1.0, -0.5]
+    for i in range(count):
+        dim = int(rng.integers(1, 41))
+        re, im = rng.normal(size=dim), rng.normal(size=dim)
+        for part in (re, im):
+            picked = rng.random(dim) < rng.uniform(0, 0.9)
+            part[picked] = rng.choice(specials, picked.sum())
+        vector = _parts(re, im) * 10.0 ** rng.integers(-15, 3)
+        yield f"random{i}", vector
+
+
+EIGENVALUES = [1, -1, cmath.exp(0.3j), 1 + 1e-13j, 2j]
+
+
 def block_diagonal_unitary(dim, block, rng):
     out = np.zeros((dim, dim), dtype=np.complex128)
     for start in range(0, dim, block):
@@ -104,6 +183,49 @@ def sweep_inputs():
     phases[7:] = cmath.exp(0.4j)
     phases[10] = -1
     yield "degenerate", basis @ np.diag(phases) @ basis.conj().T
+
+
+def recompose_inputs():
+    """Seeded Haar unitaries of D = 2 to 128 and block-diagonal ones."""
+    rng = RngStream(17)
+    for dim in (2, 3, 6, 9, 17, 48, 100, 128):
+        yield f"haar{dim}", haar_random_unitary(dim, rng)
+    for dim, block in ((12, 3), (64, 8), (128, 2)):
+        yield f"blockdiag{dim}x{block}", block_diagonal_unitary(dim, block, rng)
+
+
+class TestNumpyFacts:
+    """The bulk sweep of ``eigenvector_factors`` keeps the bits of the
+    scalar loop on these facts; an upgrade that breaks one fails here."""
+
+    @staticmethod
+    def _values(size=20_000):
+        rng = np.random.default_rng(99)
+        z = _parts(rng.normal(size=size), rng.normal(size=size))
+        z *= np.exp(rng.uniform(-40, 40, size))
+        z[:40] = _parts([0.0, -0.0, 5e-324, -5e-324, 1e-310] * 8,
+                        [-0.0, 0.0, 1.0, -5e-324, 0.0, 3e-320, -1.0, 0.5] * 5)
+        r = np.abs(rng.normal(size=size)) * np.exp(rng.uniform(-40, 40, size))
+        return z, r
+
+    def test_array_division_by_reals_equals_scalar(self):
+        z, r = self._values()
+        scalar = np.array([z[i] / float(r[i]) for i in range(z.size)])
+        assert same_bits(z / r, scalar)
+        assert same_bits(np.conj(z) / r, np.array([np.conj(z[i]) / float(r[i]) for i in range(z.size)]))
+
+    def test_hypot_of_parts_equals_scalar_abs(self):
+        # np.abs of the array is not used: it rounds differently from the
+        # scalar abs on about a third of these values
+        z, _ = self._values()
+        scalar = np.array([abs(v) for v in z])
+        assert same_bits(np.hypot(z.real, z.imag), scalar)
+
+    def test_hypot_with_zero_is_identity(self):
+        _, r = self._values()
+        for x in [*r.tolist(), 0.0, 5e-324, 1e-310, math.inf]:
+            assert math.hypot(x, 0.0) == x
+            assert math.hypot(x, -0.0) == x
 
 
 class TestEigensystem:
@@ -217,8 +339,17 @@ class TestDecompose:
         for k in range(u.shape[0]):
             got = eigenvector_factors(vectors[:, k], values[k])
             expected = reference_eigenvector_factors(vectors[:, k], values[k])
-            assert [(f.dim, f.support) for f in got] == [(f.dim, f.support) for f in expected]
-            assert [f.block.tobytes() for f in got] == [f.block.tobytes() for f in expected]
+            assert_same_factors(got, expected)
+
+    @pytest.mark.parametrize("vector", [
+        pytest.param(v, id=name) for name, v in [*edge_vectors(), *random_edge_vectors(300)]
+    ])
+    def test_edge_vectors_bytes_equal_reference(self, vector):
+        for eigenvalue in EIGENVALUES:
+            assert_same_factors(
+                eigenvector_factors(vector, eigenvalue),
+                reference_eigenvector_factors(vector, eigenvalue),
+            )
 
     def test_non_interference_of_eigenvector_blocks(self):
         # the partial product over later eigenvectors must fix earlier ones
@@ -274,6 +405,21 @@ class TestRecompose:
         with pytest.raises(DimensionMismatch):
             recompose([factor], 4)
 
+    def test_mixed_dimensions_rejected_before_any_row(self):
+        good = TwoLevelFactor(3, (0, 1), np.array([[0, 1], [1, 0]], dtype=complex))
+        bad = TwoLevelFactor(4, (2,), np.array([[1j]], dtype=complex))
+        for factors in ([good, bad, good], [bad, good], [good, bad]):
+            with pytest.raises(DimensionMismatch, match="^factor of dimension 4 applied to 3 rows$"):
+                recompose(factors, 3)
+
+    @pytest.mark.parametrize("u", [
+        pytest.param(u, id=name) for name, u in [*sweep_inputs(), *recompose_inputs()]
+    ])
+    def test_bits_equal_per_factor_loop(self, u):
+        factors = two_level_decompose(u)
+        dim = u.shape[0]
+        assert same_bits(recompose(factors, dim), reference_recompose(factors, dim))
+
     def test_matches_dense_product(self):
         rng = RngStream(12)
         cases = [haar_random_unitary(dim, rng) for dim in (2, 3, 5, 8, 16, 33, 64)]
@@ -296,6 +442,18 @@ class TestRecompose:
 
 
 class TestApplyFactors:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bits_equal_per_factor_loop(self, n):
+        rng = RngStream(40 + n)
+        factors = two_level_decompose(haar_random_unitary(1 << n, rng))
+        for _ in range(3):
+            s = rand_state(n, rng)
+            expected = s.amplitudes.copy()
+            for factor in reversed(factors):
+                reference_apply_to(factor, expected)
+            expected = StateVector._trusted(expected).amplitudes  # as apply_factors returns it
+            assert same_bits(apply_factors(factors, s).amplitudes, expected)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_recomposed_matrix(self, n):
         rng = RngStream(20 + n)
