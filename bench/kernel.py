@@ -19,15 +19,18 @@ table; each on n = 16 and n = 20 qubits with the targets at the first,
 middle and last qubits.  Permutation gates with a target on the
 innermost qubit, X on n-1, CNOT on [0, n-1] and Toffoli on [1, 3, n-1],
 run as ``x/n<N>/innermost``, ``cnot/...`` and ``toffoli/...``.
-``measure_subset`` of 2 qubits at the same three positions and
-``measure_all`` run on the same states, each with a fresh ``RngStream``.
+``measure_subset`` of 2 qubits at the same three positions and of every
+qubit (``measure_subset/n<N>/all``) run on the same states, each with a
+fresh ``RngStream``.
 ``construct`` times ``StateVector(amps)``, and ``construct/n20/drift``
 times it on the n = 20 state scaled by 1 + 1e-9, which it renormalises.
 ``two_level_decompose`` and ``recompose`` (of that decomposition's
 factors) run on a seeded ``haar_random_unitary`` at D = 16, 32, 64 and
 128.  ``load_truth_table`` reads a balanced table file of arity 14 and 17
-(0.27 and 2.5 MB), ``load_matrix/D128`` reads a seeded D = 128 Haar
-unitary written as the benchmark writes its matrices (0.7 MB), and
+(0.27 and 2.5 MB), and ``deutsch_jozsa/arity17`` runs Deutsch-Jozsa at
+the default seed on the second table.  ``load_matrix/D128`` reads a
+seeded D = 128 Haar unitary written as the benchmark writes its
+matrices (0.7 MB), and
 ``parse_circuit`` parses a 20,000-line circuit
 that cycles through the opcodes, comments and blank lines.  ``run_program``
 runs a circuit shaped like the benchmark's ``branch12`` job (12 qubits, a
@@ -151,9 +154,9 @@ def measure(repeats: int) -> dict[str, float]:
     """Median seconds per case for the ``ketsim`` on ``sys.path``."""
     import numpy as np
     from ketsim import StateVector, TruthTable, apply_gate_at, apply_oracle_at, cnot, hadamard
-    from ketsim import RngStream, measure_all, measure_subset, pauli_x, toffoli_unitary
+    from ketsim import RngStream, measure_subset, pauli_x, toffoli_unitary
     from ketsim import haar_random_unitary, parse_circuit, recompose, two_level_decompose
-    from ketsim import bell_pair, format_ket, run_program, sample
+    from ketsim import bell_pair, deutsch_jozsa, format_ket, run_program, sample
     from ketsim.cli import load_matrix, load_truth_table
 
     rng = np.random.default_rng(5)
@@ -200,7 +203,8 @@ def measure(repeats: int) -> dict[str, float]:
             targets = [start, start + 1]
             out[f"measure_subset/n{n}/{pos}"] = _median_time(
                 lambda: measure_subset(state, targets, RngStream(0)), reps[n])
-        out[f"measure_all/n{n}"] = _median_time(lambda: measure_all(state, RngStream(0)), reps[n])
+        out[f"measure_subset/n{n}/all"] = _median_time(
+            lambda: measure_subset(state, range(n), RngStream(0)), reps[n])
     for dim in DECOMPOSE_DIMS:
         u = haar_random_unitary(dim, RngStream(dim))
         factors = two_level_decompose(u)
@@ -213,6 +217,8 @@ def measure(repeats: int) -> dict[str, float]:
                 f"{x:0{arity}b} {x & 1}\n" for x in range(1 << arity)))
             out[f"load_truth_table/n{arity}"] = _median_time(
                 lambda: load_truth_table(str(path)), repeats)
+        balanced = load_truth_table(str(path))  # the last table: f(x) = x & 1
+        out[f"deutsch_jozsa/arity{arity}"] = _median_time(lambda: deutsch_jozsa(balanced), repeats)
         n = RENDER_QUBITS
         own = np.random.default_rng(n)  # leaves the cases after this unchanged
         amps = own.normal(size=1 << n) + 1j * own.normal(size=1 << n)

@@ -50,7 +50,7 @@ from .gates import (
     u2_from_params,
     walsh_hadamard,
 )
-from .measure import Histogram, MeasurementOutcome, measure_all, measure_subset, sample
+from .measure import Histogram, MeasurementOutcome, measure_subset, sample
 from .protocols import (
     DJVerdict,
     TeleportTranscript,

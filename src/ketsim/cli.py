@@ -47,7 +47,6 @@ from .protocols import (
     teleport_pre_measurement,
     deutsch_jozsa,
 )
-from .rng import RngStream
 from .state import (
     DEFAULT_QUBIT_CAP,
     KET_CHUNK,
@@ -442,7 +441,7 @@ def _cmd_teleport(args) -> dict:
     theta, eta = _parse_floats(args.state, 2, "--state")
     psi = qubit_from_angles(theta, eta)
     if args.branch is None:
-        transcript = teleport(psi, RngStream(args.seed))
+        transcript = teleport(psi, args.seed)
         a1, a2, bob = transcript.a1, transcript.a2, transcript.bob_state
         psi0, psi1, psi2 = transcript.psi0, transcript.psi1, transcript.psi2
     elif len(args.branch) == 2 and set(args.branch) <= {"0", "1"}:
@@ -463,7 +462,7 @@ def _cmd_teleport(args) -> dict:
 
 def _cmd_deutsch_jozsa(args) -> dict:
     table = load_truth_table(args.table)
-    verdict = deutsch_jozsa(table, RngStream(args.seed))
+    verdict = deutsch_jozsa(table, args.seed)
     return {
         "verdict": verdict.verdict,
         "measured_bits": "".join(map(str, verdict.measured_bits)),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, InvalidInput
 from .rng import RngStream, uniforms
-from .state import StateVector, _check_qubits, _split_axes, index_to_bits, ket, probabilities
+from .state import StateVector, _check_qubits, _split_axes, index_to_bits, probabilities
 
 ZERO_BRANCH_EPS = 1e-15
 
@@ -75,15 +75,6 @@ def _draw(cdf: np.ndarray, last_live: int, u: float | np.ndarray) -> np.ndarray:
     """Branch of each uniform in ``u``: the first whose running weight
     exceeds it, or ``last_live`` for a draw past the rounded total."""
     return np.minimum(np.searchsorted(cdf, u, side="right"), last_live)
-
-
-def measure_all(s: StateVector, rng: RngStream) -> MeasurementOutcome:
-    """Measure every qubit; the state collapses onto one basis ket."""
-    weights = probabilities(s)
-    cdf, last_live = _branch_cdf(weights)
-    index = int(_draw(cdf, last_live, rng.uniform()))
-    bits = index_to_bits(index, s.num_qubits)
-    return MeasurementOutcome(bits, float(weights[index]), ket(bits, cap=s.num_qubits))
 
 
 class _Projection:
@@ -185,7 +176,8 @@ def walk_shots(
     a ``_Projection``.  At its j-th of m measurements shot i draws uniform
     number i·m + j of the stream seeded with ``seed`` (``rng.uniforms``), so
     each shot draws what one replay of the steps off one stream would, in
-    whatever order the walk reaches it.
+    whatever order the walk reaches it.  ``run_program``, ``sample``,
+    ``teleport`` and ``deutsch_jozsa`` all measure through it.
 
     The walk goes depth first over the tree of outcomes.  Gates run once
     per node, not once per shot.  At a measurement the weights and CDF are
@@ -259,12 +251,12 @@ def walk_shots(
 def sample(s: StateVector, shots: int, seed: int) -> Histogram:
     """Histogram of ``shots`` independent full measurements of copies of ``s``.
 
-    Shot i lands where :func:`measure_all` would land it with uniform
-    number i of the stream seeded with ``seed``, so results are
-    reproducible bit for bit; this is the walk of one trailing ``measure``
-    (:func:`walk_shots`), which draws ``SAMPLE_CHUNK`` uniforms at a time
-    and so bounds memory for any shot count up to ``MAX_SHOTS``.  Keys are
-    bit patterns with qubit 0 leftmost, sorted ascending.
+    Shot i lands where :func:`measure_subset` of every qubit would land it
+    with uniform number i of the stream seeded with ``seed``, so results
+    are reproducible bit for bit; this is the walk of one trailing
+    ``measure`` (:func:`walk_shots`), which draws ``SAMPLE_CHUNK`` uniforms
+    at a time and so bounds memory for any shot count up to ``MAX_SHOTS``.
+    Keys are bit patterns with qubit 0 leftmost, sorted ascending.
     """
     _check_shots(shots)
     return walk_shots(s, [_Projection(range(s.num_qubits), s.num_qubits)], shots, seed)

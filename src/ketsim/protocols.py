@@ -26,8 +26,7 @@ from .gates import (
     pauli_x,
     pauli_z,
 )
-from .measure import Histogram, measure_subset, sample
-from .rng import RngStream
+from .measure import Histogram, _Projection, sample, walk_shots
 from .state import (
     DEFAULT_QUBIT_CAP,
     StateVector,
@@ -101,16 +100,19 @@ def _received(psi2: StateVector, a1: int, a2: int) -> StateVector:
     return bob
 
 
-def teleport(psi: StateVector, rng: RngStream) -> TeleportTranscript:
+def teleport(psi: StateVector, seed: int) -> TeleportTranscript:
     """Teleport a 1-qubit state, sampling the sender's measurement branch.
 
-    Each of the four branches occurs with probability 1/4; whichever is
-    drawn, the corrected receiver state reproduces the input, bit for bit
-    as :func:`teleport_branch` gives it for that branch.
+    A one-shot :func:`walk_shots` draws it from uniform 0 of ``seed``.  Each
+    of the four branches occurs with probability 1/4; whichever is drawn,
+    the corrected receiver state reproduces the input, bit for bit as
+    :func:`teleport_branch` gives it for that branch.
     """
     psi0, psi1, psi2 = teleport_pre_measurement(psi)
-    outcome = measure_subset(psi2, [0, 1], rng)
-    a1, a2 = outcome.bits
+    sender = _Projection([0, 1], 3)
+    (key,) = walk_shots(psi2, [sender], 1, seed).counts
+    r = int(key, 2)
+    a1, a2 = divmod(r, 2)
     return TeleportTranscript(
         input_state=psi,
         a1=a1,
@@ -118,7 +120,7 @@ def teleport(psi: StateVector, rng: RngStream) -> TeleportTranscript:
         psi0=psi0,
         psi1=psi1,
         psi2=psi2,
-        collapsed=outcome.collapsed,
+        collapsed=sender.collapse(psi2, r, sender.weights(psi2)[r]),
         bob_state=_received(psi2, a1, a2),
     )
 
@@ -163,14 +165,15 @@ def deutsch(f: TruthTable) -> int:
     return int(result.verdict == BALANCED)
 
 
-def deutsch_jozsa(f: TruthTable, rng: RngStream | None = None) -> DJVerdict:
+def deutsch_jozsa(f: TruthTable, seed: int = 0) -> DJVerdict:
     """Decide constant-vs-balanced with a single oracle consultation.
 
     After the oracle, a Walsh-Hadamard on the input register concentrates
     all weight on the all-zero pattern exactly when f is constant, so the
     verdict follows from whether the measured input bits are all zero.
-    ``rng`` only picks among the equally valid nonzero patterns of the
-    balanced case; it defaults to a stream seeded with 0.
+    A one-shot :func:`walk_shots` reads the input register from uniform 0
+    of ``seed`` and collapses nothing; the seed only picks among the
+    equally valid nonzero patterns of the balanced case.
     """
     if not (f.is_constant() or f.is_balanced()):
         raise PromiseViolated(
@@ -187,11 +190,10 @@ def deutsch_jozsa(f: TruthTable, rng: RngStream | None = None) -> DJVerdict:
 
     weights = np.abs(s.amplitudes) ** 2
     zero_branch = float(weights[0] + weights[1])
-    outcome = measure_subset(s, list(range(n)), rng if rng is not None else RngStream(0))
-    verdict = CONSTANT if all(b == 0 for b in outcome.bits) else BALANCED
+    (key,) = walk_shots(s, [_Projection(range(n), n + 1)], 1, seed).counts
     return DJVerdict(
-        verdict=verdict,
-        measured_bits=outcome.bits,
+        verdict=BALANCED if "1" in key else CONSTANT,
+        measured_bits=tuple(map(int, key)),
         oracle_calls=1,
         zero_branch_weight=zero_branch,
     )

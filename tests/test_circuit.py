@@ -19,7 +19,6 @@ from ketsim import (
     cnot,
     hadamard,
     ket,
-    measure_all,
     measure_subset,
     parse_circuit,
     pauli_x,
@@ -276,10 +275,7 @@ def _replay_counts(program, tables, shots, seed):
         for ins in program.instructions:
             targets = list(ins.targets)
             if ins.opcode == "MEASURE":
-                if targets:
-                    outcome = measure_subset(state, targets, rng)
-                else:
-                    outcome = measure_all(state, rng)
+                outcome = measure_subset(state, targets or range(program.num_qubits), rng)
                 state = outcome.collapsed
                 bits += "".join(map(str, outcome.bits))
             elif ins.opcode == "ORACLE":
@@ -388,6 +384,9 @@ class TestExecutor:
         n = program.num_qubits
         prefix_state = run_program(CircuitProgram(n, gates), TABLES)
         end_measured = CircuitProgram(n, (*gates, Instruction("MEASURE", ())))
+        # the replay collapses at its measure_subset, so it runs unwatched
+        seeds = (0, 1, 7 * index)
+        replays = [_replay_counts(end_measured, TABLES, 60, seed) for seed in seeds]
         walks, collapses = [], []
         collapse = _Projection.collapse
         monkeypatch.setattr(
@@ -396,12 +395,12 @@ class TestExecutor:
         monkeypatch.setattr(
             _Projection, "collapse", lambda *args: collapses.append(args) or collapse(*args)
         )
-        for seed in (0, 1, 7 * index):
+        for seed, replay in zip(seeds, replays):
             hist = run_program(end_measured, TABLES, shots=60, seed=seed)
             # one leaf: its draw collapses no state
             assert not collapses
             assert hist == sample(prefix_state, 60, seed)
-            assert hist.counts == _replay_counts(end_measured, TABLES, 60, seed)
+            assert hist.counts == replay
         assert len(walks) == 3
 
     def test_prefix_simulated_once(self, monkeypatch):

@@ -206,6 +206,8 @@ class TestTeleportCommand:
             ("--seed", str(2**64 - 1),
              "b5d1b24d0d64ec2f3ff3170e75ac7875eebd870ecd55cef586deaabdb22accb4"),
             ("--seed", "-1", "b5d1b24d0d64ec2f3ff3170e75ac7875eebd870ecd55cef586deaabdb22accb4"),
+            ("--seed", str(2**70 + 3),
+             "1080ae5b292b1e4458e0dd4628c6201a847c7f4fdd683e065d66e30095a26d13"),
             ("--branch", "00", "1080ae5b292b1e4458e0dd4628c6201a847c7f4fdd683e065d66e30095a26d13"),
             ("--branch", "01", "b76516872cfe67f7f715affd9d51b3f72f987ff3a9b6bc93a07e2c555b49dfc2"),
             ("--branch", "11", "b5d1b24d0d64ec2f3ff3170e75ac7875eebd870ecd55cef586deaabdb22accb4"),
@@ -244,6 +246,38 @@ class TestDeutschJozsaCommand:
         assert payload["verdict"] == "Balanced"
         assert payload["measured_bits"] != "000"
         assert payload["oracle_calls"] == 1
+
+    @pytest.mark.parametrize(
+        "table, seed, digest",
+        [
+            # recorded while deutsch-jozsa drew from a scalar RngStream;
+            # balanced_n3.tbl (f = x0) has one live pattern, so every seed
+            # prints the same document
+            *(("balanced_n3.tbl", seed,
+               "19f9cfcadb857a451ced9cdf914f7cebf6c57964f3a3975a8cdea25e906ade7c")
+              for seed in ("0", "42", str(2**64 - 1), "-1")),
+            # f = x0·x1 ^ x2·x3 ^ x4 spreads its weight over sixteen patterns,
+            # so the seed picks which one is printed
+            ("spread6.tbl", "0", "0e4a1e329c55ca007921fd0de4fc46100905de064943a8d679f6671bc0abe51c"),
+            ("spread6.tbl", "1", "078cbbb42542c9bf8d0d42f1d74d2b8a6eddbb76657889c9d2bcc60cd694c343"),
+            ("spread6.tbl", "42", "03e8a182097062a2db2b9f7e784c27eb004f78e2ed8d7013d4b0090d26167d9d"),
+            ("spread6.tbl", str(2**64 - 1),
+             "0e4a1e329c55ca007921fd0de4fc46100905de064943a8d679f6671bc0abe51c"),
+            ("spread6.tbl", "-1", "0e4a1e329c55ca007921fd0de4fc46100905de064943a8d679f6671bc0abe51c"),
+            ("spread6.tbl", str(2**70 + 3),
+             "0e58f4cfc863b8f836389984c3284903a6f54d4a5865ad74e1c3c99cb5801b56"),
+        ],
+    )
+    def test_seed_golden_bytes(self, capsys, tmp_path, table, seed, digest):
+        path = FIXTURES / table
+        if table == "spread6.tbl":
+            path = tmp_path / table
+            rows = (f"{x:06b} {((x >> 5) & (x >> 4) ^ (x >> 3) & (x >> 2) ^ (x >> 1)) & 1}\n"
+                    for x in range(64))
+            path.write_text("n=6\n" + "".join(rows))
+        code, out = run_cli(capsys, "deutsch-jozsa", "--table", str(path), "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_arity_below_one_rejected(self, capsys, tmp_path):
         table = tmp_path / "neg.tbl"
@@ -1156,7 +1190,8 @@ class TestImports:
         exec("from ketsim import *", namespace)
         modules = [name for name, v in namespace.items() if isinstance(v, types.ModuleType)]
         assert modules == []
-        assert len(ketsim.__all__) == 88
+        assert len(ketsim.__all__) == 87
+        assert "measure_all" not in ketsim.__all__
 
     def test_cli_import_loads_no_scipy(self):
         # scipy serves decompose alone and loads on its first call, so the

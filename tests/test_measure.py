@@ -15,7 +15,6 @@ from ketsim import (
     bell_pair,
     hadamard,
     ket,
-    measure_all,
     measure_subset,
     probabilities,
     sample,
@@ -106,8 +105,11 @@ class TestRngStream:
 
 
 class TestMeasureAll:
+    """Measuring every qubit: ``measure_subset`` of the whole register in
+    order, as a bare circuit ``measure`` does, and ``sample``."""
+
     def test_deterministic_state(self):
-        out = measure_all(ket([1]), RngStream(0))
+        out = measure_subset(ket([1]), [0], RngStream(0))
         assert out.bits == (1,)
         assert out.probability == 1.0
         assert np.array_equal(out.collapsed.amplitudes, ket([1]).amplitudes)
@@ -123,15 +125,14 @@ class TestMeasureAll:
     def test_probability_equals_born_weight(self):
         rng = RngStream(11)
         s = rand_state(3, rng)
-        out = measure_all(s, rng)
+        out = measure_subset(s, range(3), rng)
         index = int("".join(map(str, out.bits)), 2)
         assert abs(out.probability - probabilities(s)[index]) <= 1e-12
-
 
     def test_output_is_fresh(self):
         s = rand_state(3, RngStream(19))
         before = s.amplitudes.copy()
-        out = measure_all(s, RngStream(4))
+        out = measure_subset(s, range(3), RngStream(4))
         assert not np.shares_memory(out.collapsed.amplitudes, s.amplitudes)
         assert np.array_equal(s.amplitudes, before)
 
@@ -245,23 +246,11 @@ class TestDraw:
 
         monkeypatch.setattr(measure, "_draw", counting)
         s = rand_state(3, RngStream(12))
-        outcomes = [measure_all(s, RngStream(1)), measure_subset(s, [2, 0], RngStream(1))]
+        out = measure_subset(s, [2, 0], RngStream(1))
         sample(s, 10, seed=1)
-        assert calls == [0, 0, 1]
-        for out in outcomes:
-            assert all(type(b) is int for b in out.bits)
-            assert type(out.probability) is float
-
-    @pytest.mark.parametrize("n", [1, 3, 6])
-    def test_all_qubits_in_order_match_measure_all(self, n):
-        # a bare circuit `measure` is measure_subset over every qubit
-        gen = np.random.default_rng(n)
-        for s in _seeded_states(n, gen):
-            for seed in range(20):
-                whole = measure_all(s, RngStream(seed))
-                listed = measure_subset(s, range(n), RngStream(seed))
-                assert listed.bits == whole.bits
-                assert listed.probability == whole.probability
+        assert calls == [0, 1]
+        assert all(type(b) is int for b in out.bits)
+        assert type(out.probability) is float
 
 
 class TestSample:

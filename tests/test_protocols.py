@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ketsim.measure as measure
 import ketsim.protocols as protocols
 from ketsim import (
     DimensionMismatch,
@@ -14,12 +15,15 @@ from ketsim import (
     RngStream,
     StateVector,
     TruthTable,
+    apply_gate_at,
+    apply_oracle_at,
     clone_fidelity,
     deutsch,
     deutsch_jozsa,
     fair_coin,
     hadamard,
     ket,
+    measure_subset,
     parallel_eval,
     probabilities,
     qubit_from_angles,
@@ -88,14 +92,14 @@ class TestTeleportSampled:
         rng = RngStream(4)
         for seed in range(25):
             psi = rand_state(1, rng)
-            transcript = teleport(psi, RngStream(seed))
+            transcript = teleport(psi, seed)
             assert states_equivalent(transcript.bob_state, psi, tol=1e-9)
             assert transcript.input_state is psi
             assert (transcript.a1, transcript.a2) in BRANCHES
 
     def test_pair_is_consumed(self):
         # after the measurement the sender's two qubits are classical
-        transcript = teleport(qubit_from_angles(0.9, 1.7), RngStream(6))
+        transcript = teleport(qubit_from_angles(0.9, 1.7), 6)
         collapsed = transcript.collapsed.amplitudes.reshape(4, 2)
         live_blocks = np.abs(collapsed).sum(axis=1) > 1e-12
         assert live_blocks.sum() == 1
@@ -108,7 +112,7 @@ class TestTeleportSampled:
         rng = RngStream(8)
         cases += [(rand_state(1, rng), seed) for seed in range(200)]
         for psi, seed in cases:
-            t = teleport(psi, RngStream(seed))
+            t = teleport(psi, seed)
             forced = teleport_branch(psi, t.a1, t.a2)
             assert t.bob_state.amplitudes.tobytes() == forced.amplitudes.tobytes()
 
@@ -116,7 +120,7 @@ class TestTeleportSampled:
         psi = qubit_from_angles(1.1, 0.3)
         counts = {branch: 0 for branch in BRANCHES}
         for seed in range(400):
-            t = teleport(psi, RngStream(seed))
+            t = teleport(psi, seed)
             counts[(t.a1, t.a2)] += 1
         assert all(count >= 50 for count in counts.values())
 
@@ -243,9 +247,85 @@ class TestDeutschJozsa:
 
     def test_sampled_bits_follow_rng(self):
         f = TruthTable(2, (0, 1, 1, 0))
-        a = deutsch_jozsa(f, RngStream(14))
-        b = deutsch_jozsa(f, RngStream(14))
+        a = deutsch_jozsa(f, 14)
+        b = deutsch_jozsa(f, 14)
         assert a == b
+
+
+
+# Reference copies of deutsch_jozsa and teleport as they were while they
+# measured through measure_subset off a scalar RngStream(seed), before both
+# became one-shot walks that draw uniform 0 of the seed by address.
+EDGE_SEEDS = [0, 1, 42, 2**64 - 1, -1, 2**70 + 3]
+SEEDS = EDGE_SEEDS + np.random.default_rng(2718).integers(0, 2**63, 20).tolist()
+
+
+def _stream_deutsch_jozsa(f: TruthTable, seed: int):
+    n = f.arity
+    s = ket([0] * n + [1])
+    for q in range(n + 1):
+        s = apply_gate_at(hadamard(), [q], s)
+    s = apply_oracle_at(f, list(range(n + 1)), s)
+    for q in range(n):
+        s = apply_gate_at(hadamard(), [q], s)
+    weights = np.abs(s.amplitudes) ** 2
+    zero_branch = float(weights[0] + weights[1])
+    outcome = measure_subset(s, list(range(n)), RngStream(seed))
+    verdict = "Constant" if all(b == 0 for b in outcome.bits) else "Balanced"
+    return verdict, outcome.bits, zero_branch
+
+
+def _stream_teleport(psi: StateVector, seed: int):
+    _, _, psi2 = teleport_pre_measurement(psi)
+    outcome = measure_subset(psi2, [0, 1], RngStream(seed))
+    a1, a2 = outcome.bits
+    return a1, a2, outcome.collapsed, protocols._received(psi2, a1, a2)
+
+
+def _dj_tables(arity: int):
+    """A constant table and a seeded balanced one, whose weight after the
+    final Hadamards spreads over many patterns so that the seed matters."""
+    size = 1 << arity
+    outputs = np.zeros(size, dtype=int)
+    outputs[np.random.default_rng(arity).permutation(size)[: size // 2]] = 1
+    return [TruthTable(arity, (arity % 2,) * size), TruthTable(arity, tuple(outputs.tolist()))]
+
+
+class TestAgainstStreamReference:
+    @pytest.mark.parametrize("arity", range(1, 11))
+    def test_deutsch_jozsa(self, arity):
+        for f in _dj_tables(arity):
+            for seed in SEEDS:
+                verdict, bits, zero_branch = _stream_deutsch_jozsa(f, seed)
+                got = deutsch_jozsa(f, seed)
+                assert got.verdict == verdict
+                assert got.measured_bits == bits
+                assert got.zero_branch_weight.hex() == zero_branch.hex()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_teleport(self, seed):
+        rng = RngStream(31)
+        for _ in range(200):
+            psi = rand_state(1, rng)
+            a1, a2, collapsed, bob = _stream_teleport(psi, seed)
+            got = teleport(psi, seed)
+            assert (got.a1, got.a2) == (a1, a2)
+            assert got.collapsed.amplitudes.tobytes() == collapsed.amplitudes.tobytes()
+            assert got.bob_state.amplitudes.tobytes() == bob.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("arity", [3, 10])
+    def test_deutsch_jozsa_never_collapses(self, monkeypatch, arity):
+        # the readout is the walk's leaf: counted, never projected
+        tables = _dj_tables(arity)
+        expected = [_stream_deutsch_jozsa(f, 0)[:2] for f in tables]
+
+        def refuse(*args):
+            raise AssertionError("deutsch_jozsa collapsed its state")
+
+        monkeypatch.setattr(measure._Projection, "collapse", refuse)
+        for f, (verdict, bits) in zip(tables, expected):
+            got = deutsch_jozsa(f)
+            assert (got.verdict, got.measured_bits) == (verdict, bits)
 
 
 class TestCloneFidelity:

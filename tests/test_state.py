@@ -23,7 +23,6 @@ from ketsim import (
     index_to_bits,
     is_product_split,
     ket,
-    measure_all,
     measure_subset,
     probabilities,
     qubit_from_angles,
@@ -257,7 +256,6 @@ class TestNormInvariant:
             "u2 gate": apply_gate_at(u2_from_params(*angles), [3], s),
             "toffoli gate": apply_gate_at(toffoli_unitary(), [4, 0, 2], s),
             "oracle": apply_oracle_at(table, [1, 3, 0], s),
-            "measure_all": measure_all(s, RngStream(seed)).collapsed,
             "measure_subset": measure_subset(s, [4, 1], RngStream(seed)).collapsed,
             "ket": ket([1, 0, 1, 1, 0]),
             "tensor": tensor(s, rand_state(2, rng)),
