@@ -7,11 +7,17 @@ Usage, from the root of a checkout:
     python3 bench/kernel.py --parent OTHER/src --rounds 5 --out BENCH.json
 
 The first form times the ``ketsim`` found in ``--src`` (default: this
-checkout's ``src``) and prints one JSON object, case name -> median
-seconds over ``--repeats`` calls.  The second form runs that measurement
-in fresh interpreters, ``--rounds`` times for each of two source trees,
-alternating which goes first, and writes per-case medians, quartiles and
-change/parent ratios.
+checkout's ``src``) and prints one JSON object, case name -> the median
+seconds over ``--repeats`` calls, raw (``raw_s``), the mean of the
+calibration runs just before and after them (``cal_s``), and the raw time
+scaled to the reference host speed (``s`` = ``raw_s * CAL_REF_S /
+cal_s``).  The calibration kernel and ``CAL_REF_S`` are those of
+``perfbench/run.py``, so a row reads in the same units as a benchmark
+record however fast the host runs at the time.  The second form runs that
+measurement in fresh interpreters, ``--rounds`` times for each of two
+source trees, alternating which goes first, and writes per-case medians,
+quartiles and change/parent ratios of the scaled times, with every round's
+raw time and calibration.
 
 Cases: ``apply_gate_at`` with a Hadamard, CNOT, a dense 4x4 unitary,
 Toffoli and a dense 8x8 unitary; ``apply_oracle_at`` with a 4-input
@@ -49,6 +55,7 @@ Every process is pinned to one core with a one-thread BLAS pool.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -79,14 +86,28 @@ def _pin() -> None:
         os.environ[var] = "1"
 
 
-def _median_time(fn, repeats: int) -> float:
+def _perfbench_run():
+    """``perfbench/run.py`` as a module, for its calibration kernel."""
+    sys.path.insert(0, str(ROOT / "perfbench"))  # for its own imports
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _median_time(fn, repeats: int, bench) -> dict[str, float]:
+    """The median seconds of ``repeats`` calls of ``fn``, raw and scaled by
+    ``bench``'s calibration runs just before and after them."""
     fn()  # warm-up: first-touch page faults and lazy imports
+    before = bench.calibrate()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    cal = (before + bench.calibrate()) / 2
+    raw = statistics.median(times)
+    return {"s": raw * bench.CAL_REF_S / cal, "raw_s": raw, "cal_s": cal}
 
 
 def _circuit_text(lines: int, n: int = 16) -> str:
@@ -150,14 +171,20 @@ def _render_case(argv: list[str]) -> Callable[[], None]:
     return run
 
 
-def measure(repeats: int) -> dict[str, float]:
-    """Median seconds per case for the ``ketsim`` on ``sys.path``."""
+def measure(repeats: int) -> dict[str, dict[str, float]]:
+    """Median seconds per case for the ``ketsim`` on ``sys.path``, as
+    :func:`_median_time` gives them."""
     import numpy as np
     from ketsim import StateVector, TruthTable, apply_gate_at, apply_oracle_at, cnot, hadamard
     from ketsim import RngStream, measure_subset, pauli_x, toffoli_unitary
     from ketsim import haar_random_unitary, parse_circuit, recompose, two_level_decompose
     from ketsim import bell_pair, deutsch_jozsa, format_ket, run_program, sample
     from ketsim.cli import load_matrix, load_truth_table
+
+    bench = _perfbench_run()
+
+    def timed(fn, reps: int) -> dict[str, float]:
+        return _median_time(fn, reps, bench)
 
     rng = np.random.default_rng(5)
 
@@ -177,82 +204,82 @@ def measure(repeats: int) -> dict[str, float]:
     # The constructors run first, so that both trees time them after the
     # same allocations: the earlier kernel calls differ between trees and
     # change how fast a fresh 16 MiB copy gets its pages.
-    out: dict[str, float] = {}
+    out: dict[str, dict[str, float]] = {}
     for n, state in states.items():
-        out[f"construct/n{n}"] = _median_time(lambda: StateVector(state.amplitudes), reps[n])
+        out[f"construct/n{n}"] = timed(lambda: StateVector(state.amplitudes), reps[n])
     # a squared norm of about 1 + 2e-9, which every call renormalises
     drifted = states[20].amplitudes * (1 + 1e-9)
-    out["construct/n20/drift"] = _median_time(lambda: StateVector(drifted), reps[20])
+    out["construct/n20/drift"] = timed(lambda: StateVector(drifted), reps[20])
     for n, state in states.items():
         for name, g in gates.items():
             k = g.shape[0].bit_length() - 1
             for pos, start in (("first", 0), ("middle", (n - k) // 2), ("last", n - k)):
                 targets = list(range(start, start + k))
-                out[f"{name}/n{n}/{pos}"] = _median_time(
+                out[f"{name}/n{n}/{pos}"] = timed(
                     lambda: apply_gate_at(g, targets, state), reps[n])
         for name, g, targets in (("x", pauli_x(), [n - 1]), ("cnot", cnot(), [0, n - 1]),
                                  ("toffoli", toffoli_unitary(), [1, 3, n - 1])):
-            out[f"{name}/n{n}/innermost"] = _median_time(
+            out[f"{name}/n{n}/innermost"] = timed(
                 lambda: apply_gate_at(g, targets, state), reps[n])
         width = ORACLE_ARITY + 1
         for pos, start in (("first", 0), ("middle", (n - width) // 2), ("last", n - width)):
             targets = list(range(start, start + width))
-            out[f"oracle/n{n}/{pos}"] = _median_time(
+            out[f"oracle/n{n}/{pos}"] = timed(
                 lambda: apply_oracle_at(table, targets, state), reps[n])
         for pos, start in (("first", 0), ("middle", (n - 2) // 2), ("last", n - 2)):
             targets = [start, start + 1]
-            out[f"measure_subset/n{n}/{pos}"] = _median_time(
+            out[f"measure_subset/n{n}/{pos}"] = timed(
                 lambda: measure_subset(state, targets, RngStream(0)), reps[n])
-        out[f"measure_subset/n{n}/all"] = _median_time(
+        out[f"measure_subset/n{n}/all"] = timed(
             lambda: measure_subset(state, range(n), RngStream(0)), reps[n])
     for dim in DECOMPOSE_DIMS:
         u = haar_random_unitary(dim, RngStream(dim))
         factors = two_level_decompose(u)
-        out[f"two_level_decompose/D{dim}"] = _median_time(lambda: two_level_decompose(u), repeats)
-        out[f"recompose/D{dim}"] = _median_time(lambda: recompose(factors, dim), repeats)
+        out[f"two_level_decompose/D{dim}"] = timed(lambda: two_level_decompose(u), repeats)
+        out[f"recompose/D{dim}"] = timed(lambda: recompose(factors, dim), repeats)
     with tempfile.TemporaryDirectory() as tmp:
         for arity in TABLE_ARITIES:
             path = Path(tmp) / f"n{arity}.tbl"
             path.write_text(f"n={arity}\n" + "".join(
                 f"{x:0{arity}b} {x & 1}\n" for x in range(1 << arity)))
-            out[f"load_truth_table/n{arity}"] = _median_time(
+            out[f"load_truth_table/n{arity}"] = timed(
                 lambda: load_truth_table(str(path)), repeats)
         balanced = load_truth_table(str(path))  # the last table: f(x) = x & 1
-        out[f"deutsch_jozsa/arity{arity}"] = _median_time(lambda: deutsch_jozsa(balanced), repeats)
+        out[f"deutsch_jozsa/arity{arity}"] = timed(lambda: deutsch_jozsa(balanced), repeats)
         n = RENDER_QUBITS
         own = np.random.default_rng(n)  # leaves the cases after this unchanged
         amps = own.normal(size=1 << n) + 1j * own.normal(size=1 << n)
         state = StateVector(amps / np.linalg.norm(amps))
-        out[f"format_ket/n{n}"] = _median_time(lambda: format_ket(state), repeats)
+        out[f"format_ket/n{n}"] = timed(lambda: format_ket(state), repeats)
         path = Path(tmp) / f"dump{n}.qc"
         path.write_text("\n".join(
             [f"qubits {n}", *(f"h {q}" for q in range(n)),
              *(f"u2 {q} a=0.{q + 1} b=0.3 c=0.{q + 2} d=0.7" for q in range(n))]) + "\n")
-        out[f"render/n{n}"] = _median_time(_render_case(["run", str(path)]), repeats)
+        out[f"render/n{n}"] = timed(_render_case(["run", str(path)]), repeats)
         matrix = Path(tmp) / f"haar{MATRIX_DIM}.mat"
         matrix.write_text(_matrix_text(haar_random_unitary(MATRIX_DIM, RngStream(MATRIX_DIM))))
-        out[f"load_matrix/D{MATRIX_DIM}"] = _median_time(lambda: load_matrix(str(matrix)), repeats)
+        out[f"load_matrix/D{MATRIX_DIM}"] = timed(lambda: load_matrix(str(matrix)), repeats)
         dim = RENDER_DECOMPOSE_DIM
         path = Path(tmp) / f"haar{dim}.mat"
         path.write_text(_matrix_text(haar_random_unitary(dim, RngStream(dim))))
-        out[f"render/decompose/D{dim}"] = _median_time(
+        out[f"render/decompose/D{dim}"] = timed(
             _render_case(["decompose", "--matrix", str(path)]), repeats)
     text = _circuit_text(CIRCUIT_LINES)
     tables = {"f": table}
-    out[f"parse_circuit/lines{CIRCUIT_LINES}"] = _median_time(
+    out[f"parse_circuit/lines{CIRCUIT_LINES}"] = timed(
         lambda: parse_circuit(text, tables), repeats)
     program = parse_circuit(_branching_text(rng), tables)
     for shots in BRANCHING_SHOTS:
         # one call per round: per-shot replay takes about 30 s at 10**4
-        out[f"run_program/branch12/shots{shots}"] = _median_time(
+        out[f"run_program/branch12/shots{shots}"] = timed(
             lambda: run_program(program, tables, shots=shots, seed=1), 1)
     bell = bell_pair(0, 0)
-    out[f"sample/bell/shots{SAMPLE_SHOTS}"] = _median_time(
+    out[f"sample/bell/shots{SAMPLE_SHOTS}"] = timed(
         lambda: sample(bell, SAMPLE_SHOTS, 1), repeats)
     return out
 
 
-def _run_tree(src: str, repeats: int) -> dict[str, float]:
+def _run_tree(src: str, repeats: int) -> dict[str, dict[str, float]]:
     argv = [sys.executable, str(Path(__file__).resolve()), "--src", src, "--repeats", str(repeats)]
     done = subprocess.run(argv, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
@@ -275,19 +302,28 @@ def _cpu_model() -> str:
 
 
 def compare(parent: str, change: str, rounds: int, repeats: int) -> dict:
-    runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
+    runs: dict[str, list[dict[str, dict[str, float]]]] = {"parent": [], "change": []}
     for r in range(rounds):
         order = (("parent", parent), ("change", change))
         for side, src in order if r % 2 == 0 else order[::-1]:
             runs[side].append(_run_tree(src, repeats))
     rows = {}
     for case in runs["parent"][0]:
-        p = _quartiles([run[case] for run in runs["parent"]])
-        c = _quartiles([run[case] for run in runs["change"]])
-        rows[case] = {"parent_s": p, "change_s": c, "ratio": c[1] / p[1]}
+        row = {}
+        for side in ("parent", "change"):
+            row[f"{side}_s"] = _quartiles([run[case]["s"] for run in runs[side]])
+        row["ratio"] = row["change_s"][1] / row["parent_s"][1]
+        for side in ("parent", "change"):
+            row[f"{side}_raw_s"] = [run[case]["raw_s"] for run in runs[side]]
+            row[f"{side}_cal_s"] = [run[case]["cal_s"] for run in runs[side]]
+        rows[case] = row
     return {
-        "what": "median seconds per call, [q1, median, q3] over rounds; "
-                "each round is the median of its process's repeats",
+        "what": "median seconds per call scaled to the reference host speed, "
+                "[q1, median, q3] over rounds; each round is the median of its "
+                "process's repeats times CAL_REF_S over the mean of the "
+                "calibrations before and after them; *_raw_s and *_cal_s list "
+                "each round's raw median and calibration",
+        "cal_ref_s": _perfbench_run().CAL_REF_S,
         "rounds": rounds,
         "repeats": repeats,
         "machine": {"cpu_model": _cpu_model(), "cpu_count": os.cpu_count(),

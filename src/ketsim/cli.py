@@ -55,6 +55,7 @@ from .state import (
     qubit_from_angles,
     states_equivalent,
 )
+from .text17 import LEFT, float_rows
 
 # --- deterministic JSON rendering -----------------------------------------
 
@@ -125,35 +126,50 @@ def _scalar_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _pair_rows(parts: np.ndarray) -> np.ndarray:
+    """The rows of ``, [re, im]`` over a contiguous float64 array of
+    alternate real and imaginary parts."""
+    rows = float_rows(parts)
+    rows[0::2, LEFT - 3 : LEFT] = np.frombuffer(b", [", dtype=np.uint8)
+    rows[1::2, LEFT - 2 : LEFT] = np.frombuffer(b", ", dtype=np.uint8)
+    rows[1::2, -1] = ord("]")
+    return rows
+
+
+def _rows_text(rows: np.ndarray) -> str:
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _pairs_text(a: np.ndarray) -> str:
-    """``[re, im], ...`` over the entries of a complex array, in C order,
-    formatted by one ``%`` call."""
-    floats = np.ascontiguousarray(a).reshape(-1).view(np.float64).tolist()
-    return ", ".join(["[%.17g, %.17g]"] * a.size) % tuple(floats)
+    """``[re, im], ...`` over the entries of a complex array, in C order."""
+    rows = _pair_rows(np.ascontiguousarray(a).reshape(-1).view(np.float64))
+    rows[:1, : LEFT - 1] = 0  # no ", " before the first pair
+    return _rows_text(rows)
 
 
 #: Two-level factors per rendered chunk of a ``decompose`` document.
 FACTOR_CHUNK = 1 << 8
 
-# A factor's text with ``%d`` for its support and ``%%.17g`` for its
-# block's parts, by support size: formatting the supports first leaves
-# ``%.17g`` for the parts.
+# A factor's text with ``%d`` for its support and ``%%s`` for its block's
+# pairs, by support size: formatting the supports first leaves ``%s``.
 _FACTOR_TEMPLATES = {
-    size: '{"support": [%s], "block": [%s]}'
-    % (", ".join(["%d"] * size), ", ".join(["[%%.17g, %%.17g]"] * size * size))
-    for size in (1, 2)
+    size: '{"support": [' + ", ".join(["%d"] * size) + '], "block": [%%s]}' for size in (1, 2)
 }
 
 
 def _factors_text(factors: list[TwoLevelFactor]) -> str:
     """The factors' JSON objects, comma-separated, by one ``%`` call over
-    the supports and one over the blocks' parts, each block in C order."""
+    the supports and one over the blocks' texts, each block in C order."""
     supports = [f.support for f in factors]
     template = ", ".join([_FACTOR_TEMPLATES[len(s)] for s in supports]) % tuple(
         itertools.chain.from_iterable(supports)
     )
     parts = np.concatenate([f.block for f in factors], axis=None).view(np.float64)
-    return template % tuple(parts.tolist())
+    rows = _pair_rows(parts)
+    # each block's first pair opens with "\n[", so that a split parts the blocks
+    starts = np.cumsum([0] + [2 * f.block.size for f in factors[:-1]])
+    rows[starts, LEFT - 3 : LEFT] = np.frombuffer(b"\0\n[", dtype=np.uint8)
+    return template % tuple(_rows_text(rows).split("\n")[1:])
 
 
 # --- input file formats ----------------------------------------------------

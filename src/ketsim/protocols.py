@@ -188,7 +188,7 @@ def deutsch_jozsa(f: TruthTable, seed: int = 0) -> DJVerdict:
     for q in range(n):
         s = apply_gate_at(hadamard(), [q], s)
 
-    weights = np.abs(s.amplitudes) ** 2
+    weights = np.abs(s.amplitudes[:2]) ** 2
     zero_branch = float(weights[0] + weights[1])
     (key,) = walk_shots(s, [_Projection(range(n), n + 1)], 1, seed).counts
     return DJVerdict(

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1049,11 +1050,54 @@ def _factor_lists():
     signed = [ketsim.TwoLevelFactor(3, (1,), np.array([[complex(-0.0, -0.0)]])),
               ketsim.TwoLevelFactor(3, (0, 2), np.array([[5e-324, -0.0], [1j, -1e300]]))]
     yield "signed-zeros", signed
+    # the boundary values in 2 x 2 blocks, then one value in a 1 x 1 block
+    values = _boundary_floats()
+    blocks = np.array(values[: len(values) // 8 * 8]).view(np.complex128).reshape(-1, 2, 2)
+    boundary = []
+    for i, block in enumerate(blocks):
+        boundary.append(ketsim.TwoLevelFactor(200, (i, i + 1), block))
+        boundary.append(ketsim.TwoLevelFactor(200, (i,), block[:1, :1].copy()))
+    yield "boundary-values", boundary
+
+
+def _boundary_floats() -> list[float]:
+    """Doubles where 17-digit formatting changes course, with their negatives:
+
+    - each power of ten from 1e-12 to 1e16 and three doubles on either side,
+      which cover the fixed/exponent switch at 1e-4 and the edges of the
+      exact integer range, 1e-11 and 10;
+    - the doubles next to 1e-14, 1e-70 and 1e98, which round up to the power
+      of ten at 17 digits;
+    - ties at the 17th digit, which round half to even: an odd n / 2**(17 - k)
+      in [10**k, 10**(k + 1)) has exactly 18 significant digits, the last 5;
+    - the ends of the binades next to 1e-11 and 10, and the ends of the
+      double range.
+    """
+    values = []
+    for k in range(-12, 17):
+        below = above = float(f"1e{k}")
+        values.append(below)
+        for _ in range(3):
+            below, above = math.nextafter(below, 0), math.nextafter(above, math.inf)
+            values += [below, above]
+    values += [1e-14, 1e-70, 1e98, 10**15 + 0.25, 10**14 + 0.125, 10**13 + 0.0625]
+    for k in range(-8, 1):
+        scale = 2 ** (17 - k)
+        low = math.ceil(Fraction(10) ** k * scale) | 1
+        high = math.ceil(Fraction(10) ** (k + 1) * scale) - 2 | 1
+        values += [n / scale for n in (low, low + 2, (low + high) // 2 | 1, high - 2, high)]
+    values += [2.0**-37, 2.0**-36, math.nextafter(2.0**-36, 0), 8.0, math.nextafter(8.0, 0),
+               16.0, 0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, math.inf, math.nan]
+    return values + [-v for v in values]
 
 
 class TestJson:
-    ENTRIES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1, 1 / 3, -2.718281828459045,
-               1e300, 0.70710678118654746, -0.70710678118654757]
+    # zeros, the fallback's values (subnormal, tiny, huge) and the bulk path's
+    ENTRIES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 9.9999999999999994e-12,
+               1e-11, 0.1, 1 / 3, -2.718281828459045, 9.9999999999999982, 12.5, 1e300,
+               1.0000076293945312, 9.9999999999999995e-08, 0.0001, 9.9999999999999991e-05,
+               0.70710678118654746, -0.70710678118654757]
 
     @staticmethod
     def _complex(re, im) -> np.ndarray:
@@ -1078,14 +1122,14 @@ class TestJson:
         a[rng.random(size) < 0.5] *= rng.normal(size=1)[0]
         for view in (a, a[::-1], a[::3], np.stack([a, a]).T):
             text = _text(view)
-            assert text == _reference_pairs(view)
+            assert _first_difference(text, _reference_pairs(view)) is None
             assert json.loads(text) == [[float(v.real), float(v.imag)] for v in view.reshape(-1)]
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 16, 32])  # D = 32: factors in several chunks
     def test_factor_list_as_dicts(self, dim):
         factors = two_level_decompose(haar_random_unitary(dim, RngStream(dim)))
         expected = [{"support": list(f.support), "block": f.block} for f in factors]
-        assert _text(factors) == _text(expected)
+        assert _first_difference(_text(factors), _text(expected)) is None
         assert json.loads(_text(factors)) == [
             {"support": list(f.support),
              "block": [[float(v.real), float(v.imag)] for v in f.block.reshape(-1)]}
@@ -1111,6 +1155,39 @@ class TestJson:
             "num_qubits": 2, "ket": "0.6|00> + 0.8i|10>",
             "amplitudes": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.8], [0.0, 0.0]],
         }
+
+
+class TestFloatText:
+    """The bulk 17-digit formatter against ``%.17g`` one value at a time."""
+
+    def test_boundary_values(self):
+        values = _boundary_floats()
+        a = np.array(values + values[:1] * (len(values) % 2)).view(np.complex128)
+        assert _first_difference(cli._pairs_text(a), _reference_pairs(a)[1:-1]) is None
+
+    @pytest.fixture(scope="class")
+    def patterns(self):
+        """200,000 seeded random 64-bit patterns as 100,000 complex entries,
+        and the ``%.17g`` text of each entry's pair."""
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 1 << 64, 200_000, dtype=np.uint64)
+        # half with a binary exponent from 2**-40 to 2**4, around the exact
+        # integer range; uniform bits alone seldom land there
+        near = np.flatnonzero(rng.random(bits.size) < 0.5)
+        exponent = rng.integers(1023 - 40, 1023 + 4, near.size).astype(np.uint64)
+        bits[near] = bits[near] & np.uint64((1 << 64) - 1 - (0x7FF << 52)) | exponent << np.uint64(52)
+        specials = [0, 1 << 63, 0x7FF << 52, 0xFFF << 52, 0x7FF8 << 48, 0xFFF8 << 48, 1,
+                    (1 << 52) - 1, (1 << 63) | 1, 1 << 52]  # ±0, ±inf, nans, subnormals
+        bits[rng.integers(0, bits.size, 100)] = rng.choice(np.array(specials, np.uint64), 100)
+        a = bits.view(np.complex128)
+        return a, [f"[{v.real:.17g}, {v.imag:.17g}]" for v in a]
+
+    @pytest.mark.parametrize("chunk", [1, 4095, 4096, 4097])
+    def test_random_bit_patterns(self, patterns, chunk):
+        a, expected = patterns
+        for start in range(0, a.size if chunk > 1 else 1_000, chunk):
+            text = cli._pairs_text(a[start : start + chunk])
+            assert _first_difference(text, ", ".join(expected[start : start + chunk])) is None
 
 
 class _CountingSink:
