@@ -48,7 +48,10 @@ after a warm-up call, and ``sample`` draws 10**6 shots of a Bell state.
 circuit (a Hadamard and a ``u2`` layer) whose 13 MB ``final_state``
 document goes to a stdout that keeps nothing; ``render/decompose/D64``
 runs ``ketsim decompose`` on a seeded D = 64 Haar unitary (8,128 factors)
-into the same stdout.
+into the same stdout.  ``bounds/n6`` to ``bounds/n10`` run ``ketsim bounds``
+into that stdout on a distribution file of 6 to 10 events whose atoms have
+mixed prime denominators, written as ``perfbench/gen.py`` writes its
+``bounds9`` job, and ``load_distribution/n10`` reads the largest file.
 Every process is pinned to one core with a one-thread BLAS pool.
 """
 
@@ -59,12 +62,14 @@ import importlib.util
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from collections.abc import Callable
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +83,8 @@ SAMPLE_SHOTS = 1_000_000
 RENDER_QUBITS = 17
 MATRIX_DIM = 128
 RENDER_DECOMPOSE_DIM = 64
+BOUNDS_EVENTS = (6, 7, 8, 9, 10)
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _pin() -> None:
@@ -156,6 +163,18 @@ def _matrix_text(m) -> str:
     return f"d={m.shape[0]}\n" + "".join(row + "\n" for row in rows)
 
 
+def _distribution_text(n: int) -> str:
+    """A distribution file of ``n`` events, seeded by ``n``: each atom but the
+    last is a random fraction of 1 / (p * 2**n) for a prime p of ``PRIMES``,
+    and the last atom takes the rest."""
+    rng = random.Random(n)
+    size = 1 << n
+    atoms = [Fraction(rng.randrange(p), p * size)
+             for p in (rng.choice(PRIMES) for _ in range(size - 1))]
+    atoms.append(1 - sum(atoms))
+    return "".join(f"{b:0{n}b} {a}\n" for b, a in enumerate(atoms))
+
+
 def _render_case(argv: list[str]) -> Callable[[], None]:
     """``ketsim`` with ``argv`` and stdout sent to a sink."""
     from ketsim.cli import main
@@ -179,7 +198,7 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
     from ketsim import RngStream, measure_subset, pauli_x, toffoli_unitary
     from ketsim import haar_random_unitary, parse_circuit, recompose, two_level_decompose
     from ketsim import bell_pair, deutsch_jozsa, format_ket, run_program, sample
-    from ketsim.cli import load_matrix, load_truth_table
+    from ketsim.cli import load_distribution, load_matrix, load_truth_table
 
     bench = _perfbench_run()
 
@@ -264,6 +283,11 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
         path.write_text(_matrix_text(haar_random_unitary(dim, RngStream(dim))))
         out[f"render/decompose/D{dim}"] = timed(
             _render_case(["decompose", "--matrix", str(path)]), repeats)
+        for n in BOUNDS_EVENTS:
+            path = Path(tmp) / f"mixed{n}.dist"
+            path.write_text(_distribution_text(n))
+            out[f"bounds/n{n}"] = timed(_render_case(["bounds", "--dist", str(path)]), repeats)
+        out[f"load_distribution/n{n}"] = timed(lambda: load_distribution(str(path)), repeats)
     text = _circuit_text(CIRCUIT_LINES)
     tables = {"f": table}
     out[f"parse_circuit/lines{CIRCUIT_LINES}"] = timed(

@@ -14,11 +14,12 @@ width; without it the width is inferred as one past the highest target.
 
 A bare ``measure`` (all qubits) is allowed only as the final instruction;
 subset measurements may appear anywhere.  Integers are ASCII digits,
-and angles are ASCII text without ``_`` separators.
+and angles are finite numbers in ASCII text without ``_`` separators.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -120,9 +121,12 @@ def _parse_u2_params(tokens: list[str], line: int) -> tuple[float, ...]:
         if name in values:
             raise ParseError(f"duplicate u2 parameter {name!r}", line)
         try:
-            values[name] = _parse_float(text)
+            value = _parse_float(text)
         except ValueError:
-            raise ParseError(f"bad angle for {name!r}: {text!r}", line) from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(f"bad angle for {name!r}: {text!r}", line)
+        values[name] = value
     missing = [name for name in _U2_PARAM_NAMES if name not in values]
     if missing:
         raise ParseError(f"u2 is missing parameters: {', '.join(missing)}", line)

@@ -41,12 +41,7 @@ from .inequalities import (
     marginal,
     poincare_union,
 )
-from .protocols import (
-    _received,
-    teleport,
-    teleport_pre_measurement,
-    deutsch_jozsa,
-)
+from .protocols import deutsch_jozsa, teleport, teleport_branch, teleport_pre_measurement
 from .state import (
     DEFAULT_QUBIT_CAP,
     KET_CHUNK,
@@ -66,7 +61,7 @@ _STRING_ESCAPES.update({c: f"\\u{c:04x}" for c in range(0x20)})
 def _json(value) -> Iterator[str]:
     """The JSON text of ``value`` as consecutive fragments.
 
-    States and complex arrays are formatted one chunk at a time, so the
+    States, complex arrays and factor lists are formatted in chunks, so the
     caller can write a large document without ever holding it whole.
     """
     if isinstance(value, dict):
@@ -75,15 +70,8 @@ def _json(value) -> Iterator[str]:
             yield f"{', ' if i else ''}{_scalar_json(str(k))}: "
             yield from _json(v)
         yield "}"
-    elif isinstance(value, list) and value and all(
-        isinstance(v, TwoLevelFactor) for v in value
-    ):
-        yield "["
-        for start in range(0, len(value), FACTOR_CHUNK):
-            if start:
-                yield ", "
-            yield _factors_text(value[start : start + FACTOR_CHUNK])
-        yield "]"
+    elif isinstance(value, list) and value and isinstance(value[0], TwoLevelFactor):
+        yield from _chunked(value, FACTOR_CHUNK, _factors_text)
     elif isinstance(value, (list, tuple)):
         yield "["
         for i, v in enumerate(value):
@@ -99,15 +87,20 @@ def _json(value) -> Iterator[str]:
         yield from _json(value.amplitudes)
         yield "}"
     elif isinstance(value, np.ndarray) and value.dtype == np.complex128:
-        flat = value.reshape(-1)
-        yield "["
-        for start in range(0, flat.size, KET_CHUNK):
-            if start:
-                yield ", "
-            yield _pairs_text(flat[start : start + KET_CHUNK])
-        yield "]"
+        yield from _chunked(value.reshape(-1), KET_CHUNK, _pairs_text)
     else:
         yield _scalar_json(value)
+
+
+def _chunked(items, size: int, render) -> Iterator[str]:
+    """A JSON array of ``items``: ``render`` of each run of ``size`` items,
+    comma-separated, inside brackets."""
+    yield "["
+    for start in range(0, len(items), size):
+        if start:
+            yield ", "
+        yield render(items[start : start + size])
+    yield "]"
 
 
 def _scalar_json(value) -> str:
@@ -147,8 +140,9 @@ def _pairs_text(a: np.ndarray) -> str:
     return _rows_text(rows)
 
 
-#: Two-level factors per rendered chunk of a ``decompose`` document.
-FACTOR_CHUNK = 1 << 8
+#: Two-level factors per rendered chunk of a ``decompose`` document.  A
+#: block is at most 2x2, so no chunk formats more than ``KET_CHUNK`` pairs.
+FACTOR_CHUNK = KET_CHUNK // 4
 
 # A factor's text with ``%d`` for its support and ``%%s`` for its block's
 # pairs, by support size: formatting the supports first leaves ``%s``.
@@ -458,14 +452,14 @@ def _cmd_teleport(args) -> dict:
     psi = qubit_from_angles(theta, eta)
     if args.branch is None:
         transcript = teleport(psi, args.seed)
-        a1, a2, bob = transcript.a1, transcript.a2, transcript.bob_state
-        psi0, psi1, psi2 = transcript.psi0, transcript.psi1, transcript.psi2
+        a1, a2 = transcript.a1, transcript.a2
     elif len(args.branch) == 2 and set(args.branch) <= {"0", "1"}:
         a1, a2 = int(args.branch[0]), int(args.branch[1])
-        psi0, psi1, psi2 = teleport_pre_measurement(psi)
-        bob = _received(psi2, a1, a2)
     else:
         raise InvalidInput(f"--branch expects two bits, got {args.branch!r}")
+    # one document per branch, however the branch was chosen
+    psi0, psi1, psi2 = teleport_pre_measurement(psi)
+    bob = teleport_branch(psi, a1, a2)
     return {
         "input_state": psi,
         "a1": a1,

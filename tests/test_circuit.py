@@ -90,6 +90,13 @@ class TestParse:
             parse_circuit("u2 0 a=0.1 b=0.2 c=0.3")
         assert "missing" in str(err.value)
 
+    @pytest.mark.parametrize("token", ["a=inf", "a=-inf", "a=nan", "a=1e999", "a=-1e999"])
+    def test_u2_nonfinite_angle_names_its_line(self, token):
+        with pytest.raises(ParseError) as err:
+            parse_circuit(f"qubits 1\nu2 0 {token} b=0 c=0 d=0")
+        assert err.value.line == 2
+        assert str(err.value) == f"line 2: bad angle for 'a': {token[2:]!r}"
+
     def test_oracle_requires_loaded_table(self):
         with pytest.raises(ParseError):
             parse_circuit("oracle f 0 1")

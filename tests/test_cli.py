@@ -220,6 +220,22 @@ class TestTeleportCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_document_depends_only_on_the_branch(self, capsys):
+        # a sampled run prints the bytes of the --branch run of the branch it drew
+        rng = random.Random(20)
+        drawn = set()
+        for _ in range(20):
+            state = f"{rng.uniform(0, math.pi)!r},{rng.uniform(-math.pi, math.pi)!r}"
+            for seed in (0, *(rng.randrange(2**64) for _ in range(4))):
+                code, out = run_cli(capsys, "teleport", "--state", state, "--seed", str(seed))
+                assert code == 0
+                doc = json.loads(out)
+                branch = f"{doc['a1']}{doc['a2']}"
+                drawn.add(branch)
+                forced = run_cli(capsys, "teleport", "--state", state, "--branch", branch)
+                assert forced == (0, out)
+        assert drawn == {"00", "01", "10", "11"}
+
     def test_bad_branch(self, capsys):
         code, payload = run_json(
             capsys, "teleport", "--state", "0.7,0.3", "--branch", "012"
@@ -558,7 +574,9 @@ def _fixture_id(argv):
 # digits with an optional "-", and a matrix dimension below 1 is a header
 # error; every other document is byte-identical to it.  The rows marked
 # "ascii" were accepted (or, for '1_0,0', rejected as not unitary) before
-# numbers were held to ASCII text without "_" separators.
+# numbers were held to ASCII text without "_" separators.  The rows marked
+# "finite" passed the parser before a u2 angle had to be finite; ``run`` then
+# failed with InvalidInput "u2 parameters must be finite" and no line number.
 MALFORMED = [
     ("run", "", "InvalidInput", "program declares no qubits"),
     ("run", "# c\n\n", "InvalidInput", "program declares no qubits"),
@@ -574,6 +592,12 @@ MALFORMED = [
     ("run", "u2 0 a=1 b=2 c=3\n", "ParseError", "line 1: u2 is missing parameters: d"),
     ("run", "u2 0 a=1 a=2 b=1 c=1 d=1\n", "ParseError", "line 1: duplicate u2 parameter 'a'"),
     ("run", "u2 0 a=x b=0 c=0 d=0\n", "ParseError", "line 1: bad angle for 'a': 'x'"),
+    ("run", "u2 0 a=inf b=0 c=0 d=0\n",
+     "ParseError", "line 1: bad angle for 'a': 'inf'"),  # finite
+    ("run", "u2 0 a=0 b=nan c=0 d=0\n",
+     "ParseError", "line 1: bad angle for 'b': 'nan'"),  # finite
+    ("run", "u2 0 a=0 b=0 c=0 d=-1e999\n",
+     "ParseError", "line 1: bad angle for 'd': '-1e999'"),  # finite
     ("run", "u2 0 e=1\n", "ParseError", "line 1: expected a=.. b=.. c=.. d=.., got 'e=1'"),
     ("run", "cnot 0\n", "ParseError", "line 1: cnot takes 2 target(s), got 1"),
     ("run", "cnot 0 0\n", "ParseError", "line 1: duplicate target qubit"),
