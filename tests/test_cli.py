@@ -1055,22 +1055,35 @@ def _first_difference(a: str, b: str):
     return at, a[max(at - 40, 0) : at + 40], b[max(at - 40, 0) : at + 40]
 
 
+#: A factor chunk smaller than ``cli.FACTOR_CHUNK``: every factor list is
+#: also rendered in chunks of this many factors, so that short lists cross
+#: chunk boundaries too.
+SMALL_FACTOR_CHUNK = 256
+
+
 def _factor_lists():
     """Decompositions of seeded Haar unitaries of D = 2 to 128 and of
     block-diagonal unitaries, and lists on either side of one and of two
-    chunks."""
+    chunks: of ``SMALL_FACTOR_CHUNK`` factors (``haar64[:n]``) and of
+    ``cli.FACTOR_CHUNK`` factors (``haar128[:n]``)."""
     rng = RngStream(64)
+    haar = {}
     for dim in (2, 3, 5, 8, 23, 24, 64, 128):
-        yield f"haar{dim}", two_level_decompose(haar_random_unitary(dim, rng))
+        haar[dim] = two_level_decompose(haar_random_unitary(dim, rng))
+        yield f"haar{dim}", haar[dim]
     for dim, block in ((16, 4), (128, 4), (96, 2)):
         u = np.zeros((dim, dim), dtype=np.complex128)
         for start in range(0, dim, block):
             u[start:start + block, start:start + block] = haar_random_unitary(block, rng)
         yield f"blockdiag{dim}x{block}", two_level_decompose(u)
     many = two_level_decompose(haar_random_unitary(64, rng))
-    chunk = cli.FACTOR_CHUNK
+    chunk = SMALL_FACTOR_CHUNK
     for count in (chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
         yield f"haar64[:{count}]", many[:count]
+    chunk = cli.FACTOR_CHUNK
+    assert 2 * chunk + 1 < len(haar[128])
+    for count in (chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
+        yield f"haar128[:{count}]", haar[128][:count]
     signed = [ketsim.TwoLevelFactor(3, (1,), np.array([[complex(-0.0, -0.0)]])),
               ketsim.TwoLevelFactor(3, (0, 2), np.array([[5e-324, -0.0], [1j, -1e300]]))]
     yield "signed-zeros", signed
@@ -1163,10 +1176,14 @@ class TestJson:
     @pytest.mark.parametrize("name, factors", [
         pytest.param(name, factors, id=name) for name, factors in _factor_lists()
     ])
-    def test_factor_list_equals_per_factor_renderer(self, name, factors):
+    def test_factor_list_equals_per_factor_renderer(self, name, factors, monkeypatch):
         expected = _reference_factors(factors)
-        assert _first_difference(_text(factors), expected) is None
-        assert _first_difference(_text({"factors": factors}), '{"factors": ' + expected + "}") is None
+        for chunk in (cli.FACTOR_CHUNK, SMALL_FACTOR_CHUNK):
+            monkeypatch.setattr(cli, "FACTOR_CHUNK", chunk)
+            assert _first_difference(_text(factors), expected) is None
+            assert _first_difference(
+                _text({"factors": factors}), '{"factors": ' + expected + "}"
+            ) is None
 
     def test_empty_factor_list(self):
         assert _text([]) == "[]"
