@@ -241,7 +241,7 @@ def _bulk_truth_table(text: str) -> TruthTable | None:
         index |= data[:, column] & 1
     if not np.array_equal(index, np.arange(rows)):
         return None
-    return TruthTable(arity, tuple((data[:, arity + 1] & 1).tolist()))
+    return TruthTable(arity, (data[:, arity + 1] & 1).tobytes())
 
 
 def _walk_truth_table(text: str) -> TruthTable:
@@ -269,7 +269,7 @@ def _walk_truth_table(text: str) -> TruthTable:
         raise ParseError(
             f"table lists {count} of {_table_size_text(arity)} required entries", None
         )
-    return TruthTable(arity, tuple(entries[x] for x in range(1 << arity)))
+    return TruthTable(arity, bytes(map(entries.__getitem__, range(1 << arity))))
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -422,12 +422,15 @@ def _cmd_run(args) -> dict:
             f"{size} MiB of amplitudes",
             file=sys.stderr,
         )
-    tables = {}
+    paths = {}
     for item in args.table or []:
         name, sep, path = item.partition("=")
-        if not sep:
+        if not (sep and name):
             raise InvalidInput(f"--table expects NAME=FILE, got {item!r}")
-        tables[name] = load_truth_table(path)
+        if name in paths:
+            raise InvalidInput(f"--table NAME {name!r} given more than once")
+        paths[name] = path
+    tables = {name: load_truth_table(path) for name, path in paths.items()}
     program = parse_circuit(_read_text(args.circuit), tables)
     result = run_program(
         program, tables, shots=args.shots, seed=args.seed, cap=args.max_qubits

@@ -15,7 +15,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import countOf
 
 import numpy as np
 
@@ -41,12 +40,12 @@ def _table_size_text(arity: int) -> int | str:
 class TruthTable:
     """A boolean function f: {0,1}**arity -> {0,1} tabulated over all inputs.
 
-    ``outputs[x]`` is f at the input whose bits are the binary digits of
-    ``x``, most significant first.
+    ``outputs[x]``, a byte 0 or 1, is f at the input whose bits are the
+    binary digits of ``x``, most significant first.
     """
 
     arity: int
-    outputs: tuple[int, ...]
+    outputs: bytes
 
     def __post_init__(self):
         if self.arity < 1:
@@ -58,14 +57,15 @@ class TruthTable:
                 f"truth table of arity {self.arity} needs {_table_size_text(self.arity)} "
                 f"outputs, got {count}"
             )
-        # two C-level passes of ==: unlike a set lookup, they reject an
-        # unhashable entry instead of raising TypeError
-        if countOf(self.outputs, 0) + countOf(self.outputs, 1) != count:
+        if not isinstance(self.outputs, bytes):  # each entry by ==, not hash or buffer
+            bits = bytes(0 if v == 0 else 1 if v == 1 else 2 for v in self.outputs)
+            object.__setattr__(self, "outputs", bits)
+        if self.outputs.translate(None, b"\0\1"):
             raise InvalidInput("truth table outputs must be 0 or 1")
 
     @cached_property
     def ones(self) -> int:
-        return sum(self.outputs)
+        return self.outputs.count(1)
 
     def is_constant(self) -> bool:
         return self.ones in (0, len(self.outputs))
@@ -316,7 +316,7 @@ def oracle_from_truth_table(f: TruthTable) -> np.ndarray:
     # Row b is basis row b with its last bit, the output, xored by f of
     # the bits above it.
     rows = np.arange(dim)
-    return identity(dim)[rows ^ np.asarray(f.outputs)[rows >> 1]]
+    return identity(dim)[rows ^ np.frombuffer(f.outputs, dtype=np.uint8)[rows >> 1]]
 
 
 class _OraclePlan:
@@ -337,7 +337,7 @@ class _OraclePlan:
         # f along the input axes and size 1 along the others, in listed-first
         # order, then moved to the view's order
         sizes = [2] * f.arity + [1] * (len(self.shape) - f.arity)
-        mask = np.asarray(f.outputs, dtype=bool).reshape(sizes).transpose(np.argsort(order))
+        mask = np.frombuffer(f.outputs, dtype=bool).reshape(sizes).transpose(np.argsort(order))
         self.mask, self.output_axis = mask, order[f.arity]
 
     def __call__(self, s: StateVector) -> StateVector:

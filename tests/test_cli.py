@@ -713,6 +713,10 @@ class TestGoldenBytes:
         (["teleport", "--state", "0.5,\u0661"], "bad number in --state: '0.5,\u0661'"),
         (["bell", "--angles", "0,0,0,1_0"], "bad number in --angles: '0,0,0,1_0'"),
         (["bell", "--angles", "0,\uff10,0,0"], "bad number in --angles: '0,\uff10,0,0'"),
+        # --table names, checked before any file is read: none of these files exists
+        (["run", "missing.qc", "--table", "f=a.tbl", "--table", "f=b.tbl"],
+         "--table NAME 'f' given more than once"),
+        (["run", "missing.qc", "--table", "=a.tbl"], "--table expects NAME=FILE, got '=a.tbl'"),
     ])
     def test_malformed_argument(self, capsys, argv, detail):
         code, out = run_cli(capsys, *argv)
@@ -824,6 +828,8 @@ class TestBulkTable:
         loaded = _table_outcome(load_truth_table, str(path))
         walked = _table_outcome(_walk_truth_table, _read_text(str(path)))
         assert loaded == walked
+        if isinstance(loaded, TruthTable):
+            assert type(loaded.outputs) is type(walked.outputs) is bytes
         return loaded
 
     @pytest.mark.parametrize("arity", range(1, 13))

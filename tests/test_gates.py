@@ -37,6 +37,7 @@ from ketsim import (
 )
 from ketsim.decompose import haar_random_unitary
 from ketsim.errors import CapacityExceeded
+from ketsim.gates import _OraclePlan
 from conftest import kron_chain, rand_state
 
 SQ2 = math.sqrt(0.5)
@@ -491,6 +492,36 @@ class TestOracle:
             TruthTable(2, (0, 1))
         with pytest.raises(InvalidInput):
             TruthTable(1, (0, 2))
+
+    # converted by value: the 4-entry int64 array gives 4 bytes, not its 32-byte buffer
+    @pytest.mark.parametrize("outputs", [
+        (0, 1, 1, 0), [0, 1, 1, 0], (False, True, True, False), (0.0, 1.0, 1.0, 0.0),
+        b"\0\1\1\0", bytearray(b"\0\1\1\0"), np.array([0, 1, 1, 0], dtype=np.int64),
+        np.array([False, True, True, False]),
+    ])
+    def test_truth_table_outputs_are_bytes(self, outputs):
+        f, reference = TruthTable(2, outputs), TruthTable(2, (0, 1, 1, 0))
+        assert type(f.outputs) is bytes and f.outputs == b"\0\1\1\0"
+        assert f == reference and hash(f) == hash(reference)
+
+    @pytest.mark.parametrize("outputs", [b"\0\2", b"01", bytearray(b"\1\2")])
+    def test_truth_table_rejects_other_bytes(self, outputs):
+        with pytest.raises(InvalidInput, match="^truth table outputs must be 0 or 1$"):
+            TruthTable(1, outputs)
+
+    def test_plan_mask_is_the_table(self):
+        f = TruthTable(2, (0, 1, 1, 1))
+        mask = _OraclePlan(f, [2, 0, 1], 3).mask
+        assert np.shares_memory(mask, np.frombuffer(f.outputs, dtype=np.uint8))
+
+    def test_dense_oracle_matches_plan(self):
+        # every arity-2 table: the plan's image of each basis state is a dense column
+        basis = [ket([(b >> (2 - q)) & 1 for q in range(3)]) for b in range(8)]
+        for outputs in itertools.product((0, 1), repeat=4):
+            f = TruthTable(2, outputs)
+            plan = _OraclePlan(f, [0, 1, 2], 3)
+            columns = np.array([plan(s).amplitudes for s in basis]).T
+            assert np.array_equal(columns, oracle_from_truth_table(f))
 
     @pytest.mark.parametrize("entry", [2, -1, 0.5, None, "0", "1", [0], {1}])
     def test_truth_table_rejects_every_other_entry(self, entry):
