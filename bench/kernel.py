@@ -32,17 +32,18 @@ fresh ``RngStream``.
 times it on the n = 20 state scaled by 1 + 1e-9, which it renormalises.
 ``two_level_decompose`` and ``recompose`` (of that decomposition's
 factors) run on a seeded ``haar_random_unitary`` at D = 16, 32, 64 and
-128.  ``load_truth_table`` reads a balanced table file of arity 14 and 17
-(0.27 and 2.5 MB), and ``deutsch_jozsa/arity17`` runs Deutsch-Jozsa at
-the default seed on the second table.  ``load_matrix/D128`` reads a
-seeded D = 128 Haar unitary written as the benchmark writes its
-matrices (0.7 MB), and
+128.  The table, matrix and distribution files are written by
+``perfbench/gen.py``'s own writers, so they are the benchmark's file
+formats byte for byte.  ``load_truth_table`` reads a balanced table file
+of arity 14 and 17 (0.27 and 2.5 MB), and ``deutsch_jozsa/arity17`` runs
+Deutsch-Jozsa at the default seed on the second table.
+``load_matrix/D128`` reads a seeded D = 128 Haar unitary (0.7 MB), and
 ``parse_circuit`` parses a 20,000-line circuit
 that cycles through the opcodes, comments and blank lines.  ``run_program``
 runs a circuit shaped like the benchmark's ``branch12`` job (12 qubits, a
 Hadamard layer, four 2-qubit measurements among the first gates, 70 gates
-and a trailing ``measure``) at 10**3 and 10**4 shots, once per round
-after a warm-up call, and ``sample`` draws 10**6 shots of a Bell state.
+and a trailing ``measure``) at 10**3 and 10**4 shots, and ``sample`` draws
+10**6 shots of a Bell state.
 ``format_ket/n17`` renders the ket of a generic n = 17 state, and
 ``render/n17`` runs ``ketsim.cli.main`` on a measurement-free n = 17
 circuit (a Hadamard and a ``u2`` layer) whose 13 MB ``final_state``
@@ -50,8 +51,9 @@ document goes to a stdout that keeps nothing; ``render/decompose/D64``
 runs ``ketsim decompose`` on a seeded D = 64 Haar unitary (8,128 factors)
 into the same stdout.  ``bounds/n6`` to ``bounds/n10`` run ``ketsim bounds``
 into that stdout on a distribution file of 6 to 10 events whose atoms have
-mixed prime denominators, written as ``perfbench/gen.py`` writes its
-``bounds9`` job, and ``load_distribution/n10`` reads the largest file.
+mixed prime denominators, drawn as for the benchmark's ``bounds9`` job and
+seeded by the event count, and ``load_distribution/n10`` reads the largest
+file.
 Every process is pinned to one core with a one-thread BLAS pool.
 """
 
@@ -69,7 +71,6 @@ import sys
 import tempfile
 import time
 from collections.abc import Callable
-from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,7 +85,6 @@ RENDER_QUBITS = 17
 MATRIX_DIM = 128
 RENDER_DECOMPOSE_DIM = 64
 BOUNDS_EVENTS = (6, 7, 8, 9, 10)
-PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _pin() -> None:
@@ -93,11 +93,13 @@ def _pin() -> None:
         os.environ[var] = "1"
 
 
-def _perfbench_run():
-    """``perfbench/run.py`` as a module, for its calibration kernel."""
+def _perfbench(name: str):
+    """``perfbench/<name>.py`` as a module: ``run`` for its calibration
+    kernel, ``gen`` for its input file writers."""
     sys.path.insert(0, str(ROOT / "perfbench"))  # for its own imports
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    module = importlib.util.module_from_spec(spec)
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
@@ -156,25 +158,6 @@ class _Sink:
         pass
 
 
-def _matrix_text(m) -> str:
-    """A matrix file with each part as its ``repr``, as ``perfbench/gen.py``
-    writes one."""
-    rows = (" ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row) for row in m)
-    return f"d={m.shape[0]}\n" + "".join(row + "\n" for row in rows)
-
-
-def _distribution_text(n: int) -> str:
-    """A distribution file of ``n`` events, seeded by ``n``: each atom but the
-    last is a random fraction of 1 / (p * 2**n) for a prime p of ``PRIMES``,
-    and the last atom takes the rest."""
-    rng = random.Random(n)
-    size = 1 << n
-    atoms = [Fraction(rng.randrange(p), p * size)
-             for p in (rng.choice(PRIMES) for _ in range(size - 1))]
-    atoms.append(1 - sum(atoms))
-    return "".join(f"{b:0{n}b} {a}\n" for b, a in enumerate(atoms))
-
-
 def _render_case(argv: list[str]) -> Callable[[], None]:
     """``ketsim`` with ``argv`` and stdout sent to a sink."""
     from ketsim.cli import main
@@ -200,7 +183,7 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
     from ketsim import bell_pair, deutsch_jozsa, format_ket, run_program, sample
     from ketsim.cli import load_distribution, load_matrix, load_truth_table
 
-    bench = _perfbench_run()
+    bench, gen = _perfbench("run"), _perfbench("gen")
 
     def timed(fn, reps: int) -> dict[str, float]:
         return _median_time(fn, reps, bench)
@@ -259,8 +242,7 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
     with tempfile.TemporaryDirectory() as tmp:
         for arity in TABLE_ARITIES:
             path = Path(tmp) / f"n{arity}.tbl"
-            path.write_text(f"n={arity}\n" + "".join(
-                f"{x:0{arity}b} {x & 1}\n" for x in range(1 << arity)))
+            path.write_text(gen.render_table(arity, [x & 1 for x in range(1 << arity)]))
             out[f"load_truth_table/n{arity}"] = timed(
                 lambda: load_truth_table(str(path)), repeats)
         balanced = load_truth_table(str(path))  # the last table: f(x) = x & 1
@@ -276,16 +258,18 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
              *(f"u2 {q} a=0.{q + 1} b=0.3 c=0.{q + 2} d=0.7" for q in range(n))]) + "\n")
         out[f"render/n{n}"] = timed(_render_case(["run", str(path)]), repeats)
         matrix = Path(tmp) / f"haar{MATRIX_DIM}.mat"
-        matrix.write_text(_matrix_text(haar_random_unitary(MATRIX_DIM, RngStream(MATRIX_DIM))))
+        matrix.write_text(
+            gen.render_matrix(haar_random_unitary(MATRIX_DIM, RngStream(MATRIX_DIM))))
         out[f"load_matrix/D{MATRIX_DIM}"] = timed(lambda: load_matrix(str(matrix)), repeats)
         dim = RENDER_DECOMPOSE_DIM
         path = Path(tmp) / f"haar{dim}.mat"
-        path.write_text(_matrix_text(haar_random_unitary(dim, RngStream(dim))))
+        path.write_text(gen.render_matrix(haar_random_unitary(dim, RngStream(dim))))
         out[f"render/decompose/D{dim}"] = timed(
             _render_case(["decompose", "--matrix", str(path)]), repeats)
         for n in BOUNDS_EVENTS:
             path = Path(tmp) / f"mixed{n}.dist"
-            path.write_text(_distribution_text(n))
+            atoms = gen._mixed_prime_atoms(random.Random(n), n)
+            path.write_text(gen.render_distribution(n, atoms))
             out[f"bounds/n{n}"] = timed(_render_case(["bounds", "--dist", str(path)]), repeats)
         out[f"load_distribution/n{n}"] = timed(lambda: load_distribution(str(path)), repeats)
     text = _circuit_text(CIRCUIT_LINES)
@@ -294,9 +278,8 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
         lambda: parse_circuit(text, tables), repeats)
     program = parse_circuit(_branching_text(rng), tables)
     for shots in BRANCHING_SHOTS:
-        # one call per round: per-shot replay takes about 30 s at 10**4
         out[f"run_program/branch12/shots{shots}"] = timed(
-            lambda: run_program(program, tables, shots=shots, seed=1), 1)
+            lambda: run_program(program, tables, shots=shots, seed=1), repeats)
     bell = bell_pair(0, 0)
     out[f"sample/bell/shots{SAMPLE_SHOTS}"] = timed(
         lambda: sample(bell, SAMPLE_SHOTS, 1), repeats)
@@ -347,7 +330,7 @@ def compare(parent: str, change: str, rounds: int, repeats: int) -> dict:
                 "process's repeats times CAL_REF_S over the mean of the "
                 "calibrations before and after them; *_raw_s and *_cal_s list "
                 "each round's raw median and calibration",
-        "cal_ref_s": _perfbench_run().CAL_REF_S,
+        "cal_ref_s": _perfbench("run").CAL_REF_S,
         "rounds": rounds,
         "repeats": repeats,
         "machine": {"cpu_model": _cpu_model(), "cpu_count": os.cpu_count(),

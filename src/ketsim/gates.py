@@ -221,15 +221,15 @@ class _GatePlan:
         self.g, self.copies = g, None
         # Otherwise gather one block at a time.  Blocks cut the outermost
         # non-target axis with at least ``count`` entries (else the longest),
-        # so that each block is a few contiguous runs.  Every size is a power
-        # of two, so the blocks are equal and share two buffers.
+        # so that each block is a few contiguous runs (at count 1, one block).
+        # Every size is a power of two: the blocks are equal and share buffers.
         viewed = [self.shape[a] for a in self.order]
         count = max(1, (16 << n) // _BLOCK_BYTES)
         rest = range(k, len(viewed))
         longest = max(rest, key=viewed.__getitem__, default=None)
         axis = next((a for a in rest if viewed[a] >= count), longest)
-        if axis is None or count == 1:
-            axis, step = 0, 2  # one block: the whole view
+        if axis is None:
+            axis, step = 0, 2  # every axis is a target: one block, the whole view
         else:
             step = max(1, viewed[axis] // count)
         viewed[axis], self.axis, self.step = step, axis, step

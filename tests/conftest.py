@@ -1,6 +1,9 @@
 """Shared helpers for seeded randomized tests."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +15,16 @@ from ketsim.inequalities import EventDistribution
 # whitespace; files are read with their "\r" kept, and the golden error
 # documents of CR-only files are in test_cli.MALFORMED.
 OTHER_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py`` loaded as the module ``perfbench_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rand_state(num_qubits: int, rng: RngStream) -> StateVector:

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -39,17 +38,9 @@ from ketsim.errors import (
     ParseError,
     PromiseViolated,
 )
-from conftest import OTHER_LINE_BREAKS
+from conftest import OTHER_LINE_BREAKS, perfbench_module
 
 FIXTURES = Path(__file__).parent / "fixtures"
-PERFBENCH = Path(__file__).parents[1] / "perfbench"
-
-
-def _perfbench_module(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def run_cli(capsys, *argv):
@@ -868,7 +859,7 @@ class TestBulkTable:
         assert _bulk_truth_table(text) is None
 
     def test_generated_layout_is_decoded_in_bulk(self, tmp_path, monkeypatch):
-        gen = _perfbench_module("gen")
+        gen = perfbench_module("gen")
         outputs = gen._random_table(random.Random(7), 10, balanced=True)
         path = tmp_path / "gen.tbl"
         path.write_text(gen.render_table(10, outputs), encoding="utf-8")
@@ -1022,7 +1013,7 @@ class TestBulkMatrix:
         assert peak < 100_000
 
     def test_generated_layout_is_parsed_in_bulk(self, tmp_path, monkeypatch):
-        gen = _perfbench_module("gen")
+        gen = perfbench_module("gen")
         u = haar_random_unitary(8, RngStream(8))
         path = tmp_path / "gen.mat"
         path.write_text(gen.render_matrix(u), encoding="utf-8")

@@ -8,28 +8,17 @@ the shot tree, the bounds engine and the decomposition against code that
 shares none of their paths.  Both files are only read here.
 """
 
-import importlib.util
 import random
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ketsim.cli import main
+from conftest import perfbench_module
 
-PERFBENCH = Path(__file__).parents[1] / "perfbench"
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = _load("gen")
-check = _load("check")
+gen = perfbench_module("gen")
+check = perfbench_module("check")
 
 RUN_CASES = 60
 # measurement-free (a final state), one trailing ``measure``, or subset
