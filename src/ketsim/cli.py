@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
@@ -104,14 +103,12 @@ def _chunked(items, size: int, render) -> Iterator[str]:
 
 
 def _scalar_json(value) -> str:
-    if value is None:
-        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
     if isinstance(value, Fraction):
         return f'"{value}"'
     if isinstance(value, str):
@@ -349,13 +346,12 @@ def _walk_matrix(text: str) -> np.ndarray:
     return np.array(entries, dtype=np.complex128).reshape(dim, dim)
 
 
-#: Caps on a distribution file's rationals: characters per token, size of
-#: the decimal exponent, digits of the atoms' common denominator.  Python
-#: prints no int of over 4300 digits; within these caps no result does, nor
-#: the residual of a failing sum.
+#: Caps on a distribution file's rationals: characters per token and size
+#: of the decimal exponent.  Python prints no int of over 4300 digits; within
+#: these caps and ``EventDistribution``'s on the common denominator no result
+#: does, nor the residual of a failing sum.
 MAX_RATIONAL_CHARS = 100
 MAX_EXPONENT = 100
-MAX_DENOMINATOR_DIGITS = 4000
 
 
 def load_distribution(path: str) -> EventDistribution:
@@ -397,14 +393,6 @@ def load_distribution(path: str) -> EventDistribution:
             atoms[index] = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational {value!r}", line_no) from None
-    # bounded before EventDistribution, whose residual must stay printable
-    scale, limit = 1, 10**MAX_DENOMINATOR_DIGITS
-    for atom in atoms:
-        scale = math.lcm(scale, atom.denominator)
-        if scale >= limit:
-            raise InvalidInput(
-                f"common denominator of the atoms exceeds {MAX_DENOMINATOR_DIGITS} digits"
-            )
     return EventDistribution(width, tuple(atoms))
 
 

@@ -199,13 +199,12 @@ class _GatePlan:
     def __init__(self, g: np.ndarray, targets: Sequence[int], n: int):
         targets = list(targets)
         self.k = k = len(targets)
-        _check_qubits(targets, n)
+        self.shape, self.order = _split_axes(n, targets)
         g = np.asarray(g, dtype=np.complex128)
         if g.shape != (1 << k, 1 << k):
             raise DimensionMismatch(f"gate shape {g.shape} does not act on {k} qubits")
         if not np.isfinite(g).all():
             raise InvalidInput("gate entries must be finite")
-        self.shape, self.order = _split_axes(n, targets)
         # the one input slice each output slice copies, if every row of g
         # is a unit vector
         sources = [
@@ -332,7 +331,6 @@ class _OraclePlan:
             raise InvalidInput(
                 f"oracle of arity {f.arity} needs {f.arity + 1} targets, got {len(targets)}"
             )
-        _check_qubits(targets, n)
         self.shape, order = _split_axes(n, targets)
         # f along the input axes and size 1 along the others, in listed-first
         # order, then moved to the view's order

@@ -25,6 +25,8 @@ from typing import NamedTuple
 from .errors import InvalidInput
 
 MAX_EVENTS = 10
+#: Digits of the atoms' common denominator; Python prints no int of over 4300.
+MAX_DENOMINATOR_DIGITS = 4000
 
 Rational = Fraction | int
 
@@ -43,17 +45,23 @@ class EventDistribution:
         atoms = tuple(Fraction(a) for a in self.atom_probs)
         if len(atoms) != 1 << n:
             raise InvalidInput(f"{n} events need {1 << n} atoms, got {len(atoms)}")
+        scale, limit = 1, 10**MAX_DENOMINATOR_DIGITS
+        for a in atoms:  # the lcm, atom by atom, to stop as soon as it is too long
+            scale = math.lcm(scale, a.denominator)
+            if scale >= limit:
+                raise InvalidInput(
+                    f"common denominator of the atoms exceeds {MAX_DENOMINATOR_DIGITS} digits"
+                )
         if any(a < 0 for a in atoms):
             raise InvalidInput("atom probabilities must be nonnegative")
-        scale = math.lcm(*(a.denominator for a in atoms))
         scaled = [a.numerator * (scale // a.denominator) for a in atoms]
         if sum(scaled) != scale:
             residual = Fraction(sum(scaled) - scale, scale)
             try:
                 text = str(residual)
             except ValueError:  # past Python's limit on digits in an int-to-str
-                bits = residual.denominator.bit_length()
-                text = f"too long to print (its denominator has {bits} bits)"
+                bits = residual.numerator.bit_length()
+                text = f"too long to print (its numerator has {bits} bits)"
             raise InvalidInput(f"atom probabilities must sum to 1 exactly; residual {text}")
         object.__setattr__(self, "atom_probs", atoms)
         object.__setattr__(self, "_scale", scale)

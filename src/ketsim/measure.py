@@ -8,7 +8,6 @@ produces an impossible outcome or a near-null collapsed vector.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, InvalidInput
 from .rng import RngStream, uniforms
-from .state import StateVector, _check_qubits, _split_axes, index_to_bits, probabilities
+from .state import StateVector, _renormalise, _split_axes, index_to_bits, probabilities
 
 ZERO_BRANCH_EPS = 1e-15
 
@@ -89,7 +88,6 @@ class _Projection:
 
     def __init__(self, qubits: Sequence[int], n: int):
         qubits = list(qubits)
-        _check_qubits(qubits, n)
         self.width = len(qubits)
         # Views with the listed qubits' axes first: the first k indices spell
         # an outcome and the others run in basis-index order.
@@ -109,9 +107,7 @@ class _Projection:
         collapsed = np.zeros_like(s.amplitudes)
         src = s.amplitudes.reshape(self.shape).transpose(self.order)
         dst = collapsed.reshape(self.shape).transpose(self.order)
-        # Bits of / sqrt(weight), weight <= 1: the division's added re*0, im*0 are exact zeros.
-        np.multiply(src[(*bits, ...)], complex(1.0 / math.sqrt(weight), -0.0),
-                    out=dst[(*bits, ...)])
+        _renormalise(src[(*bits, ...)], weight, dst[(*bits, ...)])
         return StateVector._trusted(collapsed)
 
 

@@ -69,8 +69,7 @@ class StateVector:
         if not abs(norm_sq - 1.0) <= NORM_BUILD_TOL:  # also true for NaN
             raise InvalidInput(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
         if norm_sq != 1.0:
-            # Bits of amps / c, c near 1: numpy divides as (re + im*0)*(1/c), (im - re*0)*(1/c).
-            np.multiply(amps, complex(1.0 / math.sqrt(norm_sq), -0.0), out=amps)
+            _renormalise(amps, norm_sq, amps)
         self.num_qubits = amps.size.bit_length() - 1
         self.amplitudes = amps
 
@@ -80,6 +79,13 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector({format_ket(self)!r})"
+
+
+def _renormalise(amps: np.ndarray, weight: float, out: np.ndarray) -> None:
+    """``out[...] = amps / c``, c = sqrt(weight), with the division's bits for 1/c > 0.5:
+    numpy divides as (re + im*0)*(1/c), (im - re*0)*(1/c), and multiplying by
+    complex(1/c, -0.0) adds those zero terms last.  Callers keep 1/c >= 1 - 5e-7."""
+    np.multiply(amps, complex(1.0 / math.sqrt(weight), -0.0), out=out)
 
 
 def bits_to_index(bits: Sequence[int]) -> int:
@@ -114,8 +120,9 @@ def _split_axes(n: int, qubits: Sequence[int]) -> tuple[tuple, tuple]:
     On ``a.reshape(shape).transpose(order)`` the first k indices are the
     listed qubits' bits.  The qubits in between share one merged axis per
     gap; an empty gap gets no axis, since a size-1 axis would leave numpy
-    an inner loop of length 1.
+    an inner loop of length 1.  The list is checked first.
     """
+    _check_qubits(qubits, n)
     shape: list[int] = []
     axes: dict[int, int] = {}
     prev = -1

@@ -450,6 +450,17 @@ class TestBoundsCommand:
             "detail": "common denominator of the atoms exceeds 4000 digits",
         }
 
+    def test_oversized_common_denominator_before_negative_atom(self, capsys, tmp_path):
+        # the denominator cap is checked before the atoms' signs
+        dist = tmp_path / "negative.dist"
+        dist.write_text("".join(f"{b:07b} {'-' * (b == 5)}1/{10**40 + b}\n" for b in range(128)))
+        code, payload = run_json(capsys, "bounds", "--dist", str(dist))
+        assert code == 1
+        assert payload["error"] == {
+            "kind": "InvalidInput",
+            "detail": "common denominator of the atoms exceeds 4000 digits",
+        }
+
     @pytest.mark.parametrize("width", [11, 40])
     def test_pattern_wider_than_event_cap(self, capsys, tmp_path, width):
         dist = tmp_path / "wide.dist"
@@ -1297,6 +1308,23 @@ class TestExitCodes:
         code, payload = run_json(capsys, "bell")
         assert code == 1
         assert payload["error"]["kind"] == "InvalidInput"
+
+    @pytest.mark.parametrize("exc, detail", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("boom"), "out of memory: boom"),
+    ])
+    def test_out_of_memory_is_capacity_exceeded(self, capsys, monkeypatch, exc, detail):
+        def load_matrix(path):
+            raise exc
+
+        monkeypatch.setattr(cli, "load_matrix", load_matrix)
+        code = main(["decompose", "--matrix", "any.matrix"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == (
+            f'{{"error": {{"kind": "CapacityExceeded", "detail": "{detail}"}}}}\n'
+        )
+        assert captured.err == f"ketsim: {detail}\n"
 
 
 class TestImports:

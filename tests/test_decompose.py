@@ -490,3 +490,18 @@ class TestHaarRandomUnitary:
         for dim in (2, 4, 16):
             u = haar_random_unitary(dim, rng)
             assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: TwoLevelFactor(4, (0, 1, 2), np.eye(3)),
+                     "support must hold one or two coordinate indices", id="factor-support"),
+        pytest.param(lambda: haar_random_unitary(0, RngStream(0)),
+                     "dimension must be positive", id="haar-dimension-0"),
+    ],
+)
+def test_raise_site(call, message):
+    with pytest.raises(InvalidInput) as err:
+        call()
+    assert type(err.value) is InvalidInput and str(err.value) == message

@@ -696,3 +696,20 @@ class TestIsUnitary:
         m = hadamard()
         m[0, 1] = bad
         assert not is_unitary(m, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        pytest.param(lambda: TruthTable(0, b""), InvalidInput,
+                     "truth table arity must be at least 1", id="truth-table-arity"),
+        pytest.param(lambda: apply(np.ones((2, 3)), ket([0])), DimensionMismatch,
+                     "gate must be square, got shape (2, 3)", id="apply-not-square"),
+        pytest.param(lambda: walsh_hadamard(0), InvalidInput,
+                     "walsh_hadamard needs n >= 1", id="walsh-hadamard-0"),
+    ],
+)
+def test_raise_site(call, kind, message):
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,7 @@ from ketsim import (
     quantum_pair_probs,
     strategy_bell_inputs,
 )
-from ketsim.inequalities import STRATEGIES_FULL, STRATEGIES_REDUCED
+from ketsim.inequalities import STRATEGIES_FULL, STRATEGIES_REDUCED, StrategyMix
 from conftest import rand_distribution
 
 F = Fraction
@@ -48,9 +50,31 @@ class TestEventDistribution:
         assert "1/16" in str(err.value)
 
     def test_unprintable_residual_is_invalid_input(self):
-        # the residual 1/10**5000 has more digits than Python prints
-        with pytest.raises(InvalidInput, match="residual too long to print"):
+        # a residual 1/10**5000 would have more digits than Python prints:
+        # its denominator is past the cap
+        with pytest.raises(InvalidInput, match="common denominator of the atoms exceeds 4000 digits"):
             EventDistribution(1, (F(1, 10**5000), F(0)))
+        # under the cap, a 5,000-digit numerator leaves an unprintable residual
+        with pytest.raises(InvalidInput, match="residual too long to print"):
+            EventDistribution(1, (F(10**5000), F(0)))
+
+    def test_oversized_common_denominator_rejected_early(self):
+        # 1,024 odd 100-digit denominators: the lcm passes 4,000 digits after
+        # about 40 atoms, and the rest are never folded in
+        rng = random.Random(23)
+        atoms = tuple(F(1, rng.randrange(10**99, 10**100) | 1) for _ in range(1024))
+        start = time.perf_counter()
+        with pytest.raises(InvalidInput) as err:
+            EventDistribution(10, atoms)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == "common denominator of the atoms exceeds 4000 digits"
+
+    def test_denominator_cap_after_counts_before_signs(self):
+        huge = F(-1, 10**4000)
+        with pytest.raises(InvalidInput, match="2 events need 4 atoms, got 2"):
+            EventDistribution(2, (huge, F(1)))
+        with pytest.raises(InvalidInput, match="common denominator of the atoms exceeds"):
+            EventDistribution(1, (huge, F(1)))
 
     def test_negative_atom_rejected(self):
         with pytest.raises(InvalidInput):
@@ -401,3 +425,24 @@ class TestBellViolation:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInput):
             BellSetting(math.nan, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: EventDistribution(2, (F(1),)), "2 events need 4 atoms, got 1",
+                     id="atom-count"),
+        pytest.param(lambda: boole_union_bounds([]), "at least one probability is required",
+                     id="no-probabilities"),
+        pytest.param(lambda: StrategyMix((F(1),) * 4), "strategy weights must sum to 1",
+                     id="strategy-weights"),
+        pytest.param(lambda: quantum_pair_probs(math.inf, 0), "angles must be finite",
+                     id="infinite-angle"),
+        pytest.param(lambda: strategy_bell_inputs(("R", "R", "X")),
+                     "a strategy assigns R or S to each of A, B, C", id="strategy-answer"),
+    ],
+)
+def test_raise_site(call, message):
+    with pytest.raises(InvalidInput) as err:
+        call()
+    assert type(err.value) is InvalidInput and str(err.value) == message

@@ -20,7 +20,7 @@ from ketsim import (
     sample,
     walsh_hadamard,
 )
-from ketsim.measure import MAX_SHOTS, SAMPLE_CHUNK, _branch_cdf, _draw
+from ketsim.measure import MAX_SHOTS, Histogram, SAMPLE_CHUNK, _branch_cdf, _draw
 from ketsim.rng import uniforms
 from ketsim.protocols import teleport_pre_measurement
 from ketsim.state import index_to_bits
@@ -327,3 +327,10 @@ class TestSample:
         monkeypatch.setattr(measure, "uniforms", None)
         with pytest.raises(CapacityExceeded):
             sample(ket([0]), MAX_SHOTS + 1, seed=0)
+
+
+def test_histogram_counts_must_sum_to_shots():
+    with pytest.raises(InvalidInput) as err:
+        Histogram(2, 0, {"0": 1})
+    assert type(err.value) is InvalidInput
+    assert str(err.value) == "histogram counts must sum to shots"

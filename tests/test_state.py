@@ -34,7 +34,7 @@ from ketsim import (
 )
 import ketsim.state
 from ketsim.measure import _Projection
-from ketsim.state import NORM_ATOL, RENDER_EPS, ket_chunks
+from ketsim.state import NORM_ATOL, RENDER_EPS, _split_axes, ket_chunks
 from conftest import rand_state
 
 
@@ -464,3 +464,32 @@ class TestFormatKet:
     def test_imaginary_amplitude(self):
         s = StateVector([math.sqrt(0.5), 1j * math.sqrt(0.5)])
         assert format_ket(s) == "0.707107|0> + 0.707107i|1>"
+
+
+class TestSmallSites:
+    def test_empty_amplitudes_rejected(self):
+        with pytest.raises(InvalidInput) as err:
+            StateVector([])
+        assert type(err.value) is InvalidInput
+        assert str(err.value) == "amplitudes must be a nonempty 1-d sequence"
+
+    def test_repr_shows_the_ket(self):
+        assert repr(StateVector([0, 1])) == "StateVector('1|1>')"
+        assert repr(StateVector([math.sqrt(0.5), -math.sqrt(0.5)])) == (
+            "StateVector('0.707107|0> - 0.707107|1>')"
+        )
+
+    @pytest.mark.parametrize(
+        "qubits, message",
+        [
+            pytest.param([0, 0], "targets must be distinct and nonempty", id="repeated"),
+            pytest.param([5], "qubit index 5 out of range for 3 qubits", id="out-of-range"),
+            pytest.param([], "targets must be distinct and nonempty", id="empty"),
+        ],
+    )
+    def test_split_axes_checks_the_list(self, qubits, message):
+        # a repeated qubit gave a non-permutation order, an out-of-range one
+        # a bare ValueError
+        with pytest.raises(InvalidInput) as err:
+            _split_axes(3, qubits)
+        assert type(err.value) is InvalidInput and str(err.value) == message
