@@ -37,9 +37,10 @@ factors) run on a seeded ``haar_random_unitary`` at D = 16, 32, 64 and
 formats byte for byte.  ``load_truth_table`` reads a balanced table file
 of arity 14 and 17 (0.27 and 2.5 MB), and ``deutsch_jozsa/arity17`` runs
 Deutsch-Jozsa at the default seed on the second table.
-``load_matrix/D128`` reads a seeded D = 128 Haar unitary (0.7 MB), and
-``parse_circuit`` parses a 20,000-line circuit
-that cycles through the opcodes, comments and blank lines.  ``run_program``
+``load_matrix/D128`` reads a seeded D = 128 Haar unitary (0.7 MB),
+``parse_circuit`` parses a 20,000-line circuit that cycles through the
+opcodes, comments and blank lines, and ``compile`` runs ``_compile`` on the
+program it parses (64 distinct of 15,999 instructions).  ``run_program``
 runs a circuit shaped like the benchmark's ``branch12`` job (12 qubits, a
 Hadamard layer, four 2-qubit measurements among the first gates, 70 gates
 and a trailing ``measure``) at 10**3 and 10**4 shots, and ``sample`` draws
@@ -181,6 +182,7 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
     from ketsim import RngStream, measure_subset, pauli_x, toffoli_unitary
     from ketsim import haar_random_unitary, parse_circuit, recompose, two_level_decompose
     from ketsim import bell_pair, deutsch_jozsa, format_ket, run_program, sample
+    from ketsim.circuit import _compile
     from ketsim.cli import load_distribution, load_matrix, load_truth_table
 
     bench, gen = _perfbench("run"), _perfbench("gen")
@@ -276,6 +278,8 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
     tables = {"f": table}
     out[f"parse_circuit/lines{CIRCUIT_LINES}"] = timed(
         lambda: parse_circuit(text, tables), repeats)
+    program = parse_circuit(text, tables)
+    out[f"compile/lines{CIRCUIT_LINES}"] = timed(lambda: _compile(program, tables), repeats)
     program = parse_circuit(_branching_text(rng), tables)
     for shots in BRANCHING_SHOTS:
         out[f"run_program/branch12/shots{shots}"] = timed(

@@ -19,9 +19,10 @@ and angles are finite numbers in ASCII text without ``_`` separators.
 
 from __future__ import annotations
 
+import io
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapacityExceeded, InvalidInput, ParseError
 from .gates import (
@@ -53,7 +54,7 @@ _GATES = {
 _U2_PARAM_NAMES = ("a", "b", "c", "d")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     opcode: str
     targets: tuple[int, ...]
@@ -61,21 +62,25 @@ class Instruction:
     table: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircuitProgram:
     num_qubits: int
-    instructions: tuple[Instruction, ...] = field(default_factory=tuple)
+    instructions: tuple[Instruction, ...] = ()
+
+
+def _exact_key(ins: Instruction) -> tuple:
+    """A key equal only for equal bits: ``Instruction`` has ``0.0 == -0.0``."""
+    return ins, tuple(math.copysign(1.0, p) for p in ins.params)
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """``(line number, tokens)`` of each line with tokens once ``#`` comments are cut.
 
-    Lines end at ``\\n`` alone.  ``str.split`` takes ``\\r``, ``\\x0b``,
-    ``\\x1c``, ``\\u2028`` and the other characters ``str.splitlines``
-    breaks at as whitespace, so none of them ends a comment or moves a
-    line number.
+    Lines are walked lazily and end at ``\\n`` alone: ``str.split`` takes
+    ``\\r``, ``\\x0b``, ``\\x1c``, ``\\u2028`` and the other ``str.splitlines``
+    breaks as whitespace, so none of them ends a comment or moves a line.
     """
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    for line_no, raw in enumerate(io.StringIO(text, newline="\n"), start=1):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             yield line_no, tokens
@@ -133,14 +138,49 @@ def _parse_u2_params(tokens: list[str], line: int) -> tuple[float, ...]:
     return tuple(values[name] for name in _U2_PARAM_NAMES)
 
 
+def _instruction(tokens: list[str], line: int, tables: Mapping[str, TruthTable]) -> Instruction:
+    """The instruction of one line's tokens."""
+    word = tokens[0].lower()
+    opcode = word.upper()
+    if opcode == "U2":
+        if len(tokens) < 2:
+            raise ParseError("u2 needs a target qubit", line)
+        return Instruction("U2", (_parse_target(tokens[1], line),),
+                           params=_parse_u2_params(tokens[2:], line))
+    if opcode in _GATES:
+        targets = _parse_targets(tokens[1:], line)
+        count = _GATES[opcode][0]
+        if len(targets) != count:
+            raise ParseError(f"{word} takes {count} target(s), got {len(targets)}", line)
+        return Instruction(opcode, targets)
+    if opcode == "ORACLE":
+        if len(tokens) < 3:
+            raise ParseError("oracle needs a table name and targets", line)
+        name = tokens[1]
+        table = tables.get(name)
+        if table is None:
+            raise ParseError(f"unknown truth table {name!r}", line)
+        targets = _parse_targets(tokens[2:], line)
+        if len(targets) != table.arity + 1:
+            raise ParseError(f"oracle {name!r} has arity {table.arity} and needs "
+                             f"{table.arity + 1} targets, got {len(targets)}", line)
+        return Instruction("ORACLE", targets, table=name)
+    if opcode == "MEASURE":
+        return Instruction("MEASURE", _parse_targets(tokens[1:], line))
+    raise ParseError(f"unknown opcode {word!r}", line)
+
+
 def parse_circuit(
     text: str, tables: Mapping[str, TruthTable] | None = None
 ) -> CircuitProgram:
-    """Parse a circuit description; errors name the offending line."""
+    """Parse a circuit description; errors name the offending line.  Identical
+    lines are parsed once and share one ``Instruction``; a target out of range
+    is reported after the walk, so that a later syntax error wins."""
     tables = tables or {}
     declared: int | None = None
     instructions: list[Instruction] = []
-    lines: list[int] = []  # source line of each instruction, for range errors
+    shared: dict[tuple[str, ...], Instruction] = {}  # a line's tokens -> its instruction
+    highest, out_of_range = -1, None  # the highest target; the first range error
     measure_all_line: int | None = None
 
     for line_no, tokens in _data_lines(text):
@@ -161,53 +201,20 @@ def parse_circuit(
                 f"full-register measure on line {measure_all_line} must be last",
                 line_no,
             )
-
-        opcode = word.upper()
-        if opcode == "U2":
-            if len(tokens) < 2:
-                raise ParseError("u2 needs a target qubit", line_no)
-            targets = (_parse_target(tokens[1], line_no),)
-            ins = Instruction("U2", targets, params=_parse_u2_params(tokens[2:], line_no))
-        elif opcode in _GATES:
-            targets = _parse_targets(tokens[1:], line_no)
-            count = _GATES[opcode][0]
-            if len(targets) != count:
-                raise ParseError(
-                    f"{word} takes {count} target(s), got {len(targets)}", line_no
-                )
-            ins = Instruction(opcode, targets)
-        elif opcode == "ORACLE":
-            if len(tokens) < 3:
-                raise ParseError("oracle needs a table name and targets", line_no)
-            name = tokens[1]
-            table = tables.get(name)
-            if table is None:
-                raise ParseError(f"unknown truth table {name!r}", line_no)
-            targets = _parse_targets(tokens[2:], line_no)
-            if len(targets) != table.arity + 1:
-                raise ParseError(
-                    f"oracle {name!r} has arity {table.arity} and needs "
-                    f"{table.arity + 1} targets, got {len(targets)}",
-                    line_no,
-                )
-            ins = Instruction("ORACLE", targets, table=name)
-        elif opcode == "MEASURE":
-            targets = _parse_targets(tokens[1:], line_no)
-            if not targets:
-                measure_all_line = line_no
-            ins = Instruction("MEASURE", targets)
-        else:
-            raise ParseError(f"unknown opcode {word!r}", line_no)
+        ins = shared.get(key := (word, *tokens[1:]))
+        if ins is None:
+            ins = shared[key] = _instruction(tokens, line_no, tables)
+        if ins.opcode == "MEASURE" and not ins.targets:
+            measure_all_line = line_no
         instructions.append(ins)
-        lines.append(line_no)
+        highest = max((highest, *ins.targets))
+        if declared is not None and highest >= declared and out_of_range is None:
+            t = next(t for t in ins.targets if t >= declared)
+            out_of_range = ParseError(f"target {t} out of range for {declared} qubits", line_no)
 
-    used = [t for ins in instructions for t in ins.targets]
-    num_qubits = declared if declared is not None else (max(used) + 1 if used else 0)
-    for ins, line_no in zip(instructions, lines):
-        for t in ins.targets:
-            if t >= num_qubits:
-                raise ParseError(f"target {t} out of range for {num_qubits} qubits", line_no)
-    return CircuitProgram(num_qubits=num_qubits, instructions=tuple(instructions))
+    if out_of_range is not None:
+        raise out_of_range
+    return CircuitProgram(declared if declared is not None else highest + 1, tuple(instructions))
 
 
 def render_circuit(program: CircuitProgram) -> str:
@@ -221,27 +228,28 @@ def render_circuit(program: CircuitProgram) -> str:
             lines.append(f"u2 {ins.targets[0]} {angles}")
         elif ins.opcode == "ORACLE":
             lines.append(f"oracle {ins.table} {' '.join(map(str, ins.targets))}")
-        elif ins.opcode == "MEASURE" and not ins.targets:
-            lines.append("measure")
-        else:
-            parts = [ins.opcode.lower(), *map(str, ins.targets)]
-            lines.append(" ".join(parts))
+        else:  # a bare ``measure`` has no targets
+            lines.append(" ".join([ins.opcode.lower(), *map(str, ins.targets)]))
     return "\n".join(lines) + "\n"
 
 
 def _compile(program: CircuitProgram, tables: Mapping[str, TruthTable]) -> list:
-    """The program's steps for ``walk_shots``, each built once: a gate or
-    oracle as a function of states, or the measurement of its targets,
-    where a bare ``measure`` measures every qubit in order."""
+    """The program's steps for ``walk_shots``, one built per distinct
+    instruction (a plan holds no per-call state): a gate or oracle as a
+    function of states, or the measurement of its targets, where a bare
+    ``measure`` measures every qubit in order."""
     n = program.num_qubits
+    built: dict[tuple, object] = {}
     steps: list = []
     for ins in program.instructions:
-        if ins.opcode == "MEASURE":
-            steps.append(_Projection(ins.targets or range(n), n))
-        elif ins.opcode == "ORACLE":
-            steps.append(_OraclePlan(tables[ins.table], ins.targets, n))
-        else:
-            steps.append(_GatePlan(_GATES[ins.opcode][1](*ins.params), ins.targets, n))
+        if (key := _exact_key(ins)) not in built:
+            if ins.opcode == "MEASURE":
+                built[key] = _Projection(ins.targets or range(n), n)
+            elif ins.opcode == "ORACLE":
+                built[key] = _OraclePlan(tables[ins.table], ins.targets, n)
+            else:
+                built[key] = _GatePlan(_GATES[ins.opcode][1](*ins.params), ins.targets, n)
+        steps.append(built[key])
     return steps
 
 

@@ -11,6 +11,7 @@ identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
 import sys
 from collections.abc import Iterator
@@ -578,7 +579,34 @@ def _write_json(value) -> None:
     write("\n")
 
 
+def _find_malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return None
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+
+
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    finally:
+        # Once glibc frees a large mmap-ed block (a state, or a caller's
+        # capture of a large output) it serves blocks up to that size from
+        # its heap and keeps their pages when they are freed; how many it
+        # keeps depends on the heap's layout.  Handing the free pages back
+        # leaves a process that runs command after command holding its
+        # live data alone, the same amount on every run.
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

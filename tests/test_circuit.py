@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,7 @@ from ketsim import (
     u2_from_params,
 )
 import ketsim.measure as measure
-from ketsim.circuit import _data_lines, _parse_int
+from ketsim.circuit import _compile, _data_lines, _parse_int
 from ketsim.gates import _GatePlan
 from ketsim.measure import MAX_SHOTS, _Projection, walk_shots
 
@@ -116,6 +117,30 @@ class TestParse:
     def test_duplicate_qubits_directive(self):
         with pytest.raises(ParseError):
             parse_circuit("qubits 2\nqubits 3")
+
+    def test_range_error_waits_for_later_syntax_errors(self):
+        with pytest.raises(ParseError) as err:
+            parse_circuit("qubits 1\nh 5\nfoo 0")
+        assert str(err.value) == "line 3: unknown opcode 'foo'"
+
+    def test_identical_lines_share_one_instruction(self):
+        program = parse_circuit("qubits 2\nh 0\nH 0  # again\ncnot 0 1\nh 0\ncnot 1 0\ncnot 0 1")
+        h, again, cnot01, h_last, cnot10, cnot01_last = program.instructions
+        assert h is again is h_last and cnot01 is cnot01_last
+        assert cnot10 is not cnot01 and cnot10 == Instruction("CNOT", (1, 0))
+
+    def test_signed_zero_angles_stay_apart(self):
+        text = "qubits 1\nu2 0 a=0 b=1 c=2 d=3\nu2 0 a=-0 b=1 c=2 d=3\nu2 0 a=0 b=1 c=2 d=3\n"
+        program = parse_circuit(text)
+        plus, minus, plus_again = program.instructions
+        assert plus == minus and plus is not minus and plus is plus_again
+        assert [math.copysign(1, ins.params[0]) for ins in program.instructions] == [1, -1, 1]
+        assert render_circuit(program) == text
+
+    def test_instructions_and_programs_have_slots(self):
+        program = parse_circuit("h 0")
+        assert not hasattr(program, "__dict__")
+        assert not hasattr(program.instructions[0], "__dict__")
 
 
 class TestLineGrammar:
@@ -219,6 +244,44 @@ class TestRun:
         program = parse_circuit("qubits 6\nx 0")
         with pytest.raises(CapacityExceeded):
             run_program(program, cap=4)
+
+
+# the distinct lines of a long generated circuit on 2 qubits
+LINE_MIX = ["h 0", "h 1", "x 0", "cnot 0 1", "cnot 1 0", "z 1", "y 0"]
+
+
+class TestCompile:
+    def test_repeated_lines_share_one_step(self):
+        tables = {"f": TruthTable(1, (0, 1)), "n": TruthTable(1, (1, 0))}
+        text = ("qubits 3\nh 0\nh 1\nh 0\noracle f 0 1\noracle n 0 1\noracle f 1 2\n"
+                "oracle f 0 1\nmeasure 0\nmeasure 1\nmeasure 0\nu2 0 a=0 b=1 c=2 d=3\n"
+                "u2 0 a=-0 b=1 c=2 d=3\nu2 0 a=0 b=1 c=2 d=3\nmeasure")
+        steps = _compile(parse_circuit(text, tables), tables)
+        assert len({id(step) for step in steps}) == 10
+        for first, again in ((0, 2), (3, 6), (7, 9), (10, 12)):
+            assert steps[first] is steps[again]
+        for one, other in ((0, 1), (3, 4), (3, 5), (7, 8), (10, 11)):
+            assert steps[one] is not steps[other]
+
+    def test_equal_instructions_built_apart_share_one_step(self):
+        program = CircuitProgram(2, (Instruction("CNOT", (0, 1)), Instruction("CNOT", (0, 1))))
+        first, again = _compile(program, {})
+        assert first is again
+
+    def test_parse_and_compile_cost_per_line(self):
+        lines = 100_000
+        rng = random.Random(3)
+        text = "qubits 2\n" + "\n".join(rng.choice(LINE_MIX) for _ in range(lines)) + "\n"
+        tracemalloc.start()
+        try:
+            steps = _compile(parse_circuit(text), {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(steps) == lines
+        # a pointer per line in the instruction list, its tuple and the step
+        # list, and the line walk's buffer; a plan per line would take hundreds
+        assert peak <= 64 * lines
 
 
 GATES = {"X": pauli_x, "Y": pauli_y, "Z": pauli_z, "H": hadamard, "CNOT": cnot,

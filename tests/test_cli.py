@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -1279,6 +1280,30 @@ class TestStreamedRender:
         assert sink.bytes > 4_000_000
         assert sink.writes > 2
         assert peak < sink.bytes
+
+    def test_free_heap_is_returned_after_every_command(self, capsys, monkeypatch):
+        trims = []
+        monkeypatch.setattr(cli, "_MALLOC_TRIM", trims.append)
+        assert main(["bell", "--angles", "0,1,2,3"]) == 0
+        assert main(["bell"]) == 1
+
+        def boom(path):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "load_matrix", boom)
+        with pytest.raises(RuntimeError):
+            main(["decompose", "--matrix", "any.matrix"])
+        assert trims == [0, 0, 0]
+
+    def test_runs_where_the_c_library_has_no_malloc_trim(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MALLOC_TRIM", None)
+        code, payload = run_json(capsys, "bell", "--angles", "0,1,2,3")
+        assert code == 0
+        assert "error" not in payload
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_glibc_malloc_trim_is_found(self):
+        assert cli._find_malloc_trim() is not None
 
     @pytest.mark.parametrize("last_line, argv, document", [
         ("foo 3", [], '{"error": {"kind": "ParseError", "detail": "line 34: unknown opcode \'foo\'"}}'),
