@@ -45,10 +45,12 @@ runs a circuit shaped like the benchmark's ``branch12`` job (12 qubits, a
 Hadamard layer, four 2-qubit measurements among the first gates, 70 gates
 and a trailing ``measure``) at 10**3 and 10**4 shots, and ``sample`` draws
 10**6 shots of a Bell state.
-``format_ket/n17`` renders the ket of a generic n = 17 state, and
-``render/n17`` runs ``ketsim.cli.main`` on a measurement-free n = 17
-circuit (a Hadamard and a ``u2`` layer) whose 13 MB ``final_state``
-document goes to a stdout that keeps nothing; ``render/decompose/D64``
+``format_ket/n17`` renders the ket of a generic n = 17 state,
+``format_ket/n17_real`` that of the uniform state a Hadamard layer makes
+(every term pure real, in "0.00ddd" form), and ``render/n17`` runs
+``ketsim.cli.main`` on a measurement-free n = 17 circuit (a Hadamard and a
+``u2`` layer) whose 13 MB ``final_state`` document goes to a stdout that
+keeps nothing; ``render/decompose/D64``
 runs ``ketsim decompose`` on a seeded D = 64 Haar unitary (8,128 factors)
 into the same stdout.  ``bounds/n6`` to ``bounds/n10`` run ``ketsim bounds``
 into that stdout on a distribution file of 6 to 10 events whose atoms have
@@ -254,6 +256,8 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
         amps = own.normal(size=1 << n) + 1j * own.normal(size=1 << n)
         state = StateVector(amps / np.linalg.norm(amps))
         out[f"format_ket/n{n}"] = timed(lambda: format_ket(state), repeats)
+        uniform = StateVector(np.full(1 << n, 2 ** (-n / 2)))
+        out[f"format_ket/n{n}_real"] = timed(lambda: format_ket(uniform), repeats)
         path = Path(tmp) / f"dump{n}.qc"
         path.write_text("\n".join(
             [f"qubits {n}", *(f"h {q}" for q in range(n)),

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import ctypes
 import itertools
+import os
+import stat
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
@@ -167,12 +169,30 @@ def _factors_text(factors: list[TwoLevelFactor]) -> str:
 # --- input file formats ----------------------------------------------------
 
 
+#: Bytes of the largest input file read.  Inputs within the other caps fit
+#: well under it: an arity-20 truth table is 24 MB, a D = 256 matrix file
+#: (the decomposition cap) about 3 MB, a distribution of ``MAX_EVENTS``
+#: events under 1 MB.  A circuit file has no other bound.
+MAX_INPUT_BYTES = 64 << 20
+
+
 def _read_text(path: str) -> str:
-    """The file's text as stored: ``\\r`` is kept, so that lines end at
-    ``\\n`` alone for the CLI as for ``parse_circuit``."""
+    """The file's UTF-8 text as stored: ``\\r`` is kept, so that lines end at
+    ``\\n`` alone for the CLI as for ``parse_circuit``.  A regular file's size
+    is checked against ``MAX_INPUT_BYTES`` before reading; any other file
+    (a pipe, a device) is read up to one byte past the cap."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode):
+                size = info.st_size
+                data = fh.read() if size <= MAX_INPUT_BYTES else b""
+            else:
+                data = fh.read(MAX_INPUT_BYTES + 1)
+                size = len(data)
+        if size > MAX_INPUT_BYTES:
+            raise CapacityExceeded(f"{path} exceeds the input cap of {MAX_INPUT_BYTES} bytes")
+        return data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
 

@@ -17,6 +17,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityExceeded, DimensionMismatch, InvalidInput
+from .text17 import LEFT, float_rows
 
 DEFAULT_QUBIT_CAP = 20
 
@@ -209,13 +210,6 @@ def is_product_split(s: StateVector, left_qubits: int) -> bool:
     return bool(np.sum(singular > 1e-8 * singular[0]) == 1)
 
 
-# A ket term's template, by kind: a pure real or pure imaginary amplitude
-# (modulus, then "" or "i") with the sign as its separator, or a complex
-# amplitude in parentheses (real part, then imaginary part); the basis label
-# comes last.
-_TERM_TEMPLATES = np.array(
-    ["+ %.6g%s|%s>", "- %.6g%s|%s>", "+ (%.6g%+.6gi)|%s>"], dtype=object
-)
 #: Amplitudes per rendered chunk: of a ket, and of a complex array's
 #: ``[re, im]`` pairs in the JSON output.
 KET_CHUNK = 1 << 12
@@ -224,8 +218,13 @@ KET_CHUNK = 1 << 12
 def ket_chunks(s: StateVector) -> Iterator[str]:
     """The text of :func:`format_ket` in consecutive pieces.
 
-    Each piece renders the kept terms of ``KET_CHUNK`` amplitudes with one
-    ``%`` formatting call, so only one chunk is held as Python objects.
+    Each piece holds the kept terms of ``KET_CHUNK`` amplitudes, one term
+    per row of a NUL-padded byte matrix: the separator ("+ ", "- ", or "+ ("
+    before a complex amplitude), the first part's 6-digit text (the real
+    part, or the modulus of a pure real or imaginary amplitude) from
+    :func:`~ketsim.text17.float_rows`, then a complex amplitude's signed
+    imaginary part, "i", ")", "|", the basis label, ">" and the space before
+    the next term.  Dropping the NULs gives the text.
     """
     amps = s.amplitudes
     width = max(s.num_qubits, 1)  # a 0-qubit state's label is "0"
@@ -237,20 +236,29 @@ def ket_chunks(s: StateVector) -> Iterator[str]:
             continue
         re, im = block.real[index], block.imag[index]
         real = np.abs(im) < RENDER_EPS
-        imag = ~real & (np.abs(re) < RENDER_EPS)
-        mixed = ~(real | imag)
+        mixed = ~real & (np.abs(re) >= RENDER_EPS)
         part = np.where(real, re, im)
-        args = np.empty((index.size, 3), dtype=object)
-        args[:, 0] = np.where(mixed, re, np.abs(part))
-        args[:, 1] = np.where(real, "", "i")
-        args[mixed, 1] = im[mixed]
-        # labels: the low ``width`` bits of each big-endian uint64 index as
-        # UCS-4 digits, viewed as one fixed-width string per row
+        values = np.stack([np.where(mixed, re, np.abs(part)), im], axis=1)
+        texts = float_rows(values.reshape(-1), 6).reshape(index.size, -1)
+        half = texts.shape[1] // 2  # the columns of one part's text
+        rows = np.empty((index.size, 2 * half + width + 4), dtype=np.uint8)
+        rows[:, : 2 * half] = texts
+        rows[:, half : 2 * half] *= mixed[:, None]  # an imaginary part for "%+.6gi"
+        rows[:, LEFT - 3] = np.where(~mixed & (part < 0), ord("-"), ord("+"))
+        rows[:, LEFT - 2] = ord(" ")
+        rows[:, LEFT - 1] = mixed * ord("(")
+        rows[:, half + LEFT - 1] = (mixed & ~np.signbit(im)) * ord("+")
+        rows[:, 2 * half - 1] = ~real * ord("i")
+        rows[:, 2 * half] = mixed * ord(")")
+        rows[:, 2 * half + 1] = ord("|")
+        # labels: the low ``width`` bits of each big-endian uint64 index
         octets = (index + start).astype(">u8").view(np.uint8).reshape(-1, 8)
         bits = np.unpackbits(octets, axis=1)[:, 64 - width :]
-        args[:, 2] = (bits.astype(np.uint32) + ord("0")).view(f"U{width}")[:, 0]
-        templates = _TERM_TEMPLATES[np.where(mixed, 2, part < 0)]
-        text = " ".join(templates.tolist()) % tuple(args.ravel().tolist())
+        np.add(bits, ord("0"), out=rows[:, -2 - width : -2])
+        rows[:, -2] = ord(">")
+        rows[:, -1] = ord(" ")
+        rows[-1, -1] = 0
+        text = rows.tobytes().translate(None, b"\0").decode("ascii")
         if first:  # the leading term carries only a minus sign
             yield text[2:] if text[0] == "+" else "-" + text[2:]
             first = False

@@ -1,34 +1,38 @@
-"""The text of ``'%.17g' % v`` for every value of a float64 array, in bulk.
+"""The text of ``'%.{P}g' % v`` for every value of a float64 array, in bulk,
+for P = 17 significant digits (the JSON numbers) or P = 6 (the ket).
 
-For finite v with 1e-11 <= |v| < 10, ``%.17g`` writes the 17 significant
-digits D = round_half_even(|v| * 10**(16 - k)), k = floor(log10 |v|), with
-trailing zeros cut, as "d.ddd" (k = 0), "0.00ddd" (-4 <= k < 0) or
-"d.ddde-XX" (k < -4).  With |v| = m * 2**e (m < 2**53) and s = 16 - k <= 27,
-D is m * 5**s shifted right by -(e + s) bits and rounded.  m * 5**s < 2**116
-is formed exactly from 32-bit halves in two uint64 words, so D is exact.
-Zeros are written in bulk too; every other value (NaN, ±inf, |v| < 1e-11,
-|v| >= 10) goes through ``%`` one at a time.
+For finite v with 10**KMIN <= |v| < 10, ``%.{P}g`` writes the P significant
+digits D = round_half_even(|v| * 10**(P - 1 - k)), k = floor(log10 |v|),
+with trailing zeros cut, as "d.ddd" (k = 0), "0.00ddd" (-4 <= k < 0) or
+"d.ddde-XX" (k < -4).  With |v| = m * 2**e (m < 2**53) and s = P - 1 - k,
+D is m * 5**s shifted right by -(e + s) bits and rounded.  m * 5**s is
+formed exactly from 32-bit halves in two uint64 words, so D is exact, and
+the shift stays within one word: KMIN is -11 at 17 digits and -7 at 6.
+When D rounds up a decade (0.9999995 at 6 digits), D and k carry, and the
+notation follows the carried k (9.999995e-05 prints as 0.0001).  Zeros are
+written in bulk too; every other value (NaN, ±inf, |v| < 10**KMIN, values
+that round up to 10 or more) goes through ``%`` one at a time.
 
 Each value is one row of a NUL-padded byte matrix: ``LEFT`` columns for the
-caller, the sign, the "0.000" prefix, the lead digit, the point, 16 digits,
-the "e-XX" suffix, and one last column for the caller.  A row's constant
-bytes come from one gather of a template by class (sign, exponent, point);
-dropping the NULs joins the rows into text.
+caller, the sign, the "0.000" prefix, the lead digit, the point, the other
+P - 1 digits in 8-digit words, the "e-XX" suffix, and one last column for
+the caller.  A row's constant bytes come from one gather of a template by
+class (sign, exponent, point); dropping the NULs joins the rows into text.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 #: Columns before each value's text, left zero for the caller.
 LEFT = 3
 
-_KMIN = -11  # the exact range's smallest decimal exponent; 5**(16 - _KMIN) < 2**64
 _LEAD = LEFT + 6  # after the sign and "0.000"
-_WIDTH = _LEAD + 2 + 16 + 4 + 1
 _U64 = np.uint64
 _LOW32 = _U64(0xFFFFFFFF)
-_POW5 = np.array([5**s for s in range(17 - _KMIN)], dtype=np.uint64)
+_POW5 = np.array([5**s for s in range(28)], dtype=np.uint64)  # 5**27 < 2**64
 _POW5_HI, _POW5_LO = _POW5 >> _U64(32), _POW5 & _LOW32
 _ASCII_ZEROS = _U64(int.from_bytes(b"0" * 8, "little"))
 # _LOW_BYTES[c]: a mask of the first c bytes of a little-endian uint64
@@ -46,46 +50,57 @@ def _four_digit_texts() -> np.ndarray:
 _DIGITS4 = _four_digit_texts()
 
 
-def _class(k, point, negative):
+class _Format(NamedTuple):
+    kmin: int  # the exact range's smallest decimal exponent
+    words: int  # 8-digit words after the lead digit
+    width: int  # columns of a row
+    templates: np.ndarray
+
+
+def _class(k, point, negative, kmin: int):
     """The template row of a value in the exact range."""
-    return 3 + ((k - _KMIN) * 2 + point) * 2 + negative
+    return 3 + ((k - kmin) * 2 + point) * 2 + negative
 
 
-def _templates() -> np.ndarray:
-    """Row 0: other values (no bytes); rows 1, 2: 0 and -0; then one row per
-    ``_class`` of a value in the exact range."""
-    rows = np.zeros((3 + (1 - _KMIN) * 4, _WIDTH), dtype=np.uint8)
+def _format(digits: int, kmin: int) -> _Format:
+    """Row 0 of the templates: other values (no bytes); rows 1, 2: 0 and -0;
+    then one row per ``_class`` of a value in the exact range."""
+    words = -(-(digits - 1) // 8)
+    width = _LEAD + 2 + 8 * words + 4 + 1
+    rows = np.zeros((3 + (1 - kmin) * 4, width), dtype=np.uint8)
 
     def put(row, column, text: bytes):
         row[column : column + len(text)] = np.frombuffer(text, dtype=np.uint8)
 
     put(rows[1], LEFT, b"0")
     put(rows[2], LEFT, b"-0")
-    for k in range(_KMIN, 1):
+    for k in range(kmin, 1):
         for point in (0, 1):
             for negative in (0, 1):
-                row = rows[_class(k, point, negative)]
+                row = rows[_class(k, point, negative, kmin)]
                 put(row, LEFT, b"-" if negative else b"")
                 if -4 <= k < 0:
                     put(row, LEFT + 1, b"0." + b"0" * (-k - 1))
                 elif point:
                     put(row, _LEAD + 1, b".")
                 if k < -4:
-                    put(row, _WIDTH - 5, b"e-%02d" % -k)
-    return rows
+                    put(row, width - 5, b"e-%02d" % -k)
+    return _Format(kmin, words, width, rows)
 
 
-_TEMPLATES = _templates()
+# the smallest k that keeps _scaled within its words: at 17 digits 5**(16 - k)
+# < 2**64; at 6 digits a value just under 10**k shifts by 63 bits (64 at k - 1)
+_FORMATS = {6: _format(6, -7), 17: _format(17, -11)}
 
 
-def _scaled(m: np.ndarray, e: np.ndarray, k: np.ndarray):
-    """floor(2 * m * 2**e * 10**(16 - k)), and whether it is exact, for
-    integers m < 2**53, _KMIN <= k <= 0 and a shift k - 17 - e in [1, 63]:
-    for 1e-11 <= m * 2**e < 10 and k = floor(log10) of it, or one off, the
-    shift is 30 to 62."""
+def _scaled(m: np.ndarray, e: np.ndarray, k: np.ndarray, digits: int):
+    """floor(2 * m * 2**e * 10**(digits - 1 - k)), and whether it is exact,
+    for integers m < 2**53, 0 <= digits - 1 - k <= 27 and a shift
+    k - digits - e in [1, 63]: for 10**kmin <= m * 2**e < 10 and
+    k = floor(log10) of it, or one off, the shift is 30 to 63."""
     # in place where it can be: float_rows runs ~17 % faster, same peak RSS
-    s = 16 - k
-    shift = (k - 17 - e).astype(np.uint64)  # one bit short: keep the half
+    s = digits - 1 - k
+    shift = (k - digits - e).astype(np.uint64)  # one bit short: keep the half
     m_hi, m_lo = m >> _U64(32), m & _LOW32
     p = np.take(_POW5_LO, s)
     low = m_lo * p
@@ -106,66 +121,76 @@ def _scaled(m: np.ndarray, e: np.ndarray, k: np.ndarray):
     return doubled, below == 0
 
 
-def float_rows(x: np.ndarray) -> np.ndarray:
-    """The ``%.17g`` texts of a contiguous float64 array as the rows of a
-    NUL-padded uint8 matrix, with the first ``LEFT`` columns and the last
-    one left zero for the caller."""
+def float_rows(x: np.ndarray, digits: int = 17) -> np.ndarray:
+    """The ``%.{digits}g`` texts, for ``digits`` 6 or 17, of a contiguous
+    float64 array as the rows of a NUL-padded uint8 matrix, with the first
+    ``LEFT`` columns and the last one left zero for the caller."""
+    fmt = _FORMATS[digits]
     bits = x.view(np.uint64)
     with np.errstate(divide="ignore", invalid="ignore"):
         guess = np.floor(np.log10(np.abs(x)))  # -inf at zeros, nan at nan
     zero = guess == -np.inf
-    exact_range = (guess >= _KMIN) & (guess <= 0)
+    exact_range = (guess >= fmt.kmin) & (guess <= 0)
     k = np.where(exact_range, guess, 0).astype(np.int64)
     del guess
     e = (bits >> _U64(52) & _U64(0x7FF)).astype(np.int64) - 1075
     m = bits & _U64((1 << 52) - 1) | _U64(1 << 52)
-    doubled, exact = _scaled(m, e, k)
+    doubled, exact = _scaled(m, e, k, digits)
     # log10 can be one off next to a power of ten: the truncated quotient
-    # then has 16 or 18 digits, and k moves by one
-    low, high = _U64(2 * 10**16), _U64(2 * 10**17)
+    # then has one digit too few or too many, and k moves by one
+    low, high = _U64(2 * 10 ** (digits - 1)), _U64(2 * 10**digits)
     step = (doubled >= high).astype(np.int64) - (doubled < low)
     redo = np.flatnonzero(exact_range & (step != 0))
     if redo.size:
         k[redo] += step[redo]
-        exact_range[redo] = (k[redo] >= _KMIN) & (k[redo] <= 0)
+        exact_range[redo] = (k[redo] >= fmt.kmin) & (k[redo] <= 0)
         k[redo[~exact_range[redo]]] = 0
-        doubled[redo], exact[redo] = _scaled(m[redo], e[redo], k[redo])
+        doubled[redo], exact[redo] = _scaled(m[redo], e[redo], k[redo], digits)
         exact_range[redo] &= (doubled[redo] >= low) & (doubled[redo] < high)
     del m, e
-    digits = doubled + _U64(1)
-    digits >>= _U64(1)
-    digits -= (doubled & digits & _U64(1)).astype(bool) & exact  # a tie to even
+    rounded = doubled + _U64(1)
+    rounded >>= _U64(1)
+    rounded -= (doubled & rounded & _U64(1)).astype(bool) & exact  # a tie to even
     del doubled, exact
-    # no double from 1e-11 to 10 rounds up to a power of ten at 17 digits;
-    # one that did would go through ``%``
-    exact_range &= digits < _U64(10**17)
-    digits[~exact_range] = 0
-    # the lead digit, then digits 1-8 and 9-16 as the bytes of one uint64 each
-    top = digits // _U64(10**8)
-    lead = top // _U64(10**8)
-    eights = np.empty((x.size, 2), dtype=np.uint32)
-    eights[:, 0] = top - lead * _U64(10**8)
-    eights[:, 1] = digits - top * _U64(10**8)
-    fours = np.empty((x.size, 4), dtype=np.uint32)
+    # digits that round up a decade carry into k: 0.9999995 is 1 at 6 digits
+    carry = rounded == _U64(10**digits)
+    rounded -= carry * _U64(9 * 10 ** (digits - 1))
+    k += carry
+    exact_range &= k <= 0
+    rounded[~exact_range] = 0
+    # the lead digit, then the other digits, zero-filled to whole 8-digit
+    # words, as the bytes of one uint64 per word
+    lead = rounded // _U64(10 ** (digits - 1))
+    rest = rounded - lead * _U64(10 ** (digits - 1))
+    rest *= _U64(10 ** (8 * fmt.words - digits + 1))
+    eights = np.empty((x.size, fmt.words), dtype=np.uint32)
+    for word in range(fmt.words - 1, 0, -1):
+        top = rest // _U64(10**8)
+        eights[:, word] = rest - top * _U64(10**8)
+        rest = top
+    eights[:, 0] = rest
+    fours = np.empty((x.size, 2 * fmt.words), dtype=np.uint32)
     fours[:, 0::2] = eights // np.uint32(10**4)
     fours[:, 1::2] = eights - fours[:, 0::2] * np.uint32(10**4)
     text = np.take(_DIGITS4, fours).view("<u8")  # the first digit in the low byte
     # the bytes of each word up to its last nonzero digit, by the bit length
-    # of the word less "00000000"; all eight of the first if the second has any
+    # of the word less "00000000"; all eight of a word if a later one has any
     kept = (np.frexp((text - _ASCII_ZEROS).astype(np.float64))[1] + 7) // 8
-    kept[:, 0][kept[:, 1] > 0] = 8
+    for word in range(fmt.words - 2, -1, -1):
+        kept[:, word][kept[:, word + 1] > 0] = 8
     text &= np.take(_LOW_BYTES, kept)
     negative = np.signbit(x)
     kind = np.where(
         exact_range,
-        _class(k, kept[:, 0] > 0, negative),
+        _class(k, kept[:, 0] > 0, negative, fmt.kmin),
         np.where(zero, 1 + negative, 0),
     )
-    rows = np.take(_TEMPLATES, kind, axis=0)
+    rows = np.take(fmt.templates, kind, axis=0)
     rows[:, _LEAD] = np.where(exact_range, lead + _U64(ord("0")), 0)
-    rows[:, _LEAD + 2 : _LEAD + 18] = text.view(np.uint8)
+    rows[:, _LEAD + 2 : _LEAD + 2 + 8 * fmt.words] = text.view(np.uint8)
     other = np.flatnonzero(kind == 0)
     if other.size:
-        texts = np.array(["%.17g" % v for v in x[other].tolist()], dtype="S24")
-        rows[other, LEFT : LEFT + 24] = texts.view(np.uint8).reshape(-1, 24)
+        size = fmt.width - LEFT - 1
+        texts = np.array([f"%.{digits}g" % v for v in x[other].tolist()], dtype=f"S{size}")
+        rows[other, LEFT : LEFT + size] = texts.view(np.uint8).reshape(-1, size)
     return rows

@@ -19,6 +19,15 @@ OTHER_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
+def first_difference(a: str, b: str):
+    """None for equal texts, else the first differing offset and the texts
+    around it: a long text's failure stays short to print."""
+    if a == b:
+        return None
+    at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return at, a[max(at - 40, 0) : at + 40], b[max(at - 40, 0) : at + 40]
+
+
 def perfbench_module(name: str):
     """``perfbench/<name>.py`` loaded as the module ``perfbench_<name>``."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")

@@ -6,6 +6,7 @@ import platform
 import random
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import types
@@ -39,7 +40,7 @@ from ketsim.errors import (
     ParseError,
     PromiseViolated,
 )
-from conftest import OTHER_LINE_BREAKS, perfbench_module
+from conftest import OTHER_LINE_BREAKS, first_difference as _first_difference, perfbench_module
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -1055,15 +1056,6 @@ def _reference_factors(factors) -> str:
     ) + "]"
 
 
-def _first_difference(a: str, b: str):
-    """None for equal texts, else the first differing offset and the texts
-    around it: a long text's failure stays short to print."""
-    if a == b:
-        return None
-    at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-    return at, a[max(at - 40, 0) : at + 40], b[max(at - 40, 0) : at + 40]
-
-
 #: A factor chunk smaller than ``cli.FACTOR_CHUNK``: every factor list is
 #: also rendered in chunks of this many factors, so that short lists cross
 #: chunk boundaries too.
@@ -1262,6 +1254,34 @@ def _dump_circuit(n: int) -> str:
     return "\n".join([f"qubits {n}", *(f"h {q}" for q in range(n)), *layer]) + "\n"
 
 
+def _u2_layer_dump(n: int, seed: int) -> str:
+    """A layer of ``u2`` gates with seeded random angles: a product state
+    whose every amplitude is a generic complex number.  At n = 17 and seed
+    17, its parts run from 1.5e-10 to 0.04, and 177 of them lie below the
+    6-digit exact range's 1e-7."""
+    rng = random.Random(seed)
+    layer = [f"u2 {q} " + " ".join(f"{k}={rng.uniform(-3.2, 3.2)!r}" for k in "abcd")
+             for q in range(n)]
+    return "\n".join([f"qubits {n}", *layer]) + "\n"
+
+
+class TestGoldenDumps:
+    """The stdout of large generic state dumps, ket and amplitudes, pinned
+    byte for byte: the fixture digests cover only small states."""
+
+    @pytest.mark.parametrize("circuit, digest", [
+        (_dump_circuit(12), "fd0dee671512d8ee16a4d78d9db7ccd9f3c384a11a8243753c4f6ee6a11dcf61"),
+        (_u2_layer_dump(17, 17),
+         "01d256f8e6b42c6c82353a580a498821d464aebb667eec0bdc05e8a17b7e0383"),
+    ], ids=["dump12", "u2_layer17"])
+    def test_dump_digest(self, capsys, tmp_path, circuit, digest):
+        path = tmp_path / "dump.qc"
+        path.write_text(circuit)
+        code, out = run_cli(capsys, "run", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestStreamedRender:
     def test_state_dump_peak_below_output_size(self, monkeypatch, tmp_path):
         # an n = 16 state (1 MiB) prints about 6 MB; a renderer that holds
@@ -1317,6 +1337,80 @@ class TestStreamedRender:
         code, out = run_cli(capsys, "run", str(circuit), *argv)
         assert code == 1
         assert out == document + "\n"
+
+
+SMALL_INPUT_CAP = 64
+
+
+def _feed(path: Path, data: bytes, endless: bool) -> None:
+    """Write ``data`` into the FIFO ``path``, over and over while ``endless``,
+    until the reader closes it."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+            while endless:
+                fh.write(data)
+                fh.flush()
+    except BrokenPipeError:
+        pass
+
+
+class TestInputCap:
+    """Every input file is read up to ``cli.MAX_INPUT_BYTES``, here made small."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", SMALL_INPUT_CAP)
+
+    @staticmethod
+    def _over_cap(path) -> str:
+        detail = f"{path} exceeds the input cap of {SMALL_INPUT_CAP} bytes"
+        return json.dumps({"error": {"kind": "CapacityExceeded", "detail": detail}}) + "\n"
+
+    @pytest.mark.parametrize("command, option", FILE_COMMANDS)
+    def test_regular_file(self, capsys, tmp_path, monkeypatch, command, option):
+        path = tmp_path / "input.txt"
+        argv = [command, str(path)] if option is None else [command, option, str(path)]
+        # at the cap, the document is the one without a cap
+        path.write_text("# " + "x" * (SMALL_INPUT_CAP - 3) + "\n")
+        at_cap = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", 1 << 26)
+        assert run_cli(capsys, *argv) == at_cap
+        assert "CapacityExceeded" not in at_cap[1]
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", SMALL_INPUT_CAP)
+        path.write_text("# " + "x" * (SMALL_INPUT_CAP - 2) + "\n")
+        assert run_cli(capsys, *argv) == (1, self._over_cap(path))
+
+    def test_table_file(self, capsys, tmp_path):
+        circuit = tmp_path / "c.qc"
+        circuit.write_text("qubits 2\noracle f 0 1\n")
+        table = tmp_path / "f.tbl"
+        table.write_text("n=1\n0 1\n1 0\n" + "#" * SMALL_INPUT_CAP + "\n")
+        code, out = run_cli(capsys, "run", str(circuit), "--table", f"f={table}")
+        assert (code, out) == (1, self._over_cap(table))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("size, endless", [
+        (SMALL_INPUT_CAP, False), (SMALL_INPUT_CAP + 1, False), (16, True),
+    ])
+    def test_fifo(self, capsys, tmp_path, size, endless):
+        # an endless writer stops only when the reader closes the FIFO
+        path = tmp_path / "input.fifo"
+        os.mkfifo(path)
+        data = "qubits 1\n" + "#" * (size - 10) + "\n"
+        writer = threading.Thread(target=_feed, args=(path, data.encode(), endless), daemon=True)
+        writer.start()
+        code, out = run_cli(capsys, "run", str(path))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        if size <= SMALL_INPUT_CAP and not endless:
+            assert code == 0 and json.loads(out)["final_state"]["ket"] == "1|0>"
+        else:
+            assert (code, out) == (1, self._over_cap(path))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_device(self, capsys):
+        assert run_cli(capsys, "run", "/dev/zero") == (1, self._over_cap("/dev/zero"))
 
 
 class TestExitCodes:

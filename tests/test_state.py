@@ -35,7 +35,8 @@ from ketsim import (
 import ketsim.state
 from ketsim.measure import _Projection
 from ketsim.state import NORM_ATOL, RENDER_EPS, _split_axes, ket_chunks
-from conftest import rand_state
+from ketsim.text17 import float_rows
+from conftest import first_difference, rand_state
 
 
 class TestKet:
@@ -464,6 +465,94 @@ class TestFormatKet:
     def test_imaginary_amplitude(self):
         s = StateVector([math.sqrt(0.5), 1j * math.sqrt(0.5)])
         assert format_ket(s) == "0.707107|0> + 0.707107i|1>"
+
+
+def _six_digit_edge() -> list[float]:
+    """Positive values at the 6-digit text's boundaries: ties to even, values
+    that round up a decade and their neighbours below, both sides of every
+    power of ten from 1e-12 to 10 (the exact range starts at 1e-7, the "e-XX"
+    form below 1e-4), and subnormals."""
+    values = [1.015625, 1.046875, 2.015625, 0.5078125, 0.01953125,  # ties
+              0.9999995, 0.99999949, 9.999995e-05, 9.9999949e-05, 5e-324, 1e-310,
+              2.2250738585072014e-308, 0.5, 1 / 3, 0.000123456, 123456.5]
+    for k in range(-12, 2):
+        for v in (float(f"1e{k}"), float(f"9.999995e{k - 1}"), float(f"9.9999949e{k - 1}")):
+            values += [v, math.nextafter(v, 0), math.nextafter(v, math.inf)]
+    return values
+
+
+def _six_digit_mismatches(x: np.ndarray) -> list[tuple[float, str, str]]:
+    """The values of ``x`` whose bulk 6-digit text is not ``'%.6g'``'s, with
+    both texts."""
+    rows = float_rows(np.ascontiguousarray(x, dtype=np.float64), 6)
+    rows[:, -1] = ord(",")
+    texts = rows.tobytes().translate(None, b"\0").decode("ascii").split(",")[:-1]
+    return [(v, got, "%.6g" % v) for v, got in zip(x.tolist(), texts) if got != "%.6g" % v]
+
+
+def _parts_state(re: np.ndarray, im: np.ndarray) -> StateVector:
+    """An unnormalised state of the given parts, padded with zeros to a power
+    of two."""
+    n = max(int(re.size - 1).bit_length(), 1)
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps.real[: re.size], amps.imag[: im.size] = re, im
+    state = StateVector.__new__(StateVector)  # the renderer reads only these
+    state.num_qubits = n
+    state.amplitudes = amps
+    return state
+
+
+@pytest.fixture(scope="module")
+def bit_patterns() -> np.ndarray:
+    """200,000 seeded random float64 bit patterns, half of them with a binary
+    exponent from 2**-30 to 2**4, around the 6-digit exact range."""
+    rng = np.random.default_rng(6)
+    bits = rng.integers(0, 1 << 64, 200_000, dtype=np.uint64)
+    near = np.flatnonzero(rng.random(bits.size) < 0.5)
+    exponent = rng.integers(1023 - 30, 1023 + 4, near.size).astype(np.uint64)
+    bits[near] = bits[near] & np.uint64((1 << 64) - 1 - (0x7FF << 52)) | exponent << np.uint64(52)
+    return bits.view(np.float64)
+
+
+class TestSixDigitText:
+    """The bulk 6-digit formatter and the ket built on it, against ``'%.6g'``
+    one value at a time and against the per-term loop."""
+
+    def test_boundary_values(self):
+        edge = _six_digit_edge()
+        assert _six_digit_mismatches(np.array(edge + [-v for v in edge] + [0.0, -0.0])) == []
+
+    def test_named_boundaries(self):
+        cases = {1.015625: "1.01562", 9.999995e-05: "0.0001", 9.9999949e-05: "9.99999e-05",
+                 0.9999995: "1", 0.99999949: "0.999999", 1e-7: "1e-07", 5e-324: "4.94066e-324"}
+        for value, text in cases.items():
+            assert "%.6g" % value == text
+        assert _six_digit_mismatches(np.array(list(cases))) == []
+
+    def test_random_bit_patterns(self, bit_patterns):
+        assert _six_digit_mismatches(bit_patterns) == []
+
+    @pytest.mark.parametrize("chunk", [1, 4096])
+    def test_ket_on_boundary_parts(self, monkeypatch, chunk):
+        # every pairing of two parts, so pure real, pure imaginary and complex
+        # terms; in chunks of one term, a seeded sample of 1,024 pairings
+        monkeypatch.setattr(ketsim.state, "KET_CHUNK", chunk)
+        edge = _six_digit_edge()
+        values = np.array(edge + [-v for v in edge] + [0.0, -0.0, RENDER_EPS, -RENDER_EPS])
+        re, im = (a.reshape(-1) for a in np.meshgrid(values, values))
+        if chunk == 1:
+            pick = np.random.default_rng(1).permutation(re.size)[:1024]
+            re, im = re[pick], im[pick]
+        s = _parts_state(re, im)
+        assert first_difference("".join(ket_chunks(s)), _reference_ket(s)) is None
+
+    @pytest.mark.parametrize("chunk", [1, 4096])
+    def test_ket_on_bit_patterns(self, monkeypatch, bit_patterns, chunk):
+        monkeypatch.setattr(ketsim.state, "KET_CHUNK", chunk)
+        parts = bit_patterns[np.isfinite(bit_patterns)]
+        parts = parts[: 2 * 1024] if chunk == 1 else parts[: parts.size // 2 * 2]
+        s = _parts_state(parts[0::2], parts[1::2])
+        assert first_difference("".join(ket_chunks(s)), _reference_ket(s)) is None
 
 
 class TestSmallSites:
