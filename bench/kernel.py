@@ -32,11 +32,14 @@ fresh ``RngStream``.
 times it on the n = 20 state scaled by 1 + 1e-9, which it renormalises.
 ``two_level_decompose`` and ``recompose`` (of that decomposition's
 factors) run on a seeded ``haar_random_unitary`` at D = 16, 32, 64 and
-128.  The table, matrix and distribution files are written by
-``perfbench/gen.py``'s own writers, so they are the benchmark's file
-formats byte for byte.  ``load_truth_table`` reads a balanced table file
-of arity 14 and 17 (0.27 and 2.5 MB), and ``deutsch_jozsa/arity17`` runs
-Deutsch-Jozsa at the default seed on the second table.
+128, and ``factor_text/D64`` and ``/D128`` render the factors of that
+unitary's decomposition alone, as ``ketsim decompose`` holds them (its
+factor table, or the list in trees that have none), into a sink.  The
+table, matrix and distribution files are written by ``perfbench/gen.py``'s
+own writers, so they are the benchmark's file formats byte for byte.
+``load_truth_table`` reads a balanced table file of arity 14 and 17 (0.27
+and 2.5 MB), and ``deutsch_jozsa/arity17`` runs Deutsch-Jozsa at the
+default seed on the second table.
 ``load_matrix/D128`` reads a seeded D = 128 Haar unitary (0.7 MB),
 ``parse_circuit`` parses a 20,000-line circuit that cycles through the
 opcodes, comments and blank lines, and ``compile`` runs ``_compile`` on the
@@ -80,6 +83,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 20)
 ORACLE_ARITY = 4
 DECOMPOSE_DIMS = (16, 32, 64, 128)
+FACTOR_TEXT_DIMS = (64, 128)
 TABLE_ARITIES = (14, 17)
 CIRCUIT_LINES = 20_000
 BRANCHING_SHOTS = (1_000, 10_000)
@@ -183,9 +187,9 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
     from ketsim import StateVector, TruthTable, apply_gate_at, apply_oracle_at, cnot, hadamard
     from ketsim import RngStream, measure_subset, pauli_x, toffoli_unitary
     from ketsim import haar_random_unitary, parse_circuit, recompose, two_level_decompose
-    from ketsim import bell_pair, deutsch_jozsa, format_ket, run_program, sample
+    from ketsim import bell_pair, decompose, deutsch_jozsa, format_ket, run_program, sample
     from ketsim.circuit import _compile
-    from ketsim.cli import load_distribution, load_matrix, load_truth_table
+    from ketsim.cli import _json, load_distribution, load_matrix, load_truth_table
 
     bench, gen = _perfbench("run"), _perfbench("gen")
 
@@ -243,6 +247,9 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
         factors = two_level_decompose(u)
         out[f"two_level_decompose/D{dim}"] = timed(lambda: two_level_decompose(u), repeats)
         out[f"recompose/D{dim}"] = timed(lambda: recompose(factors, dim), repeats)
+        if dim in FACTOR_TEXT_DIMS:
+            held = getattr(decompose, "decompose_table", two_level_decompose)(u)
+            out[f"factor_text/D{dim}"] = timed(lambda: sum(map(len, _json(held))), repeats)
     with tempfile.TemporaryDirectory() as tmp:
         for arity in TABLE_ARITIES:
             path = Path(tmp) / f"n{arity}.tbl"

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import _data_lines, _parse_float, _parse_int, parse_circuit, run_program
-from .decompose import TwoLevelFactor, recompose, two_level_decompose
+from .decompose import FactorTable, TwoLevelFactor, decompose_table, recompose
 from .errors import (
     CapacityExceeded,
     InvalidInput,
@@ -72,8 +72,10 @@ def _json(value) -> Iterator[str]:
             yield f"{', ' if i else ''}{_scalar_json(str(k))}: "
             yield from _json(v)
         yield "}"
-    elif isinstance(value, list) and value and isinstance(value[0], TwoLevelFactor):
+    elif isinstance(value, FactorTable):
         yield from _chunked(value, FACTOR_CHUNK, _factors_text)
+    elif isinstance(value, list) and value and isinstance(value[0], TwoLevelFactor):
+        yield from _json(FactorTable.from_factors(value))
     elif isinstance(value, (list, tuple)):
         yield "["
         for i, v in enumerate(value):
@@ -144,26 +146,43 @@ def _pairs_text(a: np.ndarray) -> str:
 #: block is at most 2x2, so no chunk formats more than ``KET_CHUNK`` pairs.
 FACTOR_CHUNK = KET_CHUNK // 4
 
-# A factor's text with ``%d`` for its support and ``%%s`` for its block's
-# pairs, by support size: formatting the supports first leaves ``%s``.
-_FACTOR_TEMPLATES = {
-    size: '{"support": [' + ", ".join(["%d"] * size) + '], "block": [%%s]}' for size in (1, 2)
-}
+def _digit_columns(values: np.ndarray) -> np.ndarray:
+    """The decimal texts of an int64 array as the rows of a NUL-padded uint8
+    matrix: a sign column, then the digits right-aligned."""
+    magnitude = np.abs(values)
+    width = len(str(int(magnitude.max()))) if values.size else 1
+    columns = np.zeros((values.size, 1 + width), dtype=np.uint8)
+    columns[:, 0] = (values < 0) * ord("-")
+    rest = magnitude
+    for column in range(width, 0, -1):
+        rest, digit = np.divmod(rest, 10)
+        columns[:, column] = digit + ord("0")
+    # no leading zeros: a column left of the units digit is kept where
+    # the value has that many digits
+    columns[:, 1:width] *= magnitude[:, None] >= 10 ** np.arange(width - 1, 0, -1)
+    return columns
 
 
-def _factors_text(factors: list[TwoLevelFactor]) -> str:
-    """The factors' JSON objects, comma-separated, by one ``%`` call over
-    the supports and one over the blocks' texts, each block in C order."""
-    supports = [f.support for f in factors]
-    template = ", ".join([_FACTOR_TEMPLATES[len(s)] for s in supports]) % tuple(
-        itertools.chain.from_iterable(supports)
-    )
-    parts = np.concatenate([f.block for f in factors], axis=None).view(np.float64)
-    rows = _pair_rows(parts)
-    # each block's first pair opens with "\n[", so that a split parts the blocks
-    starts = np.cumsum([0] + [2 * f.block.size for f in factors[:-1]])
-    rows[starts, LEFT - 3 : LEFT] = np.frombuffer(b"\0\n[", dtype=np.uint8)
-    return template % tuple(_rows_text(rows).split("\n")[1:])
+def _factors_text(table: FactorTable) -> str:
+    """The factors' JSON objects, comma-separated, each one row of a
+    NUL-padded byte matrix: ``, {"support": [``, the supports' digit
+    columns, ``], "block": [``, the block's pairs in C order from
+    :func:`_pair_rows`, and ``]}``.  A phase's row leaves its second support
+    and its last three pairs NUL."""
+    count = len(table)
+    phase = table.first == table.last
+
+    def text(constant: bytes) -> np.ndarray:
+        return np.broadcast_to(np.frombuffer(constant, dtype=np.uint8), (count, len(constant)))
+
+    pairs = _pair_rows(table.c_blocks().reshape(-1).view(np.float64)).reshape(count, -1)
+    pairs[:, : LEFT - 1] = 0  # no ", " before a block's first pair
+    pairs[phase, pairs.shape[1] // 4 :] = 0
+    second = np.where(phase[:, None], 0, np.hstack([text(b", "), _digit_columns(table.last)]))
+    rows = np.hstack([text(b', {"support": ['), _digit_columns(table.first), second,
+                      text(b'], "block": ['), pairs, text(b"]}")])
+    rows[0, :2] = 0  # no ", " before the chunk's first factor
+    return _rows_text(rows)
 
 
 # --- input file formats ----------------------------------------------------
@@ -495,7 +514,7 @@ def _cmd_deutsch_jozsa(args) -> dict:
 
 def _cmd_decompose(args) -> dict:
     matrix = load_matrix(args.matrix)
-    factors = two_level_decompose(matrix)
+    factors = decompose_table(matrix)
     dim = matrix.shape[0]
     error = float(np.linalg.norm(recompose(factors, dim) - matrix))
     return {

@@ -76,20 +76,103 @@ class TwoLevelFactor:
         _apply_in_place([self], a)
 
 
-def _apply_in_place(factors: list[TwoLevelFactor], a: np.ndarray) -> None:
+class FactorTable:
+    """A decomposition as one table, one row per factor, in product order.
+
+    ``first`` and ``last`` are the ends of each factor's support, equal for
+    a 1x1 phase.  ``blocks`` holds each row's block as a C-order 2x2: a
+    phase in its ``[0, 0]`` entry with zeros in the rest.  A row marked
+    ``transposed`` holds the transpose of its block: the sweep writes an
+    adjoint rotation as the conjugate of its forward block, whose transposed
+    view has the strides of the list's block, since ``matmul`` may round by
+    its operands' strides.
+    """
+
+    __slots__ = ("dim", "first", "last", "blocks", "transposed")
+
+    def __init__(self, dim: int, first: np.ndarray, last: np.ndarray,
+                 blocks: np.ndarray, transposed: np.ndarray):
+        self.dim = dim
+        self.first, self.last = first, last
+        self.blocks, self.transposed = blocks, transposed
+
+    @classmethod
+    def zeros(cls, dim: int, rows: int) -> "FactorTable":
+        """A table of room for ``rows`` factors: zero blocks, none marked
+        transposed, and supports left for the rows' writer."""
+        return cls(dim, np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64),
+                   np.zeros((rows, 2, 2), dtype=np.complex128), np.zeros(rows, dtype=bool))
+
+    @classmethod
+    def from_factors(cls, factors: list[TwoLevelFactor]) -> "FactorTable":
+        """The table of a list of factors, for its text: each row holds its
+        block's entries in C order, whatever the block's own layout."""
+        table = cls.zeros(factors[0].dim if factors else 0, len(factors))
+        for row, factor in enumerate(factors):
+            size = len(factor.support)
+            table.first[row], table.last[row] = factor.support[0], factor.support[-1]
+            table.blocks[row, :size, :size] = factor.block
+        return table
+
+    def __len__(self) -> int:
+        return self.first.size
+
+    def __getitem__(self, rows: slice) -> "FactorTable":
+        return FactorTable(self.dim, self.first[rows], self.last[rows],
+                           self.blocks[rows], self.transposed[rows])
+
+    def row_blocks(self) -> list[np.ndarray]:
+        """Each row's block as a view: 2x2 in C order or transposed as the
+        row is marked, and a phase as a contiguous 1x1."""
+        if not len(self):
+            return []
+        blocks = self.blocks
+        entry = blocks.itemsize
+        phases = np.lib.stride_tricks.as_strided(
+            blocks, (len(self), 1, 1), (blocks.strides[0], entry, entry))
+        sources = (blocks, blocks.transpose(0, 2, 1), phases)
+        kinds = np.where(self.first == self.last, 2, self.transposed)
+        # rows come in runs of one kind (an eigenvector's adjoints, its
+        # phase, its rotations), and a run's views come from iterating it
+        bounds = [0, *(np.flatnonzero(np.diff(kinds)) + 1).tolist(), len(self)]
+        views: list[np.ndarray] = []
+        for start, end in zip(bounds, bounds[1:]):
+            views.extend(sources[kinds[start]][start:end])
+        return views
+
+    def c_blocks(self) -> np.ndarray:
+        """The blocks' entries in C order of each block, as a new (F, 2, 2) array."""
+        return np.where(self.transposed[:, None, None], self.blocks.transpose(0, 2, 1), self.blocks)
+
+    def factors(self) -> list[TwoLevelFactor]:
+        """The table as a list of factors whose blocks are views of its rows."""
+        first = self.first.tolist()
+        supports = list(zip(first, self.last.tolist()))
+        for row in np.flatnonzero(self.first == self.last).tolist():
+            supports[row] = (first[row],)
+        trusted, dim = TwoLevelFactor._trusted, self.dim
+        return [trusted(dim, s, block) for s, block in zip(supports, self.row_blocks())]
+
+
+def _apply_in_place(factors: list[TwoLevelFactor] | FactorTable, a: np.ndarray) -> None:
     """``a = recompose(factors, D) @ a`` in place, the last factor first,
-    each rewriting the one or two rows on its support."""
+    each rewriting the one or two rows on its support; every dimension is
+    checked before any row changes."""
     rows = a.shape[0]
-    for factor in reversed(factors):  # all checked before any row changes
-        if factor.dim != rows:
-            raise DimensionMismatch(
-                f"factor of dimension {factor.dim} applied to {rows} rows"
-            )
-    for factor in reversed(factors):
-        first, last = factor.support[0], factor.support[-1]
+    if isinstance(factors, FactorTable):
+        dims = [factors.dim] if len(factors) else []
+        triples = zip(reversed(factors.first.tolist()), reversed(factors.last.tolist()),
+                      reversed(factors.row_blocks()))
+    else:
+        dims = [f.dim for f in factors]
+        triples = ((f.support[0], f.support[-1], f.block) for f in reversed(factors))
+    for dim in reversed(dims):
+        if dim != rows:
+            raise DimensionMismatch(f"factor of dimension {dim} applied to {rows} rows")
+    for first, last, block in triples:
         # the support's rows as one strided view, not a gathered copy
         view = a[first : last + 1 : max(last - first, 1)]
-        view[...] = factor.block @ view
+        view[...] = block @ view
 
 
 def unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,8 +215,15 @@ def eigenvector_factors(vector: np.ndarray, eigenvalue: complex) -> list[TwoLeve
     At most 2*(D-1) rotations plus one phase are constructed; blocks that
     are the identity to within ``ELIDE_EPS`` are dropped from the result.
     """
+    dim = np.size(vector)
+    table = FactorTable.zeros(dim, 2 * dim - 1)
+    return table[: _sweep_rows(vector, eigenvalue, table, 0)].factors()
+
+
+def _sweep_rows(vector: np.ndarray, eigenvalue: complex, table: FactorTable, start: int) -> int:
+    """Write :func:`eigenvector_factors` of ``vector`` into ``table`` from
+    row ``start`` on; returns the row after the last one written."""
     c = np.asarray(vector, dtype=np.complex128).copy()
-    dim = c.size
     pivot = int(np.argmax(np.abs(c)))
     if abs(c[pivot]) > PIVOT_EPS:
         # Eigenvectors are phase-free; pin the pivot entry real-positive so
@@ -191,27 +281,29 @@ def eigenvector_factors(vector: np.ndarray, eigenvalue: complex) -> list[TwoLeve
         below = others < pivot
         blocks[below] = blocks[below, ::-1, ::-1]
 
-    supports = list(zip(np.minimum(others, pivot).tolist(), np.maximum(others, pivot).tolist()))
-    trusted = TwoLevelFactor._trusted
-    forward = [trusted(dim, s, block) for s, block in zip(supports, blocks)]
-    factors = [
-        trusted(dim, s, block) for s, block in zip(supports, blocks.conj().transpose(0, 2, 1))
-    ]
+    # The adjoint rotations, each held as its transpose (the conjugate of
+    # its forward block), then the phase, then the rotations, last first.
+    count = others.size
+    adjoints, rotations = slice(start, start + count), slice(start + count, start + 2 * count)
+    np.minimum(others, pivot, out=table.first[adjoints])
+    np.maximum(others, pivot, out=table.last[adjoints])
+    np.conjugate(blocks, out=table.blocks[adjoints])
+    table.transposed[adjoints] = True
     lam = complex(eigenvalue)
     lam /= abs(lam)
     if abs(lam - 1.0) >= ELIDE_EPS:
-        factors.append(trusted(dim, (pivot,), np.array([[lam]], dtype=np.complex128)))
-    factors.extend(reversed(forward))
-    return factors
+        phase = start + count
+        table.first[phase] = table.last[phase] = pivot
+        table.blocks[phase, 0, 0] = lam
+        rotations = slice(phase + 1, phase + 1 + count)
+    table.first[rotations] = table.first[adjoints][::-1]
+    table.last[rotations] = table.last[adjoints][::-1]
+    table.blocks[rotations] = blocks[::-1]
+    return rotations.stop
 
 
-def two_level_decompose(u: np.ndarray) -> list[TwoLevelFactor]:
-    """Two-level factors multiplying (left factor applied last) to ``u``.
-
-    The emitted-plus-elided factor count is exactly D*(2*D - 1) =
-    2*D**2 - D; identity factors are elided, so the returned list is
-    usually much shorter.
-    """
+def decompose_table(u: np.ndarray) -> FactorTable:
+    """:func:`two_level_decompose` as one table, with no object per factor."""
     u = np.asarray(u, dtype=np.complex128)
     # The cap comes first: the unitarity check alone is an O(D**3) product.
     if u.ndim == 2 and u.shape[0] == u.shape[1] > DECOMPOSE_DIM_CAP:
@@ -221,24 +313,36 @@ def two_level_decompose(u: np.ndarray) -> list[TwoLevelFactor]:
     if not is_unitary(u, 1e-9):
         raise NotUnitary("two_level_decompose requires a unitary matrix")
     eigenvalues, vectors = _schur_eigensystem(u)
-    factors: list[TwoLevelFactor] = []
-    for k in range(u.shape[0]):
-        factors.extend(eigenvector_factors(vectors[:, k], eigenvalues[k]))
-    return factors
+    dim = u.shape[0]
+    table = FactorTable.zeros(dim, dim * (2 * dim - 1))
+    end = 0
+    for k in range(dim):
+        end = _sweep_rows(vectors[:, k], eigenvalues[k], table, end)
+    return table[:end]
 
 
-def recompose(factors: list[TwoLevelFactor], dim: int) -> np.ndarray:
+def two_level_decompose(u: np.ndarray) -> list[TwoLevelFactor]:
+    """Two-level factors multiplying (left factor applied last) to ``u``.
+
+    The emitted-plus-elided factor count is exactly D*(2*D - 1) =
+    2*D**2 - D; identity factors are elided, so the returned list is
+    usually much shorter.
+    """
+    return decompose_table(u).factors()
+
+
+def recompose(factors: list[TwoLevelFactor] | FactorTable, dim: int) -> np.ndarray:
     """Ordered dense product of the factors, left factor applied last.
 
-    The identity is multiplied by the factors from last to first, each
-    rewriting its one or two rows: O(F*D) work for F factors.
+    The identity is multiplied by the factors, a list or a table, from last
+    to first, each rewriting its one or two rows: O(F*D) work for F factors.
     """
     out = np.eye(dim, dtype=np.complex128)
     _apply_in_place(factors, out)
     return out
 
 
-def apply_factors(factors: list[TwoLevelFactor], s: StateVector) -> StateVector:
+def apply_factors(factors: list[TwoLevelFactor] | FactorTable, s: StateVector) -> StateVector:
     """The state ``recompose(factors, s.dim) @ s`` without forming the
     product: each factor rewrites one or two amplitudes."""
     amps = s.amplitudes.copy()

@@ -56,6 +56,29 @@ def rand_distribution(num_events: int, rng: RngStream, resolution: int = 64) -> 
     return EventDistribution(num_events, tuple(Fraction(w, total) for w in weights))
 
 
+#: Dimensions of the decomposition-table tests: one to three-digit supports.
+TABLE_DIMS = (1, 2, 5, 64, 128, 256)
+
+
+def _haar(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A Haar unitary from the QR factorisation of complex Gaussians."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def table_unitaries():
+    """Seeded Haar unitaries and block-diagonal ones (Haar blocks of up to
+    4 x 4) at each of ``TABLE_DIMS``, as ``(name, matrix)``."""
+    rng = np.random.default_rng(2026)
+    for dim in TABLE_DIMS:
+        yield f"haar{dim}", _haar(rng, dim)
+        u = np.zeros((dim, dim), dtype=np.complex128)
+        for start in range(0, dim, 4):
+            size = min(4, dim - start)
+            u[start : start + size, start : start + size] = _haar(rng, size)
+        yield f"blockdiag{dim}", u
+
+
 def kron_chain(*matrices: np.ndarray) -> np.ndarray:
     """Independent Kronecker-product oracle for dense expectations."""
     out = np.array([[1.0 + 0.0j]])

@@ -41,6 +41,7 @@ from ketsim.errors import (
     PromiseViolated,
 )
 from conftest import OTHER_LINE_BREAKS, first_difference as _first_difference, perfbench_module
+from conftest import table_unitaries
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -358,6 +359,19 @@ class TestDecomposeCommand:
         )
         assert code == 1
         assert payload["error"]["kind"] == "NotUnitary"
+
+    @pytest.mark.parametrize("name, u", [pytest.param(*case, id=case[0])
+                                         for case in table_unitaries()])
+    def test_document_equals_reference_of_list(self, capsys, tmp_path, name, u):
+        # the table renderer against the per-factor text of the public list
+        path = tmp_path / f"{name}.mat"
+        path.write_text(perfbench_module("gen").render_matrix(u), encoding="utf-8")
+        code, out = run_cli(capsys, "decompose", "--matrix", str(path))
+        assert code == 0
+        factors = two_level_decompose(load_matrix(str(path)))
+        head, _, tail = out.partition(', "factors": ')
+        assert _first_difference(tail, _reference_factors(factors) + "}\n") is None
+        assert json.loads(head + "}")["emitted_count"] == len(factors)
 
     @pytest.mark.parametrize("entry", ["1,0", "2,0"], ids=["identity", "not_unitary"])
     def test_dimension_cap(self, capsys, tmp_path, entry):

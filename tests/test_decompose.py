@@ -1,10 +1,11 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import rand_state
+from conftest import rand_state, table_unitaries
 from ketsim import (
     InvalidInput,
     NotUnitary,
@@ -21,7 +22,7 @@ from ketsim import (
     unitary_eigensystem,
 )
 from ketsim.errors import DimensionMismatch
-from ketsim.decompose import ELIDE_EPS, PIVOT_EPS, TwoLevelFactor
+from ketsim.decompose import ELIDE_EPS, PIVOT_EPS, FactorTable, TwoLevelFactor, decompose_table
 
 
 def dense_product(factors, dim):
@@ -477,6 +478,64 @@ class TestApplyFactors:
         factor = TwoLevelFactor(3, (0,), np.array([[1j]], dtype=complex))
         with pytest.raises(DimensionMismatch):
             apply_factors([factor], rand_state(2, RngStream(32)))
+
+
+TABLE_UNITARIES = dict(table_unitaries())
+
+
+@functools.cache
+def _table(name):
+    return decompose_table(TABLE_UNITARIES[name])
+
+
+class TestFactorTable:
+    @pytest.mark.parametrize("name", TABLE_UNITARIES)
+    def test_list_equals_table_rows(self, name):
+        table = _table(name)
+        factors = two_level_decompose(TABLE_UNITARIES[name])
+        assert len(factors) == len(table)
+        assert all(f.dim == table.dim for f in factors)
+        ends = zip(table.first.tolist(), table.last.tolist())
+        assert [f.support for f in factors] == [(a, b) if a != b else (a,) for a, b in ends]
+        blocks, pairs = table.c_blocks(), table.first != table.last
+        for two, expected in ((True, blocks[pairs]), (False, blocks[~pairs, :1, :1])):
+            got = [f.block for f, row in zip(factors, pairs) if row == two]
+            assert np.stack(got or [expected[:0]]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", TABLE_UNITARIES)
+    def test_recompose_of_list_and_table_agree(self, name):
+        table = _table(name)
+        factors = table.factors()
+        assert same_bits(recompose(factors, table.dim), recompose(table, table.dim))
+        n = table.dim.bit_length() - 1
+        if 1 << n == table.dim:  # a state's dimension is a power of two
+            s = rand_state(n, RngStream(table.dim))
+            assert same_bits(apply_factors(factors, s).amplitudes,
+                             apply_factors(table, s).amplitudes)
+
+    @pytest.mark.parametrize("name", TABLE_UNITARIES)
+    def test_sweep_equals_reference(self, name):
+        u = TABLE_UNITARIES[name]
+        values, vectors = unitary_eigensystem(u)
+        # every eigenvector below D = 256, and a spread of eight above
+        columns = range(u.shape[0]) if u.shape[0] < 256 else range(0, 256, 37)
+        for k in columns:
+            assert_same_factors(eigenvector_factors(vectors[:, k], values[k]),
+                                reference_eigenvector_factors(vectors[:, k], values[k]))
+
+    def test_from_factors_holds_each_block_in_c_order(self):
+        table = _table("haar5")
+        copy = FactorTable.from_factors(table.factors())
+        for got, expected in ((copy.first, table.first), (copy.last, table.last),
+                              (copy.c_blocks(), table.c_blocks())):
+            assert got.tobytes() == expected.tobytes()
+        assert not copy.transposed.any()
+
+    def test_dimension_mismatch(self):
+        table = _table("haar5")
+        with pytest.raises(DimensionMismatch, match="^factor of dimension 5 applied to 4 rows$"):
+            recompose(table, 4)
+        assert np.array_equal(recompose(table[:0], 4), np.eye(4))
 
 
 class TestHaarRandomUnitary:
