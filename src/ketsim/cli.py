@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import _data_lines, _parse_float, _parse_int, parse_circuit, run_program
-from .decompose import FactorTable, TwoLevelFactor, decompose_table, recompose
+from .decompose import FactorTable, decompose_table, recompose
 from .errors import (
     CapacityExceeded,
     InvalidInput,
@@ -63,7 +63,7 @@ _STRING_ESCAPES.update({c: f"\\u{c:04x}" for c in range(0x20)})
 def _json(value) -> Iterator[str]:
     """The JSON text of ``value`` as consecutive fragments.
 
-    States, complex arrays and factor lists are formatted in chunks, so the
+    States, complex arrays and factor tables are formatted in chunks, so the
     caller can write a large document without ever holding it whole.
     """
     if isinstance(value, dict):
@@ -74,8 +74,6 @@ def _json(value) -> Iterator[str]:
         yield "}"
     elif isinstance(value, FactorTable):
         yield from _chunked(value, FACTOR_CHUNK, _factors_text)
-    elif isinstance(value, list) and value and isinstance(value[0], TwoLevelFactor):
-        yield from _json(FactorTable.from_factors(value))
     elif isinstance(value, (list, tuple)):
         yield "["
         for i, v in enumerate(value):
@@ -175,7 +173,7 @@ def _factors_text(table: FactorTable) -> str:
     def text(constant: bytes) -> np.ndarray:
         return np.broadcast_to(np.frombuffer(constant, dtype=np.uint8), (count, len(constant)))
 
-    pairs = _pair_rows(table.c_blocks().reshape(-1).view(np.float64)).reshape(count, -1)
+    pairs = _pair_rows(table.blocks.reshape(-1).view(np.float64)).reshape(count, -1)
     pairs[:, : LEFT - 1] = 0  # no ", " before a block's first pair
     pairs[phase, pairs.shape[1] // 4 :] = 0
     second = np.where(phase[:, None], 0, np.hstack([text(b", "), _digit_columns(table.last)]))

@@ -49,6 +49,8 @@ class TwoLevelFactor:
             raise InvalidInput("support must hold one or two coordinate indices")
         if len(self.support) == 2 and not self.support[0] < self.support[1]:
             raise InvalidInput("two-coordinate support must be strictly increasing")
+        if self.support[0] < 0 or self.support[-1] >= self.dim:
+            raise InvalidInput(f"support must lie in range({self.dim})")
         if self.block.shape != (len(self.support),) * 2:
             raise DimensionMismatch("block shape must match the support size")
 
@@ -81,68 +83,32 @@ class FactorTable:
 
     ``first`` and ``last`` are the ends of each factor's support, equal for
     a 1x1 phase.  ``blocks`` holds each row's block as a C-order 2x2: a
-    phase in its ``[0, 0]`` entry with zeros in the rest.  A row marked
-    ``transposed`` holds the transpose of its block: the sweep writes an
-    adjoint rotation as the conjugate of its forward block, whose transposed
-    view has the strides of the list's block, since ``matmul`` may round by
-    its operands' strides.
+    phase in its ``[0, 0]`` entry with zeros in the rest.
     """
 
-    __slots__ = ("dim", "first", "last", "blocks", "transposed")
+    __slots__ = ("dim", "first", "last", "blocks")
 
-    def __init__(self, dim: int, first: np.ndarray, last: np.ndarray,
-                 blocks: np.ndarray, transposed: np.ndarray):
+    def __init__(self, dim: int, first: np.ndarray, last: np.ndarray, blocks: np.ndarray):
         self.dim = dim
-        self.first, self.last = first, last
-        self.blocks, self.transposed = blocks, transposed
+        self.first, self.last, self.blocks = first, last, blocks
 
     @classmethod
     def zeros(cls, dim: int, rows: int) -> "FactorTable":
-        """A table of room for ``rows`` factors: zero blocks, none marked
-        transposed, and supports left for the rows' writer."""
+        """A table of room for ``rows`` factors: zero blocks, and supports
+        left for the rows' writer."""
         return cls(dim, np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64),
-                   np.zeros((rows, 2, 2), dtype=np.complex128), np.zeros(rows, dtype=bool))
-
-    @classmethod
-    def from_factors(cls, factors: list[TwoLevelFactor]) -> "FactorTable":
-        """The table of a list of factors, for its text: each row holds its
-        block's entries in C order, whatever the block's own layout."""
-        table = cls.zeros(factors[0].dim if factors else 0, len(factors))
-        for row, factor in enumerate(factors):
-            size = len(factor.support)
-            table.first[row], table.last[row] = factor.support[0], factor.support[-1]
-            table.blocks[row, :size, :size] = factor.block
-        return table
+                   np.zeros((rows, 2, 2), dtype=np.complex128))
 
     def __len__(self) -> int:
         return self.first.size
 
     def __getitem__(self, rows: slice) -> "FactorTable":
-        return FactorTable(self.dim, self.first[rows], self.last[rows],
-                           self.blocks[rows], self.transposed[rows])
+        return FactorTable(self.dim, self.first[rows], self.last[rows], self.blocks[rows])
 
     def row_blocks(self) -> list[np.ndarray]:
-        """Each row's block as a view: 2x2 in C order or transposed as the
-        row is marked, and a phase as a contiguous 1x1."""
-        if not len(self):
-            return []
-        blocks = self.blocks
-        entry = blocks.itemsize
-        phases = np.lib.stride_tricks.as_strided(
-            blocks, (len(self), 1, 1), (blocks.strides[0], entry, entry))
-        sources = (blocks, blocks.transpose(0, 2, 1), phases)
-        kinds = np.where(self.first == self.last, 2, self.transposed)
-        # rows come in runs of one kind (an eigenvector's adjoints, its
-        # phase, its rotations), and a run's views come from iterating it
-        bounds = [0, *(np.flatnonzero(np.diff(kinds)) + 1).tolist(), len(self)]
-        views: list[np.ndarray] = []
-        for start, end in zip(bounds, bounds[1:]):
-            views.extend(sources[kinds[start]][start:end])
-        return views
-
-    def c_blocks(self) -> np.ndarray:
-        """The blocks' entries in C order of each block, as a new (F, 2, 2) array."""
-        return np.where(self.transposed[:, None, None], self.blocks.transpose(0, 2, 1), self.blocks)
+        """Each row's block as a view: its 2x2, or a phase's 1x1 corner."""
+        phases = (self.first == self.last).tolist()
+        return [block[:1, :1] if phase else block for block, phase in zip(self.blocks, phases)]
 
     def factors(self) -> list[TwoLevelFactor]:
         """The table as a list of factors whose blocks are views of its rows."""
@@ -281,14 +247,13 @@ def _sweep_rows(vector: np.ndarray, eigenvalue: complex, table: FactorTable, sta
         below = others < pivot
         blocks[below] = blocks[below, ::-1, ::-1]
 
-    # The adjoint rotations, each held as its transpose (the conjugate of
-    # its forward block), then the phase, then the rotations, last first.
+    # The adjoint rotations (each the conjugate transpose of its forward
+    # block), then the phase, then the rotations, last first.
     count = others.size
     adjoints, rotations = slice(start, start + count), slice(start + count, start + 2 * count)
     np.minimum(others, pivot, out=table.first[adjoints])
     np.maximum(others, pivot, out=table.last[adjoints])
-    np.conjugate(blocks, out=table.blocks[adjoints])
-    table.transposed[adjoints] = True
+    np.conjugate(blocks.transpose(0, 2, 1), out=table.blocks[adjoints])
     lam = complex(eigenvalue)
     lam /= abs(lam)
     if abs(lam - 1.0) >= ELIDE_EPS:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ketsim import RngStream, StateVector
+from ketsim.decompose import FactorTable
 from ketsim.inequalities import EventDistribution
 
 # The characters besides "\n" and "\r" at which str.splitlines ends a line.
@@ -85,3 +86,15 @@ def kron_chain(*matrices: np.ndarray) -> np.ndarray:
     for m in matrices:
         out = np.kron(out, m)
     return out
+
+
+def factor_table(factors) -> FactorTable:
+    """The table of a list of two-level factors, for the CLI's factor text:
+    each row holds its block's entries in C order, whatever the block's own
+    layout."""
+    table = FactorTable.zeros(factors[0].dim if factors else 0, len(factors))
+    for row, factor in enumerate(factors):
+        size = len(factor.support)
+        table.first[row], table.last[row] = factor.support[0], factor.support[-1]
+        table.blocks[row, :size, :size] = factor.block
+    return table

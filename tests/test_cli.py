@@ -41,7 +41,7 @@ from ketsim.errors import (
     PromiseViolated,
 )
 from conftest import OTHER_LINE_BREAKS, first_difference as _first_difference, perfbench_module
-from conftest import table_unitaries
+from conftest import factor_table, table_unitaries
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -1181,8 +1181,9 @@ class TestJson:
     def test_factor_list_as_dicts(self, dim):
         factors = two_level_decompose(haar_random_unitary(dim, RngStream(dim)))
         expected = [{"support": list(f.support), "block": f.block} for f in factors]
-        assert _first_difference(_text(factors), _text(expected)) is None
-        assert json.loads(_text(factors)) == [
+        text = _text(factor_table(factors))
+        assert _first_difference(text, _text(expected)) is None
+        assert json.loads(text) == [
             {"support": list(f.support),
              "block": [[float(v.real), float(v.imag)] for v in f.block.reshape(-1)]}
             for f in factors
@@ -1193,15 +1194,16 @@ class TestJson:
     ])
     def test_factor_list_equals_per_factor_renderer(self, name, factors, monkeypatch):
         expected = _reference_factors(factors)
+        table = factor_table(factors)
         for chunk in (cli.FACTOR_CHUNK, SMALL_FACTOR_CHUNK):
             monkeypatch.setattr(cli, "FACTOR_CHUNK", chunk)
-            assert _first_difference(_text(factors), expected) is None
+            assert _first_difference(_text(table), expected) is None
             assert _first_difference(
-                _text({"factors": factors}), '{"factors": ' + expected + "}"
+                _text({"factors": table}), '{"factors": ' + expected + "}"
             ) is None
 
     def test_empty_factor_list(self):
-        assert _text([]) == "[]"
+        assert _text([]) == _text(factor_table([])) == "[]"
 
     def test_state_as_dict(self):
         s = ketsim.StateVector(self._complex([0.6, 0.0, -0.0, 0.0], [0.0, -0.0, 0.8, 0.0]))

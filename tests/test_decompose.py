@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_state, table_unitaries
+from conftest import factor_table, rand_state, table_unitaries
 from ketsim import (
     InvalidInput,
     NotUnitary,
@@ -22,7 +22,7 @@ from ketsim import (
     unitary_eigensystem,
 )
 from ketsim.errors import DimensionMismatch
-from ketsim.decompose import ELIDE_EPS, PIVOT_EPS, FactorTable, TwoLevelFactor, decompose_table
+from ketsim.decompose import ELIDE_EPS, PIVOT_EPS, TwoLevelFactor, decompose_table
 
 
 def dense_product(factors, dim):
@@ -101,8 +101,18 @@ def same_bits(a, b):
 def assert_same_factors(got, expected):
     assert [(f.dim, f.support) for f in got] == [(f.dim, f.support) for f in expected]
     assert [f.block.tobytes() for f in got] == [f.block.tobytes() for f in expected]
-    # the layout too: a block's matmul in recompose may round by its strides
-    assert [f.block.strides for f in got] == [f.block.strides for f in expected]
+    # and their products: the package's adjoint blocks are C-order rows, the
+    # reference's transposed views, and matmul gives both the same bits
+    if expected:
+        dim = expected[0].dim
+        assert same_bits(reference_recompose(got, dim), reference_recompose(expected, dim))
+        rng = np.random.default_rng(dim)
+        vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        updated = [vector.copy(), vector.copy()]
+        for factors, a in zip((got, expected), updated):
+            for factor in reversed(factors):
+                reference_apply_to(factor, a)
+        assert same_bits(*updated)
 
 
 def _parts(re, im):
@@ -497,7 +507,7 @@ class TestFactorTable:
         assert all(f.dim == table.dim for f in factors)
         ends = zip(table.first.tolist(), table.last.tolist())
         assert [f.support for f in factors] == [(a, b) if a != b else (a,) for a, b in ends]
-        blocks, pairs = table.c_blocks(), table.first != table.last
+        blocks, pairs = table.blocks, table.first != table.last
         for two, expected in ((True, blocks[pairs]), (False, blocks[~pairs, :1, :1])):
             got = [f.block for f, row in zip(factors, pairs) if row == two]
             assert np.stack(got or [expected[:0]]).tobytes() == expected.tobytes()
@@ -523,19 +533,44 @@ class TestFactorTable:
             assert_same_factors(eigenvector_factors(vectors[:, k], values[k]),
                                 reference_eigenvector_factors(vectors[:, k], values[k]))
 
-    def test_from_factors_holds_each_block_in_c_order(self):
+    def test_factors_round_trip_in_c_order(self):
         table = _table("haar5")
-        copy = FactorTable.from_factors(table.factors())
+        copy = factor_table(table.factors())
         for got, expected in ((copy.first, table.first), (copy.last, table.last),
-                              (copy.c_blocks(), table.c_blocks())):
+                              (copy.blocks, table.blocks)):
             assert got.tobytes() == expected.tobytes()
-        assert not copy.transposed.any()
 
     def test_dimension_mismatch(self):
         table = _table("haar5")
         with pytest.raises(DimensionMismatch, match="^factor of dimension 5 applied to 4 rows$"):
             recompose(table, 4)
         assert np.array_equal(recompose(table[:0], 4), np.eye(4))
+
+
+class TestBlockLayout:
+    """The property that lets a table hold every block as a C-order row:
+    ``block @ rows`` has the same bits whatever the block's strides, so an
+    adjoint row equals the reference's transposed view and a phase's
+    corner of a padded row equals a fresh 1x1.  If a numpy or BLAS update
+    makes layout matter, this test says so."""
+
+    @pytest.mark.parametrize("dim", [2, 5, 64, 256])
+    @pytest.mark.parametrize("matrix", [False, True], ids=["vector", "matrix"])
+    def test_product_bits_do_not_depend_on_block_strides(self, dim, matrix):
+        rng = np.random.default_rng(dim)
+        shape = (dim, dim) if matrix else (dim,)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for _ in range(100):
+            first, last = sorted(rng.choice(dim, 2, replace=False).tolist())
+            rows = a[first : last + 1 : last - first]
+            block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            transposed = np.ascontiguousarray(block.T).T
+            assert transposed.strides == block.strides[::-1]
+            assert same_bits(block @ rows, transposed @ rows)
+            padded = np.zeros((2, 2), dtype=np.complex128)
+            padded[0, 0] = block[0, 0]
+            row = a[first : first + 1]
+            assert same_bits(block[:1, :1].copy() @ row, padded[:1, :1] @ row)
 
 
 class TestHaarRandomUnitary:
@@ -556,6 +591,12 @@ class TestHaarRandomUnitary:
     [
         pytest.param(lambda: TwoLevelFactor(4, (0, 1, 2), np.eye(3)),
                      "support must hold one or two coordinate indices", id="factor-support"),
+        pytest.param(lambda: TwoLevelFactor(3, (0, 7), np.eye(2)),
+                     "support must lie in range(3)", id="factor-support-above-dim"),
+        pytest.param(lambda: TwoLevelFactor(3, (-2, 0), np.eye(2)),
+                     "support must lie in range(3)", id="factor-support-negative"),
+        pytest.param(lambda: TwoLevelFactor(3, (3,), np.eye(1)),
+                     "support must lie in range(3)", id="factor-phase-at-dim"),
         pytest.param(lambda: haar_random_unitary(0, RngStream(0)),
                      "dimension must be positive", id="haar-dimension-0"),
     ],
