@@ -32,9 +32,12 @@ fresh ``RngStream``.
 times it on the n = 20 state scaled by 1 + 1e-9, which it renormalises.
 ``two_level_decompose`` and ``recompose`` (of that decomposition's
 factors) run on a seeded ``haar_random_unitary`` at D = 16, 32, 64 and
-128, and ``factor_text/D64`` and ``/D128`` render the factors of that
-unitary's decomposition alone, as ``ketsim decompose`` holds them (its
-factor table, or the list in trees that have none), into a sink.  The
+128, and so do ``decompose_table`` and ``recompose_table`` (the
+``recompose`` of its table), the path of ``ketsim decompose``, which makes
+no object per factor; ``decompose_table/D128_blocks4`` decomposes a
+block-diagonal unitary of 32 seeded 4 x 4 Haar blocks, whose eigenvectors
+have four nonzero entries.  ``factor_text/D64`` and ``/D128`` render the
+factor table of the Haar unitary's decomposition alone into a sink.  The
 table, matrix and distribution files are written by ``perfbench/gen.py``'s
 own writers, so they are the benchmark's file formats byte for byte.
 ``load_truth_table`` reads a balanced table file of arity 14 and 17 (0.27
@@ -84,6 +87,7 @@ SIZES = (16, 20)
 ORACLE_ARITY = 4
 DECOMPOSE_DIMS = (16, 32, 64, 128)
 FACTOR_TEXT_DIMS = (64, 128)
+BLOCKS_DIM = 128
 TABLE_ARITIES = (14, 17)
 CIRCUIT_LINES = 20_000
 BRANCHING_SHOTS = (1_000, 10_000)
@@ -187,8 +191,9 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
     from ketsim import StateVector, TruthTable, apply_gate_at, apply_oracle_at, cnot, hadamard
     from ketsim import RngStream, measure_subset, pauli_x, toffoli_unitary
     from ketsim import haar_random_unitary, parse_circuit, recompose, two_level_decompose
-    from ketsim import bell_pair, decompose, deutsch_jozsa, format_ket, run_program, sample
+    from ketsim import bell_pair, deutsch_jozsa, format_ket, run_program, sample
     from ketsim.circuit import _compile
+    from ketsim.decompose import decompose_table
     from ketsim.cli import _json, load_distribution, load_matrix, load_truth_table
 
     bench, gen = _perfbench("run"), _perfbench("gen")
@@ -244,12 +249,17 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
             lambda: measure_subset(state, range(n), RngStream(0)), reps[n])
     for dim in DECOMPOSE_DIMS:
         u = haar_random_unitary(dim, RngStream(dim))
-        factors = two_level_decompose(u)
+        factors, held = two_level_decompose(u), decompose_table(u)
         out[f"two_level_decompose/D{dim}"] = timed(lambda: two_level_decompose(u), repeats)
         out[f"recompose/D{dim}"] = timed(lambda: recompose(factors, dim), repeats)
+        out[f"decompose_table/D{dim}"] = timed(lambda: decompose_table(u), repeats)
+        out[f"recompose_table/D{dim}"] = timed(lambda: recompose(held, dim), repeats)
         if dim in FACTOR_TEXT_DIMS:
-            held = getattr(decompose, "decompose_table", two_level_decompose)(u)
             out[f"factor_text/D{dim}"] = timed(lambda: sum(map(len, _json(held))), repeats)
+    sparse = np.zeros((BLOCKS_DIM, BLOCKS_DIM), dtype=np.complex128)
+    for at in range(0, BLOCKS_DIM, 4):
+        sparse[at : at + 4, at : at + 4] = haar_random_unitary(4, RngStream(at))
+    out[f"decompose_table/D{BLOCKS_DIM}_blocks4"] = timed(lambda: decompose_table(sparse), repeats)
     with tempfile.TemporaryDirectory() as tmp:
         for arity in TABLE_ARITIES:
             path = Path(tmp) / f"n{arity}.tbl"

@@ -1,18 +1,19 @@
 """Decomposition of a unitary into two-level factors, and recomposition.
 
 Every D x D unitary factors into at most 2*D**2 - D unitaries that each
-differ from the identity on one or two coordinate directions.  The
-construction runs eigenvector by eigenvector: a sweep of Givens-style
-rotations folds the eigenvector onto a single coordinate, a phase factor
-applies its eigenvalue there, and the adjoint sweep unfolds it.  Because
-eigenvectors of a unitary are orthogonal, each eigenvector's block of
-factors leaves the previously processed ones untouched.
+differ from the identity on one or two coordinate directions.  For each
+eigenvector, a sweep of Givens-style rotations folds it onto a single
+coordinate, a phase factor applies its eigenvalue there, and the adjoint
+sweep unfolds it; one pass of array operations builds every eigenvector's
+factors at once.  Because eigenvectors of a unitary are orthogonal, each
+eigenvector's block of factors leaves the other eigenvectors untouched.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -105,19 +106,12 @@ class FactorTable:
     def __getitem__(self, rows: slice) -> "FactorTable":
         return FactorTable(self.dim, self.first[rows], self.last[rows], self.blocks[rows])
 
-    def row_blocks(self) -> list[np.ndarray]:
-        """Each row's block as a view: its 2x2, or a phase's 1x1 corner."""
-        phases = (self.first == self.last).tolist()
-        return [block[:1, :1] if phase else block for block, phase in zip(self.blocks, phases)]
-
     def factors(self) -> list[TwoLevelFactor]:
-        """The table as a list of factors whose blocks are views of its rows."""
-        first = self.first.tolist()
-        supports = list(zip(first, self.last.tolist()))
-        for row in np.flatnonzero(self.first == self.last).tolist():
-            supports[row] = (first[row],)
+        """The table as a list of factors whose blocks are views of its rows:
+        a 2x2, or a phase's 1x1 corner."""
         trusted, dim = TwoLevelFactor._trusted, self.dim
-        return [trusted(dim, s, block) for s, block in zip(supports, self.row_blocks())]
+        return [trusted(dim, (a, b), block) if a != b else trusted(dim, (a,), block[:1, :1])
+                for a, b, block in zip(self.first.tolist(), self.last.tolist(), self.blocks)]
 
 
 def _apply_in_place(factors: list[TwoLevelFactor] | FactorTable, a: np.ndarray) -> None:
@@ -127,18 +121,24 @@ def _apply_in_place(factors: list[TwoLevelFactor] | FactorTable, a: np.ndarray) 
     rows = a.shape[0]
     if isinstance(factors, FactorTable):
         dims = [factors.dim] if len(factors) else []
-        triples = zip(reversed(factors.first.tolist()), reversed(factors.last.tolist()),
-                      reversed(factors.row_blocks()))
+        triples = zip(factors.first[::-1].tolist(), factors.last[::-1].tolist(),
+                      factors.blocks[::-1])
     else:
         dims = [f.dim for f in factors]
         triples = ((f.support[0], f.support[-1], f.block) for f in reversed(factors))
     for dim in reversed(dims):
         if dim != rows:
             raise DimensionMismatch(f"factor of dimension {dim} applied to {rows} rows")
+    pair = np.empty_like(a[:2])
     for first, last, block in triples:
-        # the support's rows as one strided view, not a gathered copy
-        view = a[first : last + 1 : max(last - first, 1)]
-        view[...] = block @ view
+        # the support's rows as one strided view, not a gathered copy; the
+        # product goes to a buffer, since it reads both rows it rewrites
+        if first == last:
+            view, block, out = a[first : first + 1], block[:1, :1], pair[:1]
+        else:
+            view, out = a[first : last + 1 : last - first], pair
+        np.matmul(block, view, out=out)
+        view[...] = out
 
 
 def unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,23 +181,27 @@ def eigenvector_factors(vector: np.ndarray, eigenvalue: complex) -> list[TwoLeve
     At most 2*(D-1) rotations plus one phase are constructed; blocks that
     are the identity to within ``ELIDE_EPS`` are dropped from the result.
     """
-    dim = np.size(vector)
-    table = FactorTable.zeros(dim, 2 * dim - 1)
-    return table[: _sweep_rows(vector, eigenvalue, table, 0)].factors()
+    return _sweep(np.array(vector, dtype=np.complex128).reshape(1, -1), [eigenvalue]).factors()
 
 
-def _sweep_rows(vector: np.ndarray, eigenvalue: complex, table: FactorTable, start: int) -> int:
-    """Write :func:`eigenvector_factors` of ``vector`` into ``table`` from
-    row ``start`` on; returns the row after the last one written."""
-    c = np.asarray(vector, dtype=np.complex128).copy()
-    pivot = int(np.argmax(np.abs(c)))
-    if abs(c[pivot]) > PIVOT_EPS:
-        # Eigenvectors are phase-free; pin the pivot entry real-positive so
-        # axis-aligned eigenvectors produce no rotations at all.
-        c *= np.conj(c[pivot]) / abs(c[pivot])
-    # The scalar abs(c[i]) bit for bit: np.abs of a complex array rounds
-    # differently from the scalar (about a third of random entries), hypot
-    # of the parts does not.
+def _sweep(c: np.ndarray, eigenvalues) -> FactorTable:
+    """The table of :func:`eigenvector_factors` of each row of the
+    C-order ``c``, which is overwritten, with its eigenvalue, row 0's
+    factors first.  The moduli's recurrence and each eigenvalue's phase run
+    in Python; everything else is array work over all rows.  The bits are
+    those of one vector's scalar loop: every array step here is elementwise,
+    or per row (``TestNumpyFacts``)."""
+    count, dim = c.shape
+    rows = np.arange(count)
+    pivots = np.argmax(np.abs(c), axis=1)
+    # Eigenvectors are phase-free; pin each pivot entry real-positive so
+    # axis-aligned eigenvectors produce no rotations at all.  The scalar
+    # conj(c[pivot]) / abs(c[pivot]) bit for bit: np.abs of a complex array
+    # rounds differently from the scalar abs, hypot of the parts does not.
+    p = c[rows, pivots]
+    p_abs = np.hypot(p.real, p.imag)
+    pin = p_abs > PIVOT_EPS
+    c[pin] *= (np.conj(p[pin]) / p_abs[pin])[:, None]
     mags = np.hypot(c.real, c.imag)
 
     # The sweep rotates c[other] into c[pivot] for each other in index
@@ -205,66 +209,65 @@ def _sweep_rows(vector: np.ndarray, eigenvalue: complex, table: FactorTable, sta
     # a complex pivot into its modulus, and later ones change nothing and
     # emit nothing, so they are left out.
     swept = mags != 0.0
-    zeros = np.flatnonzero(~swept)
-    swept[zeros[zeros != pivot][:1]] = True
-    swept[pivot] = False
-    others = np.flatnonzero(swept)
-    # Only the modulus recurrence runs in Python: the pivot entry becomes
-    # r = hypot(|c[pivot]|, |c[other]|) after each rotation that is not
-    # skipped, and a skipped one leaves it unchanged.
-    rotated: list[int] = []
+    zeros = ~swept
+    zeros[rows, pivots] = False
+    swept[rows, np.argmax(zeros, axis=1)] |= zeros.any(axis=1)
+    swept[rows, pivots] = False
+    owner, others = np.nonzero(swept)
+    # The modulus recurrence runs in Python, one row at a time: the
+    # pivot entry becomes r = hypot(|c[pivot]|, |c[other]|) after each
+    # rotation that is not skipped, and a skipped one leaves it unchanged.
+    # Since hypot(r, m) >= r, a rotation is skipped only before the first
+    # one made, and the rest is one accumulate of math.hypot.
+    moduli = mags[owner, others].tolist()
+    rotated = np.ones(owner.size, dtype=bool)
     radii: list[float] = []
-    r_pivot = float(mags[pivot])
-    for k, m in enumerate(mags[others].tolist()):
-        r = math.hypot(r_pivot, m)
-        if r < PIVOT_EPS:
-            continue
-        rotated.append(k)
-        radii.append(r)
-        r_pivot = r
+    ends = np.cumsum(swept.sum(axis=1)).tolist()
+    for r, lo, hi in zip(mags[rows, pivots].tolist(), [0, *ends], ends):
+        first = lo
+        while first < hi and math.hypot(r, moduli[first]) < PIVOT_EPS:
+            first += 1
+        rotated[lo:first] = False
+        radii += islice(accumulate(moduli[first:hi], math.hypot, initial=r), 1, None)
 
-    blocks = np.empty((0, 2, 2), dtype=np.complex128)
-    others = others[rotated]
-    if radii:
-        r = np.array(radii)
-        co = c[others]
-        cp = np.empty_like(co)  # the pivot entry before each rotation
-        cp[0] = c[pivot]
-        cp[1:] = r[:-1]
-        cp_r, co_r = cp / r, co / r
-        # The largest entry of block - identity, taken as Python's max of
-        # the two moduli; most rotations of a sparse eigenvector are elided.
-        shift = cp_r - 1
-        dev_p, dev_o = np.hypot(shift.real, shift.imag), np.hypot(co_r.real, co_r.imag)
-        keep = ~(np.where(dev_o > dev_p, dev_o, dev_p) < ELIDE_EPS)
-        cp, co, r, others = cp[keep], co[keep], r[keep], others[keep]
-        # on (pivot, other); on (other, pivot) its rows and columns reverse
-        blocks = np.empty((others.size, 2, 2), dtype=np.complex128)
-        blocks[:, 0, 0] = np.conj(cp) / r
-        blocks[:, 0, 1] = np.conj(co) / r
-        blocks[:, 1, 0] = -co / r
-        blocks[:, 1, 1] = cp_r[keep]
-        below = others < pivot
-        blocks[below] = blocks[below, ::-1, ::-1]
+    owner, others, r = owner[rotated], others[rotated], np.array(radii)
+    co = c[owner, others]
+    cp = np.empty_like(co)  # the pivot entry before each rotation
+    cp[1:] = r[:-1]
+    fresh = np.diff(owner, prepend=-1) != 0  # each row's first rotation
+    cp[fresh] = c[owner[fresh], pivots[owner[fresh]]]
+    cp_r, co_r = cp / r, co / r
+    # The largest entry of block - identity, taken as Python's max of the
+    # two moduli; most rotations of a sparse eigenvector are elided.
+    shift = cp_r - 1
+    dev_p, dev_o = np.hypot(shift.real, shift.imag), np.hypot(co_r.real, co_r.imag)
+    keep = ~(np.where(dev_o > dev_p, dev_o, dev_p) < ELIDE_EPS)
+    cp, co, r, owner, others = cp[keep], co[keep], r[keep], owner[keep], others[keep]
+    # on (pivot, other); on (other, pivot) its rows and columns reverse
+    blocks = np.stack([np.conj(cp) / r, np.conj(co) / r, -co / r, cp_r[keep]], axis=1)
+    blocks = blocks.reshape(-1, 2, 2)
+    below = others < pivots[owner]
+    blocks[below] = blocks[below, ::-1, ::-1]
 
-    # The adjoint rotations (each the conjugate transpose of its forward
-    # block), then the phase, then the rotations, last first.
-    count = others.size
-    adjoints, rotations = slice(start, start + count), slice(start + count, start + 2 * count)
-    np.minimum(others, pivot, out=table.first[adjoints])
-    np.maximum(others, pivot, out=table.last[adjoints])
-    np.conjugate(blocks.transpose(0, 2, 1), out=table.blocks[adjoints])
-    lam = complex(eigenvalue)
-    lam /= abs(lam)
-    if abs(lam - 1.0) >= ELIDE_EPS:
-        phase = start + count
-        table.first[phase] = table.last[phase] = pivot
-        table.blocks[phase, 0, 0] = lam
-        rotations = slice(phase + 1, phase + 1 + count)
-    table.first[rotations] = table.first[adjoints][::-1]
-    table.last[rotations] = table.last[adjoints][::-1]
-    table.blocks[rotations] = blocks[::-1]
-    return rotations.stop
+    # Each row's adjoint rotations (each the conjugate transpose of its
+    # forward block), then its phase, then its rotations, last first.
+    lams = [lam / abs(lam) for lam in map(complex, eigenvalues)]  # Python's complex division
+    phased = np.array([abs(lam - 1.0) >= ELIDE_EPS for lam in lams], dtype=bool)
+    counts = np.bincount(owner, minlength=count)
+    sizes = 2 * counts + phased
+    starts = np.cumsum(sizes) - sizes
+    pos = np.arange(owner.size) - np.searchsorted(owner, owner)
+    adjoints = starts[owner] + pos
+    rotations = starts[owner] + sizes[owner] - 1 - pos
+    table = FactorTable.zeros(dim, int(sizes.sum()))
+    low, high = np.minimum(others, pivots[owner]), np.maximum(others, pivots[owner])
+    for at, block in ((adjoints, np.conjugate(blocks.transpose(0, 2, 1), order="C")),
+                      (rotations, blocks)):
+        table.first[at], table.last[at], table.blocks[at] = low, high, block
+    at = (starts + counts)[phased]
+    table.first[at] = table.last[at] = pivots[phased]
+    table.blocks[at, 0, 0] = np.array(lams, dtype=np.complex128)[phased]
+    return table
 
 
 def decompose_table(u: np.ndarray) -> FactorTable:
@@ -278,12 +281,8 @@ def decompose_table(u: np.ndarray) -> FactorTable:
     if not is_unitary(u, 1e-9):
         raise NotUnitary("two_level_decompose requires a unitary matrix")
     eigenvalues, vectors = _schur_eigensystem(u)
-    dim = u.shape[0]
-    table = FactorTable.zeros(dim, dim * (2 * dim - 1))
-    end = 0
-    for k in range(dim):
-        end = _sweep_rows(vectors[:, k], eigenvalues[k], table, end)
-    return table[:end]
+    # one sweep over every eigenvector, each a C-order row
+    return _sweep(np.array(vectors.T, order="C"), eigenvalues)
 
 
 def two_level_decompose(u: np.ndarray) -> list[TwoLevelFactor]:

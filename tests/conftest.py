@@ -89,9 +89,9 @@ def kron_chain(*matrices: np.ndarray) -> np.ndarray:
 
 
 def factor_table(factors) -> FactorTable:
-    """The table of a list of two-level factors, for the CLI's factor text:
-    each row holds its block's entries in C order, whatever the block's own
-    layout."""
+    """The table of a list of two-level factors, for the CLI's factor text
+    and the reference of the sweep: each row holds its block's entries in
+    C order, whatever the block's own layout."""
     table = FactorTable.zeros(factors[0].dim if factors else 0, len(factors))
     for row, factor in enumerate(factors):
         size = len(factor.support)

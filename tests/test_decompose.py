@@ -92,6 +92,23 @@ def reference_recompose(factors, dim):
     return out
 
 
+def reference_table(values, vectors):
+    """Reference for ``decompose_table``: the table of the concatenated
+    ``reference_eigenvector_factors`` of every eigenvector, in order."""
+    factors = []
+    for k in range(vectors.shape[1]):
+        factors += reference_eigenvector_factors(vectors[:, k], values[k])
+    return factor_table(factors)
+
+
+def assert_same_table(got, expected):
+    """Equal rows, byte for byte, in ``first``, ``last`` and ``blocks``."""
+    assert len(got) == len(expected)
+    for a, b in ((got.first, expected.first), (got.last, expected.last),
+                 (got.blocks, expected.blocks)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def same_bits(a, b):
     """Equal shapes and equal bits, signed zeros and NaN payloads included."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
@@ -144,6 +161,8 @@ def edge_vectors():
     yield "skipped-zero", np.array([9e-15j, 0, 0, 8e-15])
     yield "all-skipped", np.array([5e-15j, 0, 0, 3e-15])
     yield "near-axis", np.array([0, 1, 1e-13, 0, -1e-12j, 0])
+    # two entries tied at the largest modulus: the pivot is the first
+    yield "tied-pivot", np.array([0.6, 0.8j, -0.8, 0.6j])
 
 
 def random_edge_vectors(count):
@@ -205,6 +224,10 @@ def recompose_inputs():
         yield f"blockdiag{dim}x{block}", block_diagonal_unitary(dim, block, rng)
 
 
+#: Dimensions of the facts below: one entry to the decomposition cap.
+FACT_DIMS = (1, 2, 5, 7, 64, 128, 256)
+
+
 class TestNumpyFacts:
     """The bulk sweep of ``eigenvector_factors`` keeps the bits of the
     scalar loop on these facts; an upgrade that breaks one fails here."""
@@ -237,6 +260,66 @@ class TestNumpyFacts:
         for x in [*r.tolist(), 0.0, 5e-324, 1e-310, math.inf]:
             assert math.hypot(x, 0.0) == x
             assert math.hypot(x, -0.0) == x
+
+    # The facts of the sweep over every eigenvector at once: each array op
+    # over the (D, D) rows gives each row the bits of the op on that row
+    # alone, as a fresh 1-D copy, the way one vector's loop computed it.
+
+    @staticmethod
+    def _rows(dim):
+        """A C-order (dim, dim) array of ``_values``, specials scattered."""
+        z, _ = TestNumpyFacts._values(max(dim * dim, 40))
+        return np.random.default_rng(dim).permutation(z)[: dim * dim].reshape(dim, dim)
+
+    @pytest.mark.parametrize("dim", FACT_DIMS)
+    def test_abs_of_rows_equals_abs_of_each_row(self, dim):
+        # the pivots' argmax reads these moduli
+        c = self._rows(dim)
+        assert same_bits(np.abs(c), np.array([np.abs(row.copy()) for row in c]))
+
+    @pytest.mark.parametrize("dim", FACT_DIMS)
+    def test_argmax_of_rows_is_each_rows_first_largest(self, dim):
+        m = np.abs(self._rows(dim))
+        m[:, -1] = m.max(axis=1)  # each row's largest, tied at its end
+        assert np.argmax(m, axis=1).tolist() == [int(np.argmax(row)) for row in m]
+
+    @pytest.mark.parametrize("dim", FACT_DIMS)
+    def test_pivot_phases_equal_scalar(self, dim):
+        p = self._rows(dim).reshape(-1)
+        p = p[np.hypot(p.real, p.imag) > PIVOT_EPS]  # the pivots pinned
+        scalar = np.array([np.conj(v) / abs(v) for v in p], dtype=np.complex128)
+        assert same_bits(np.conj(p) / np.hypot(p.real, p.imag), scalar)
+
+    @pytest.mark.parametrize("dim", FACT_DIMS)
+    def test_rows_times_column_equal_each_row_times_scalar(self, dim):
+        # the pinning of the pivots: c[pin] *= phase[pin, None]
+        rng = np.random.default_rng(dim)
+        c = self._rows(dim)
+        phase = np.exp(1j * rng.uniform(0, 2 * math.pi, dim))
+        phase[: min(dim, 3)] = [1, -1j, -1][: min(dim, 3)]
+        pin = rng.random(dim) < 0.8
+        got = c.copy()
+        got[pin] *= phase[pin, None]
+        expected = c.copy()
+        for k in np.flatnonzero(pin).tolist():
+            row = c[k].copy()
+            row *= phase[k]  # a numpy complex scalar
+            expected[k] = row
+        assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("dim", FACT_DIMS)
+    def test_hypot_of_rows_equals_hypot_of_each_row(self, dim):
+        c = self._rows(dim)
+        rows = [np.hypot(row.copy().real, row.copy().imag) for row in c]
+        assert same_bits(np.hypot(c.real, c.imag), np.array(rows).reshape(dim, dim))
+
+    def test_hypot_is_never_below_its_first_argument(self):
+        # so a rotation is skipped (r < PIVOT_EPS) only before the first one
+        # made, and the rest of a row's recurrence is one accumulate
+        z, r = self._values()
+        moduli = [*np.hypot(z.real, z.imag).tolist(), 0.0, 5e-324, 1e-310, 1e-15, 1e-14]
+        for x, y in zip(r.tolist() + moduli, moduli + r.tolist()):
+            assert math.hypot(x, y) >= x
 
 
 class TestEigensystem:
@@ -532,6 +615,53 @@ class TestFactorTable:
         for k in columns:
             assert_same_factors(eigenvector_factors(vectors[:, k], values[k]),
                                 reference_eigenvector_factors(vectors[:, k], values[k]))
+
+    @pytest.mark.parametrize("u", [
+        pytest.param(u, id=f"{kind}-{name}") for kind, cases in (
+            ("sweep", sweep_inputs()), ("table", table_unitaries()),
+            ("dim1", [("phase", np.array([[cmath.exp(0.7j)]])), ("identity", np.eye(1))]))
+        for name, u in cases
+    ])
+    def test_table_equals_reference_of_every_eigenvector(self, u):
+        assert_same_table(decompose_table(u), reference_table(*unitary_eigensystem(u)))
+
+    def test_table_equals_reference_on_tied_pivots(self, monkeypatch):
+        # eigenvectors 1 to 4 have four entries tied at modulus 1/2, real or
+        # imaginary: each pivot is the first of the four.  The eigensystem
+        # is given, since a Schur factorisation would round the ties apart.
+        vectors = np.eye(6, dtype=complex)
+        hadamard4 = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])
+        vectors[1:5, 1:5] = 0.5 * hadamard4 * np.array([1, 1j, -1, -1j])
+        values = np.exp(1j * np.array([0.3, 1.1, 2.0, -0.7, 0.0, 2.5]))
+        u = vectors @ np.diag(values) @ vectors.conj().T
+        monkeypatch.setattr("ketsim.decompose._schur_eigensystem", lambda m: (values, vectors))
+        table = decompose_table(u)
+        assert len(table) and set(table.first[table.first == table.last].tolist()) >= {1}
+        assert_same_table(table, reference_table(values, vectors))
+
+    def test_table_holds_exactly_its_rows(self):
+        table = _table("blockdiag128")
+        for column in (table.first, table.last, table.blocks):
+            assert column.base is None and len(column) == len(table)
+
+    @pytest.mark.parametrize("u, phases", [
+        pytest.param(np.eye(4), 0, id="empty"),
+        pytest.param(np.diag(np.exp(1j * np.arange(1, 9))), 8, id="phases-only"),
+        pytest.param(np.array([[cmath.exp(0.7j)]]), 1, id="dim1"),
+        pytest.param(haar_random_unitary(8, RngStream(6)), None, id="haar8"),
+    ])
+    def test_recompose_and_state_equal_reference(self, u, phases):
+        table, dim = decompose_table(u), u.shape[0]
+        factors = table.factors()
+        if phases is not None:  # a table of phases alone
+            assert len(table) == phases and np.array_equal(table.first, table.last)
+        assert same_bits(recompose(table, dim), reference_recompose(factors, dim))
+        s = rand_state(dim.bit_length() - 1, RngStream(dim))
+        expected = s.amplitudes.copy()
+        for factor in reversed(factors):
+            reference_apply_to(factor, expected)
+        expected = StateVector._trusted(expected).amplitudes  # as apply_factors returns it
+        assert same_bits(apply_factors(table, s).amplitudes, expected)
 
     def test_factors_round_trip_in_c_order(self):
         table = _table("haar5")
