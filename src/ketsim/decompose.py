@@ -157,6 +157,8 @@ def unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _schur_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`unitary_eigensystem` of a complex128 ``u`` already checked unitary."""
+    if not u.size:  # 0 x 0 passes the unitarity check
+        raise InvalidInput("dimension must be positive")
     import scipy.linalg  # loaded on first use: the package's one scipy call
 
     try:

@@ -12,9 +12,10 @@ must be applied through the O(2**n) kernels ``apply_gate_at`` and
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import or_
 
 import numpy as np
 
@@ -23,9 +24,10 @@ from .state import StateVector, _check_qubits, _split_axes, index_to_bits
 
 DENSE_DIM_CAP = 1024
 
-# Bytes of state per block of the gather-and-multiply kernel: the block,
-# its gathered copy and the product all fit in a 2 MiB L2 cache.
-_BLOCK_BYTES = 1 << 17
+# Amplitudes per block of the kernels, 2**13 (128 KiB): the block, its
+# gathered copy and the product all fit in a 2 MiB L2 cache.
+_BLOCK_BITS = 13
+_BLOCK_BYTES = 16 << _BLOCK_BITS
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -178,6 +180,69 @@ def _check_dense_dim(dim: int) -> None:
         )
 
 
+def _spread(value: int, positions: list[int]) -> int:
+    """The int whose bit ``positions[i]`` is bit i of ``value``."""
+    return sum(((value >> i) & 1) << b for i, b in enumerate(positions))
+
+
+class _IndexGather:
+    """A permutation flipping target bits of each basis index: output i is
+    input i ^ delta(p), p the pattern of i's target bits (first target most
+    significant).  By its index bits of s and up, each block of 2**s outputs
+    is one run of the input or one ``np.take`` through a table of 2**s
+    indices above a base.  A call builds its tables, at most 2**14 entries
+    (128 KiB), and drops them.  Copies keep every bit and signed zero."""
+
+    __slots__ = ("size", "low", "high", "flips", "moves")
+
+    @classmethod
+    def plan(cls, targets: list[int], n: int, delta: Callable[[int], int]) -> _IndexGather | None:
+        """The gather, or None where it is slower: below 2**16 amplitudes,
+        where building tables costs more than a call saves, and where a block
+        holds at most 2**8 runs of the innermost target, as slice copies pay
+        per run.  The block is the largest up to 2**13 whose tables fit."""
+        if n < 16:
+            return None
+        bits = [n - 1 - q for q in targets]
+        s = _BLOCK_BITS
+        while s + sum(b >= s for b in bits) > 14:  # one table per pattern above s
+            s -= 1
+        if min(bits) + 8 >= s:
+            return None
+        self, deltas = cls.__new__(cls), [delta(p) for p in range(1 << len(bits))]
+        # (index bit, pattern bit) of the targets below and above bit s
+        low = [(b, len(bits) - 1 - t) for t, b in enumerate(bits) if b < s]
+        high = [(b, len(bits) - 1 - t) for t, b in enumerate(bits) if b >= s]
+        # the index bits of s and up that some delta flips: a block's base clears them
+        self.size, self.flips = 1 << s, reduce(or_, deltas) >> s << s
+        self.low, self.high = [b for b, _ in low], sum(1 << b for b, _ in high)
+        patterns = [_spread(a, [p for _, p in low]) for a in range(1 << len(low))]
+        self.moves = {}  # by block start: source - base - offset, per low assignment
+        for a in range(1 << len(high)):
+            start, pattern = _spread(a, [b for b, _ in high]), _spread(a, [p for _, p in high])
+            moves = [(start & self.flips) ^ deltas[pattern | p] for p in patterns]
+            run = moves.count(moves[0]) == len(moves) and not moves[0] % self.size
+            self.moves[start] = moves[0] if run else np.array(moves)
+        return self
+
+    def __call__(self, amps: np.ndarray) -> np.ndarray:
+        size, offsets = self.size, np.arange(self.size)
+        column = offsets * 0  # the assignment of the low targets at each offset
+        for i, b in enumerate(self.low):
+            column |= ((offsets >> b) & 1) << i
+        sources = {start: m if type(m) is int else offsets ^ m[column]
+                   for start, m in self.moves.items()}
+        src = amps.reshape(-1)
+        out = np.empty_like(src)
+        for start in range(0, src.size, size):
+            source, base = sources[start & self.high], start & ~self.flips
+            if type(source) is int:
+                out[start : start + size] = src[base + source : base + source + size]
+            else:  # every index is in range; "clip" spares a buffered ``out``
+                np.take(src[base:], source, out=out[start : start + size], mode="clip")
+        return out.reshape(amps.shape)
+
+
 class _GatePlan:
     """Gate ``g`` on the ``targets`` of 2**n amplitudes (qubit 0 most
     significant), planned once.  ``apply(amps)`` returns a fresh array with
@@ -188,13 +253,17 @@ class _GatePlan:
     amplitudes that copies nothing, output slice r (the amplitudes whose
     target bits spell r) is the sum over the gate's columns c of g[r, c]
     times input slice c.  When every row of g is a unit vector (X, CNOT,
-    Toffoli) that sum is one slice copy.  Any other gate gathers the 2**k
-    input slices of one cache-sized block at a time and multiplies them by
-    g in one matrix product: per amplitude the same products, summed in the
-    same order, as one contraction of the whole state.
+    Toffoli) that sum is one slice copy, or an ``_IndexGather`` where its
+    plan finds that faster.  Any other gate is matrix products: per
+    amplitude the same products, summed in the same order, as one
+    contraction of the whole state.  A 1-qubit gate whose runs hold at
+    least 256 amplitudes multiplies strided views of the state (zgemm's
+    bits depend on neither stride nor column count); any other gate
+    gathers the 2**k input slices of one cache-sized block at a time into
+    a buffer and multiplies that.
     """
 
-    __slots__ = ("k", "shape", "order", "g", "copies", "axis", "step", "block_shape")
+    __slots__ = ("k", "shape", "order", "g", "copies", "gather", "axis", "step", "block_shape")
 
     def __init__(self, g: np.ndarray, targets: Sequence[int], n: int):
         targets = list(targets)
@@ -211,13 +280,18 @@ class _GatePlan:
             row.index(1) if row.count(0) == len(row) - 1 and 1 in row else None
             for row in g.tolist()
         ]
+        self.g, self.copies, self.gather, self.block_shape = g, None, None, None
         if None not in sources:
-            # (output slice, input slice) index pairs: the bits of r and c
-            self.g, self.copies = None, tuple(
-                (index_to_bits(r, k), index_to_bits(c, k)) for r, c in enumerate(sources)
-            )
+            # output index i reads i with its target bits r ^ c flipped
+            bits = [n - 1 - q for q in reversed(targets)]
+            self.gather = _IndexGather.plan(targets, n, lambda r: _spread(r ^ sources[r], bits))
+            if self.gather is None:  # (output slice, input slice) index pairs
+                self.copies = tuple(
+                    (index_to_bits(r, k), index_to_bits(c, k)) for r, c in enumerate(sources)
+                )
             return
-        self.g, self.copies = g, None
+        if k == 1 and n - 1 - targets[0] >= 8:  # runs of 256: the state's own rows
+            return
         # Otherwise gather one block at a time.  Blocks cut the outermost
         # non-target axis with at least ``count`` entries (else the longest),
         # so that each block is a few contiguous runs (at count 1, one block).
@@ -235,7 +309,16 @@ class _GatePlan:
         self.block_shape = tuple(viewed)
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
+        if self.gather is not None:
+            return self.gather(amps)
         out = np.empty(self.shape, dtype=np.complex128)
+        if self.copies is None and self.block_shape is None:
+            # (row, column block, 2, columns), 4096 columns per product
+            run = self.shape[-1]
+            cols = min(run, _BLOCK_BYTES // 32)
+            view = lambda a: a.reshape(-1, 2, run // cols, cols).transpose(0, 2, 1, 3)
+            np.matmul(self.g, view(amps), out=view(out))
+            return out.reshape(amps.shape)
         # Views with the target axes first: indexing their first k axes
         # with the bits of r picks slice r.
         src = amps.reshape(self.shape).transpose(self.order)
@@ -320,10 +403,12 @@ def oracle_from_truth_table(f: TruthTable) -> np.ndarray:
 
 class _OraclePlan:
     """The oracle of ``f`` on ``targets`` of an n-qubit state, planned once:
-    amplitudes whose inputs have f = 1 swap with their output-flipped twin.
-    It checks the target count (arity + 1), then the targets."""
+    amplitudes whose inputs have f = 1 swap with their output-flipped twin,
+    by an ``_IndexGather`` where its plan finds it faster, else by one
+    ``np.where``; both only copy.  It checks the target count (arity + 1),
+    then the targets."""
 
-    __slots__ = ("shape", "mask", "output_axis")
+    __slots__ = ("shape", "mask", "output_axis", "gather")
 
     def __init__(self, f: TruthTable, targets: Sequence[int], n: int):
         targets = list(targets)
@@ -337,8 +422,13 @@ class _OraclePlan:
         sizes = [2] * f.arity + [1] * (len(self.shape) - f.arity)
         mask = np.frombuffer(f.outputs, dtype=bool).reshape(sizes).transpose(np.argsort(order))
         self.mask, self.output_axis = mask, order[f.arity]
+        # pattern 2x + y flips the output bit when f(x) = 1
+        bit = n - 1 - targets[-1]
+        self.gather = _IndexGather.plan(targets, n, lambda p: f.outputs[p >> 1] << bit)
 
     def __call__(self, s: StateVector) -> StateVector:
+        if self.gather is not None:
+            return StateVector._trusted(self.gather(s.amplitudes))
         view = s.amplitudes.reshape(self.shape)
         flipped = np.flip(view, self.output_axis)
         return StateVector._trusted(np.where(self.mask, flipped, view).reshape(-1))

@@ -729,6 +729,12 @@ class TestHaarRandomUnitary:
                      "support must lie in range(3)", id="factor-phase-at-dim"),
         pytest.param(lambda: haar_random_unitary(0, RngStream(0)),
                      "dimension must be positive", id="haar-dimension-0"),
+        pytest.param(lambda: unitary_eigensystem(np.zeros((0, 0))),
+                     "dimension must be positive", id="eigensystem-dimension-0"),
+        pytest.param(lambda: two_level_decompose(np.zeros((0, 0))),
+                     "dimension must be positive", id="decompose-dimension-0"),
+        pytest.param(lambda: decompose_table(np.zeros((0, 0))),
+                     "dimension must be positive", id="decompose-table-dimension-0"),
     ],
 )
 def test_raise_site(call, message):

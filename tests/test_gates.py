@@ -37,7 +37,7 @@ from ketsim import (
 )
 from ketsim.decompose import haar_random_unitary
 from ketsim.errors import CapacityExceeded
-from ketsim.gates import _OraclePlan
+from ketsim.gates import _GatePlan, _IndexGather, _OraclePlan
 from conftest import kron_chain, rand_state
 
 SQ2 = math.sqrt(0.5)
@@ -331,10 +331,10 @@ class TestApplyGateAt:
                 assert np.max(np.abs(got.amplitudes - expected)) <= 1e-12
 
 
-def _gather_take_scatter(g, targets, amps, n):
-    """The former path of a permutation gate whose slices were one amplitude
-    per stride (a target on the innermost axis): gather one cache-sized
-    block, permute its rows with ``np.take``, scatter it back."""
+def _staged(targets, amps, n, kernel):
+    """The kernels' former block loop: gather the 2**k target slices of one
+    cache-sized block into a buffer, run ``kernel(rows_in, rows_out)`` on
+    its (2**k, -1) rows, scatter the result back."""
     k = len(targets)
     shape, axes, prev = [], {}, -1
     for q in sorted(targets):
@@ -350,7 +350,6 @@ def _gather_take_scatter(g, targets, amps, n):
     bit_axes = [axes[q] for q in targets]
     src = np.moveaxis(amps.reshape(shape), bit_axes, range(k))
     dst = np.moveaxis(out, bit_axes, range(k))
-    sources = [row.index(1) for row in g.tolist()]
     count = max(1, out.nbytes // (1 << 17))
     rest = range(k, src.ndim)
     longest = max(rest, key=src.shape.__getitem__, default=None)
@@ -367,9 +366,33 @@ def _gather_take_scatter(g, targets, amps, n):
     rows_in, rows_out = gathered.reshape(1 << k, -1), product.reshape(1 << k, -1)
     for block in blocks:
         gathered[...] = src[block]
-        np.take(rows_in, sources, axis=0, out=rows_out)
+        kernel(rows_in, rows_out)
         dst[block] = product
     return out.reshape(amps.shape)
+
+
+def _gather_take_scatter(g, targets, amps, n):
+    """The former path of a permutation gate whose slices were one amplitude
+    per stride (a target on the innermost axis): gather one cache-sized
+    block, permute its rows with ``np.take``, scatter it back."""
+    sources = [row.index(1) for row in g.tolist()]
+    return _staged(targets, amps, n, lambda i, o: np.take(i, sources, axis=0, out=o))
+
+
+def _staged_products(g, targets, amps, n):
+    """The path every dense gate took before the strided products: the
+    block loop with one matrix product per block."""
+    return _staged(targets, amps, n, lambda i, o: np.matmul(g, i, out=o))
+
+
+def _where_oracle(f, targets, amps):
+    """The path every oracle took before the index gather: one ``np.where``
+    pass over the state and its flip along the output axis."""
+    n, k = amps.size.bit_length() - 1, len(targets)
+    moved = np.moveaxis(amps.reshape([2] * n), targets, range(k))
+    mask = np.frombuffer(f.outputs, dtype=bool).reshape([2] * f.arity + [1] * (n - f.arity))
+    chosen = np.where(mask, np.flip(moved, f.arity), moved)
+    return np.moveaxis(chosen, range(k), targets).reshape(-1)
 
 
 _SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
@@ -402,8 +425,9 @@ def _last_qubit_permutations(n):
 
 
 class TestPermutationReference:
-    """Permutation gates are slice copies wherever their targets lie; their
-    bits equal those of the former gather/``np.take``/scatter path."""
+    """Permutation gates are slice copies or an index gather, chosen by the
+    state size and the innermost target; either way their bits equal those
+    of the former gather/``np.take``/scatter path."""
 
     @pytest.mark.parametrize("n", [*range(2, 13), 16])
     def test_apply_gate_at_matches_gather_take_scatter(self, n):
@@ -422,6 +446,155 @@ class TestPermutationReference:
                 expected = _gather_take_scatter(g, [i, j], identity(1 << n), n)
                 got = embed_two(g, i, j, n)
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def _seeded_table(arity, seed):
+    outputs = np.random.default_rng(seed).integers(0, 2, 1 << arity).astype(np.uint8)
+    return TruthTable(arity, outputs.tobytes())
+
+
+def _same_bits(got, expected):
+    return np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def _path(plan):
+    """Which kernel a plan runs."""
+    if plan.gather is not None:
+        return "gather"
+    if isinstance(plan, _OraclePlan):
+        return "where"
+    if plan.copies is not None:
+        return "copies"
+    return "direct" if plan.block_shape is None else "staged"
+
+
+# (state size, gate, targets, path) on both sides of each choice: the size
+# below which permutations stay slice copies (2**16), the innermost target's
+# runs (fewer than 2**8 per block of 2**s, s = 13 less the targets above
+# it), and the run from which a 1-qubit gate multiplies the state's own
+# rows (256)
+_THRESHOLD_CASES = [
+    (15, pauli_x(), [14], "copies"), (16, pauli_x(), [15], "gather"),
+    (16, pauli_x(), [11], "gather"), (16, pauli_x(), [10], "copies"),
+    (20, pauli_x(), [15], "gather"), (20, pauli_x(), [14], "copies"),
+    (20, cnot(), [0, 15], "gather"), (20, cnot(), [0, 14], "copies"),
+    (20, cnot(), [15, 0], "gather"), (16, cnot(), [12, 11], "gather"),
+    (20, toffoli_unitary(), [0, 1, 16], "gather"), (20, toffoli_unitary(), [0, 1, 15], "copies"),
+    (20, toffoli_unitary(), [3, 19, 1], "gather"), (16, toffoli_unitary(), [15, 3, 0], "gather"),
+    (16, _SWAP, [0, 15], "gather"), (20, _CYCLE3, [19, 2], "gather"),
+    (16, hadamard(), [7], "direct"), (16, hadamard(), [8], "staged"),
+    (20, u2_from_params(0.3, 1.1, 2.2, -0.7), [11], "direct"),
+    (20, u2_from_params(0.3, 1.1, 2.2, -0.7), [12], "staged"),
+    (20, u2_from_params(0.3, 1.1, 2.2, -0.7), [0], "direct"),
+    (20, pauli_y(), [19], "staged"), (16, pauli_z(), [0], "direct"),
+]
+
+# (state size, arity, targets, path): oracles take the gather where
+# permutations do, and keep ``np.where`` where the tables do not fit
+_ORACLE_THRESHOLD_CASES = [
+    (15, 2, [0, 5, 14], "where"), (16, 2, [0, 5, 15], "gather"),
+    (20, 4, [0, 1, 2, 3, 19], "gather"), (20, 4, [0, 1, 2, 19, 3], "gather"),
+    (20, 4, [0, 1, 2, 3, 18], "gather"), (20, 4, [0, 1, 2, 17, 3], "where"),
+    (20, 4, [19, 2, 17, 5, 18], "gather"),
+    (16, 4, [3, 11, 13, 14, 4], "gather"), (16, 4, [1, 8, 3, 7, 9], "where"),
+    (18, 17, list(range(18)), "where"),
+]
+
+
+class TestKernelPaths:
+    """Every kernel path against a test-side copy of the path it replaced,
+    bit for bit on a state with signed zeros: dense gates against the
+    staged block loop, permutations against gather/``np.take``/scatter,
+    oracles against one ``np.where`` pass."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_target_position(self, n):
+        s = _signed_zero_state(n)
+        amps = s.amplitudes
+        rng = np.random.default_rng(n)
+        dense = [hadamard(), u2_from_params(*rng.uniform(-3.2, 3.2, 4))]
+        for q in range(n):
+            for g in dense:
+                got = _GatePlan(g, [q], n).apply(amps)
+                assert _same_bits(got, _staged_products(g, [q], amps, n))
+            got = _GatePlan(pauli_x(), [q], n).apply(amps)
+            assert _same_bits(got, _gather_take_scatter(pauli_x(), [q], amps, n))
+        for i, j in itertools.permutations(range(n), 2):
+            for g in (cnot(), _CYCLE3):
+                got = _GatePlan(g, [i, j], n).apply(amps)
+                assert _same_bits(got, _gather_take_scatter(g, [i, j], amps, n))
+            f = _seeded_table(1, i)
+            expected = StateVector._trusted(_where_oracle(f, [i, j], amps))
+            assert _same_bits(apply_oracle_at(f, [i, j], s).amplitudes, expected.amplitudes)
+        g = np.kron(hadamard(), dense[1])
+        for targets in list(itertools.permutations(range(n), 2))[:: max(1, n - 1)]:
+            got = _GatePlan(g, list(targets), n).apply(amps)
+            assert _same_bits(got, _staged_products(g, list(targets), amps, n))
+        if n >= 3:
+            for targets in itertools.islice(itertools.permutations(range(n), 3), 0, None, n):
+                got = _GatePlan(toffoli_unitary(), list(targets), n).apply(amps)
+                assert _same_bits(got, _gather_take_scatter(toffoli_unitary(), targets, amps, n))
+                f = _seeded_table(2, sum(targets))
+                expected = StateVector._trusted(_where_oracle(f, list(targets), amps))
+                assert _same_bits(apply_oracle_at(f, list(targets), s).amplitudes,
+                                  expected.amplitudes)
+
+    @pytest.mark.parametrize("n, g, targets, path", _THRESHOLD_CASES,
+                             ids=[f"n{c[0]}-{c[2]}-{c[3]}" for c in _THRESHOLD_CASES])
+    def test_gate_on_either_side_of_each_threshold(self, n, g, targets, path):
+        amps = _signed_zero_state(n).amplitudes
+        plan = _GatePlan(g, targets, n)
+        assert _path(plan) == path
+        reference = _staged_products if path in ("direct", "staged") else _gather_take_scatter
+        assert _same_bits(plan.apply(amps), reference(g, targets, amps, n))
+
+    @pytest.mark.parametrize("n, arity, targets, path", _ORACLE_THRESHOLD_CASES,
+                             ids=[f"n{c[0]}-{c[2]}-{c[3]}" for c in _ORACLE_THRESHOLD_CASES])
+    def test_oracle_on_either_side_of_each_threshold(self, n, arity, targets, path):
+        s = _signed_zero_state(n)
+        f = _seeded_table(arity, n)
+        plan = _OraclePlan(f, targets, n)
+        assert _path(plan) == path
+        expected = StateVector._trusted(_where_oracle(f, targets, s.amplitudes))
+        assert _same_bits(plan(s).amplitudes, expected.amplitudes)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_identity_inputs(self, n):
+        # embed runs the kernels on a (2**n, 2**n) identity as 2n qubits; at
+        # n >= 5 a gate on the first qubits multiplies the identity's own rows
+        eye = identity(1 << n)
+        g1, g2 = u2_from_params(0.3, 1.1, 2.2, -0.7), np.kron(hadamard(), pauli_y())
+        for i in range(n):
+            assert _same_bits(embed_single(g1, i, n), _staged_products(g1, [i], eye, 2 * n))
+            assert _same_bits(embed_single(pauli_x(), i, n),
+                              _gather_take_scatter(pauli_x(), [i], eye, 2 * n))
+        for i, j in itertools.permutations(range(n), 2):
+            assert _same_bits(embed_two(g2, i, j, n), _staged_products(g2, [i, j], eye, 2 * n))
+        assert n < 5 or _path(_GatePlan(g1, [0], 2 * n)) == "direct"
+
+    @pytest.mark.parametrize("n", [16, 18, 20])
+    def test_gather_tables_are_bounded(self, n):
+        # every plan that gathers builds at most 2**14 table entries (128 KiB)
+        # per call, and holds only the moves of each target assignment
+        rng = np.random.default_rng(n)
+        gathers = []
+        for k in range(1, 7):
+            for _ in range(40):
+                targets = [int(q) for q in rng.permutation(n)[:k]]
+                f = _seeded_table(k - 1, k) if k > 1 else None
+                plan = _OraclePlan(f, targets, n) if f else _GatePlan(pauli_x(), targets, n)
+                gather = plan.gather
+                if gather is not None:
+                    gathers.append(gather)
+        for k in (2, 3):
+            gate = cnot() if k == 2 else toffoli_unitary()
+            for targets in itertools.permutations(range(n - 3, n), k):
+                gathers.append(_GatePlan(gate, list(targets), n).gather)
+        assert len(gathers) > 50
+        for gather in gathers:
+            tables = [m for m in gather.moves.values() if not isinstance(m, int)]
+            assert len(tables) * gather.size * 8 <= 1 << 17
+            assert all(m.shape == (1 << len(gather.low),) for m in tables)
 
 
 class TestOracle:
