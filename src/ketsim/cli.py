@@ -44,15 +44,8 @@ from .inequalities import (
     poincare_union,
 )
 from .protocols import deutsch_jozsa, teleport, teleport_branch, teleport_pre_measurement
-from .state import (
-    DEFAULT_QUBIT_CAP,
-    KET_CHUNK,
-    StateVector,
-    ket_chunks,
-    qubit_from_angles,
-    states_equivalent,
-)
-from .text17 import LEFT, float_rows
+from .state import DEFAULT_QUBIT_CAP, StateVector, qubit_from_angles, states_equivalent
+from .text17 import FACTOR_CHUNK, KET_CHUNK, factors_text, ket_chunks, pairs_text
 
 # --- deterministic JSON rendering -----------------------------------------
 
@@ -73,7 +66,7 @@ def _json(value) -> Iterator[str]:
             yield from _json(v)
         yield "}"
     elif isinstance(value, FactorTable):
-        yield from _chunked(value, FACTOR_CHUNK, _factors_text)
+        yield from _chunked(value, FACTOR_CHUNK, factors_text)
     elif isinstance(value, (list, tuple)):
         yield "["
         for i, v in enumerate(value):
@@ -89,7 +82,7 @@ def _json(value) -> Iterator[str]:
         yield from _json(value.amplitudes)
         yield "}"
     elif isinstance(value, np.ndarray) and value.dtype == np.complex128:
-        yield from _chunked(value.reshape(-1), KET_CHUNK, _pairs_text)
+        yield from _chunked(value.reshape(-1), KET_CHUNK, pairs_text)
     else:
         yield _scalar_json(value)
 
@@ -117,70 +110,6 @@ def _scalar_json(value) -> str:
     if isinstance(value, str):
         return '"' + value.translate(_STRING_ESCAPES) + '"'
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _pair_rows(parts: np.ndarray) -> np.ndarray:
-    """The rows of ``, [re, im]`` over a contiguous float64 array of
-    alternate real and imaginary parts."""
-    rows = float_rows(parts)
-    rows[0::2, LEFT - 3 : LEFT] = np.frombuffer(b", [", dtype=np.uint8)
-    rows[1::2, LEFT - 2 : LEFT] = np.frombuffer(b", ", dtype=np.uint8)
-    rows[1::2, -1] = ord("]")
-    return rows
-
-
-def _rows_text(rows: np.ndarray) -> str:
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _pairs_text(a: np.ndarray) -> str:
-    """``[re, im], ...`` over the entries of a complex array, in C order."""
-    rows = _pair_rows(np.ascontiguousarray(a).reshape(-1).view(np.float64))
-    rows[:1, : LEFT - 1] = 0  # no ", " before the first pair
-    return _rows_text(rows)
-
-
-#: Two-level factors per rendered chunk of a ``decompose`` document.  A
-#: block is at most 2x2, so no chunk formats more than ``KET_CHUNK`` pairs.
-FACTOR_CHUNK = KET_CHUNK // 4
-
-def _digit_columns(values: np.ndarray) -> np.ndarray:
-    """The decimal texts of an int64 array as the rows of a NUL-padded uint8
-    matrix: a sign column, then the digits right-aligned."""
-    magnitude = np.abs(values)
-    width = len(str(int(magnitude.max()))) if values.size else 1
-    columns = np.zeros((values.size, 1 + width), dtype=np.uint8)
-    columns[:, 0] = (values < 0) * ord("-")
-    rest = magnitude
-    for column in range(width, 0, -1):
-        rest, digit = np.divmod(rest, 10)
-        columns[:, column] = digit + ord("0")
-    # no leading zeros: a column left of the units digit is kept where
-    # the value has that many digits
-    columns[:, 1:width] *= magnitude[:, None] >= 10 ** np.arange(width - 1, 0, -1)
-    return columns
-
-
-def _factors_text(table: FactorTable) -> str:
-    """The factors' JSON objects, comma-separated, each one row of a
-    NUL-padded byte matrix: ``, {"support": [``, the supports' digit
-    columns, ``], "block": [``, the block's pairs in C order from
-    :func:`_pair_rows`, and ``]}``.  A phase's row leaves its second support
-    and its last three pairs NUL."""
-    count = len(table)
-    phase = table.first == table.last
-
-    def text(constant: bytes) -> np.ndarray:
-        return np.broadcast_to(np.frombuffer(constant, dtype=np.uint8), (count, len(constant)))
-
-    pairs = _pair_rows(table.blocks.reshape(-1).view(np.float64)).reshape(count, -1)
-    pairs[:, : LEFT - 1] = 0  # no ", " before a block's first pair
-    pairs[phase, pairs.shape[1] // 4 :] = 0
-    second = np.where(phase[:, None], 0, np.hstack([text(b", "), _digit_columns(table.last)]))
-    rows = np.hstack([text(b', {"support": ['), _digit_columns(table.first), second,
-                      text(b'], "block": ['), pairs, text(b"]}")])
-    rows[0, :2] = 0  # no ", " before the chunk's first factor
-    return _rows_text(rows)
 
 
 # --- input file formats ----------------------------------------------------

@@ -183,7 +183,12 @@ def eigenvector_factors(vector: np.ndarray, eigenvalue: complex) -> list[TwoLeve
     At most 2*(D-1) rotations plus one phase are constructed; blocks that
     are the identity to within ``ELIDE_EPS`` are dropped from the result.
     """
-    return _sweep(np.array(vector, dtype=np.complex128).reshape(1, -1), [eigenvalue]).factors()
+    c, lam = np.array(vector, dtype=np.complex128), complex(eigenvalue)
+    if c.ndim != 1 or not c.size or not np.isfinite(c).all():
+        raise InvalidInput("eigenvector must be a nonempty finite 1-d array")
+    if not (np.isfinite(lam) and lam):
+        raise InvalidInput("eigenvalue must be finite and nonzero")
+    return _sweep(c.reshape(1, -1), [lam]).factors()
 
 
 def _sweep(c: np.ndarray, eigenvalues) -> FactorTable:

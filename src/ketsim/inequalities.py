@@ -42,7 +42,10 @@ class EventDistribution:
         n = self.num_events
         if not 1 <= n <= MAX_EVENTS:
             raise InvalidInput(f"number of events must be in [1, {MAX_EVENTS}], got {n}")
-        atoms = tuple(Fraction(a) for a in self.atom_probs)
+        try:
+            atoms = tuple(Fraction(a) for a in self.atom_probs)
+        except (ValueError, TypeError, OverflowError, ZeroDivisionError):
+            raise InvalidInput("atom probabilities must be rational numbers") from None
         if len(atoms) != 1 << n:
             raise InvalidInput(f"{n} events need {1 << n} atoms, got {len(atoms)}")
         scale, limit = 1, 10**MAX_DENOMINATOR_DIGITS

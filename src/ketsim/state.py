@@ -12,12 +12,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import CapacityExceeded, DimensionMismatch, InvalidInput
-from .text17 import LEFT, float_rows
+from .text17 import ket_chunks
 
 DEFAULT_QUBIT_CAP = 20
 
@@ -25,9 +25,6 @@ DEFAULT_QUBIT_CAP = 20
 # NORM_BUILD_TOL and reject beyond it.
 NORM_ATOL = 1e-10
 NORM_BUILD_TOL = 1e-6
-
-# Ket-rendering cutoff: terms with |amplitude| below this are omitted.
-RENDER_EPS = 1e-9
 
 
 class StateVector:
@@ -208,65 +205,6 @@ def is_product_split(s: StateVector, left_qubits: int) -> bool:
     matrix = s.amplitudes.reshape(1 << left_qubits, 1 << (n - left_qubits))
     singular = np.linalg.svd(matrix, compute_uv=False)
     return bool(np.sum(singular > 1e-8 * singular[0]) == 1)
-
-
-#: Amplitudes per rendered chunk: of a ket, and of a complex array's
-#: ``[re, im]`` pairs in the JSON output.
-KET_CHUNK = 1 << 12
-
-
-def ket_chunks(s: StateVector) -> Iterator[str]:
-    """The text of :func:`format_ket` in consecutive pieces.
-
-    Each piece holds the kept terms of ``KET_CHUNK`` amplitudes, one term
-    per row of a NUL-padded byte matrix: the separator ("+ ", "- ", or "+ ("
-    before a complex amplitude), the first part's 6-digit text (the real
-    part, or the modulus of a pure real or imaginary amplitude) from
-    :func:`~ketsim.text17.float_rows`, then a complex amplitude's signed
-    imaginary part, "i", ")", "|", the basis label, ">" and the space before
-    the next term.  Dropping the NULs gives the text.
-    """
-    amps = s.amplitudes
-    width = max(s.num_qubits, 1)  # a 0-qubit state's label is "0"
-    first = True
-    for start in range(0, amps.size, KET_CHUNK):
-        block = amps[start : start + KET_CHUNK]
-        index = np.flatnonzero(np.abs(block) >= RENDER_EPS)
-        if not index.size:
-            continue
-        re, im = block.real[index], block.imag[index]
-        real = np.abs(im) < RENDER_EPS
-        mixed = ~real & (np.abs(re) >= RENDER_EPS)
-        part = np.where(real, re, im)
-        values = np.stack([np.where(mixed, re, np.abs(part)), im], axis=1)
-        texts = float_rows(values.reshape(-1), 6).reshape(index.size, -1)
-        half = texts.shape[1] // 2  # the columns of one part's text
-        rows = np.empty((index.size, 2 * half + width + 4), dtype=np.uint8)
-        rows[:, : 2 * half] = texts
-        rows[:, half : 2 * half] *= mixed[:, None]  # an imaginary part for "%+.6gi"
-        rows[:, LEFT - 3] = np.where(~mixed & (part < 0), ord("-"), ord("+"))
-        rows[:, LEFT - 2] = ord(" ")
-        rows[:, LEFT - 1] = mixed * ord("(")
-        rows[:, half + LEFT - 1] = (mixed & ~np.signbit(im)) * ord("+")
-        rows[:, 2 * half - 1] = ~real * ord("i")
-        rows[:, 2 * half] = mixed * ord(")")
-        rows[:, 2 * half + 1] = ord("|")
-        # labels: the low ``width`` bits of each big-endian uint64 index
-        octets = (index + start).astype(">u8").view(np.uint8).reshape(-1, 8)
-        bits = np.unpackbits(octets, axis=1)[:, 64 - width :]
-        np.add(bits, ord("0"), out=rows[:, -2 - width : -2])
-        rows[:, -2] = ord(">")
-        rows[:, -1] = ord(" ")
-        rows[-1, -1] = 0
-        text = rows.tobytes().translate(None, b"\0").decode("ascii")
-        if first:  # the leading term carries only a minus sign
-            yield text[2:] if text[0] == "+" else "-" + text[2:]
-            first = False
-        else:
-            yield " "
-            yield text
-    if first:
-        yield "0"
 
 
 def format_ket(s: StateVector) -> str:

@@ -40,6 +40,7 @@ from ketsim.errors import (
     ParseError,
     PromiseViolated,
 )
+from ketsim.text17 import pairs_text
 from conftest import OTHER_LINE_BREAKS, first_difference as _first_difference, perfbench_module
 from conftest import factor_table, table_unitaries
 
@@ -1221,7 +1222,7 @@ class TestFloatText:
     def test_boundary_values(self):
         values = _boundary_floats()
         a = np.array(values + values[:1] * (len(values) % 2)).view(np.complex128)
-        assert _first_difference(cli._pairs_text(a), _reference_pairs(a)[1:-1]) is None
+        assert _first_difference(pairs_text(a), _reference_pairs(a)[1:-1]) is None
 
     @pytest.fixture(scope="class")
     def patterns(self):
@@ -1244,7 +1245,7 @@ class TestFloatText:
     def test_random_bit_patterns(self, patterns, chunk):
         a, expected = patterns
         for start in range(0, a.size if chunk > 1 else 1_000, chunk):
-            text = cli._pairs_text(a[start : start + chunk])
+            text = pairs_text(a[start : start + chunk])
             assert _first_difference(text, ", ".join(expected[start : start + chunk])) is None
 
 

@@ -735,6 +735,21 @@ class TestHaarRandomUnitary:
                      "dimension must be positive", id="decompose-dimension-0"),
         pytest.param(lambda: decompose_table(np.zeros((0, 0))),
                      "dimension must be positive", id="decompose-table-dimension-0"),
+        # checked before the sweep, which would fail differently on each
+        pytest.param(lambda: eigenvector_factors(np.zeros(0), 1),
+                     "eigenvector must be a nonempty finite 1-d array", id="eigenvector-empty"),
+        pytest.param(lambda: eigenvector_factors(np.eye(2), 1),
+                     "eigenvector must be a nonempty finite 1-d array", id="eigenvector-2d"),
+        pytest.param(lambda: eigenvector_factors(np.array([math.nan, 1.0]), 1),
+                     "eigenvector must be a nonempty finite 1-d array", id="eigenvector-nan"),
+        pytest.param(lambda: eigenvector_factors(np.array([1.0, complex(0, math.inf)]), 1),
+                     "eigenvector must be a nonempty finite 1-d array", id="eigenvector-inf"),
+        pytest.param(lambda: eigenvector_factors(np.array([1.0, 0.0]), 0),
+                     "eigenvalue must be finite and nonzero", id="eigenvalue-0"),
+        pytest.param(lambda: eigenvector_factors(np.array([1.0, 0.0]), math.nan),
+                     "eigenvalue must be finite and nonzero", id="eigenvalue-nan"),
+        pytest.param(lambda: eigenvector_factors(np.array([0.6, 0.8]), complex(math.inf, 0)),
+                     "eigenvalue must be finite and nonzero", id="eigenvalue-inf"),
     ],
 )
 def test_raise_site(call, message):

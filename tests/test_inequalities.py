@@ -432,6 +432,15 @@ class TestBellViolation:
     [
         pytest.param(lambda: EventDistribution(2, (F(1),)), "2 events need 4 atoms, got 1",
                      id="atom-count"),
+        # atoms that Fraction cannot take
+        pytest.param(lambda: EventDistribution(1, (math.nan, F(1))),
+                     "atom probabilities must be rational numbers", id="atom-nan"),
+        pytest.param(lambda: EventDistribution(1, (math.inf, F(1))),
+                     "atom probabilities must be rational numbers", id="atom-inf"),
+        pytest.param(lambda: EventDistribution(1, (F(1), -math.inf)),
+                     "atom probabilities must be rational numbers", id="atom-minus-inf"),
+        pytest.param(lambda: EventDistribution(1, ("x", F(1))),
+                     "atom probabilities must be rational numbers", id="atom-text"),
         pytest.param(lambda: boole_union_bounds([]), "at least one probability is required",
                      id="no-probabilities"),
         pytest.param(lambda: StrategyMix((F(1),) * 4), "strategy weights must sum to 1",

@@ -32,10 +32,10 @@ from ketsim import (
     two_level_decompose,
     u2_from_params,
 )
-import ketsim.state
+import ketsim.text17
 from ketsim.measure import _Projection
-from ketsim.state import NORM_ATOL, RENDER_EPS, _split_axes, ket_chunks
-from ketsim.text17 import float_rows
+from ketsim.state import NORM_ATOL, _split_axes
+from ketsim.text17 import RENDER_EPS, float_rows, ket_chunks
 from conftest import first_difference, rand_state
 
 
@@ -440,7 +440,7 @@ class TestFormatKet:
     def test_chunk_boundaries(self, monkeypatch, chunk):
         # the leading term's sign fix-up and the separators between chunks,
         # with runs of chunks that keep no term at all
-        monkeypatch.setattr(ketsim.state, "KET_CHUNK", chunk)
+        monkeypatch.setattr(ketsim.text17, "KET_CHUNK", chunk)
         rng = np.random.default_rng(chunk)
         for n in (1, 5, 9):
             for zero_share in (0.5, 0.9, 0.99):
@@ -536,7 +536,7 @@ class TestSixDigitText:
     def test_ket_on_boundary_parts(self, monkeypatch, chunk):
         # every pairing of two parts, so pure real, pure imaginary and complex
         # terms; in chunks of one term, a seeded sample of 1,024 pairings
-        monkeypatch.setattr(ketsim.state, "KET_CHUNK", chunk)
+        monkeypatch.setattr(ketsim.text17, "KET_CHUNK", chunk)
         edge = _six_digit_edge()
         values = np.array(edge + [-v for v in edge] + [0.0, -0.0, RENDER_EPS, -RENDER_EPS])
         re, im = (a.reshape(-1) for a in np.meshgrid(values, values))
@@ -548,7 +548,7 @@ class TestSixDigitText:
 
     @pytest.mark.parametrize("chunk", [1, 4096])
     def test_ket_on_bit_patterns(self, monkeypatch, bit_patterns, chunk):
-        monkeypatch.setattr(ketsim.state, "KET_CHUNK", chunk)
+        monkeypatch.setattr(ketsim.text17, "KET_CHUNK", chunk)
         parts = bit_patterns[np.isfinite(bit_patterns)]
         parts = parts[: 2 * 1024] if chunk == 1 else parts[: parts.size // 2 * 2]
         s = _parts_state(parts[0::2], parts[1::2])
