@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import _data_lines, _parse_float, _parse_int, parse_circuit, run_program
-from .decompose import FactorTable, decompose_table, recompose
+from .decompose import FactorTable, check_dim_cap, decompose_table, recompose
 from .errors import (
     CapacityExceeded,
     InvalidInput,
@@ -143,10 +143,10 @@ def _read_text(path: str) -> str:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
 
 
-def _header(lines: Iterator[tuple[int, list[str]]], kind: str, key: str, what: str) -> int:
-    """The integer, at least 1, of a ``<key>=<int>`` header alone on the next
-    data line; an empty file's error names line 1."""
-    line_no, tokens = next(lines, (1, [""]))
+def _header(line: tuple[int, list[str]] | None, kind: str, key: str, what: str) -> int:
+    """The integer, at least 1, of a ``<key>=<int>`` header alone on a file's
+    first data ``line``; a file with none has its error on line 1."""
+    line_no, tokens = line or (1, [""])
     if not tokens[0].startswith(f"{key}="):
         raise ParseError(f"{kind} must start with {key}=<{what}>", line_no)
     if len(tokens) > 1:
@@ -160,13 +160,35 @@ def _header(lines: Iterator[tuple[int, list[str]]], kind: str, key: str, what: s
     return value
 
 
-def load_truth_table(path: str) -> TruthTable:
+def _first_data_line(text: str) -> tuple[int, list[str]] | None:
+    """The first of ``_data_lines(text)``, or None, cut line by line rather
+    than from ``_data_lines``' copy of the whole text."""
+    start = 0
+    for line_no in itertools.count(1):
+        end = text.find("\n", start) + 1 or len(text)
+        for _, tokens in _data_lines(text[start:end]):
+            return line_no, tokens
+        if end == len(text):
+            return None
+        start = end
+
+
+def load_truth_table(path: str, qubit_cap: int | None = None) -> TruthTable:
     """Table file: first line ``n=<arity>``, then 2**n lines ``x f(x)``.
 
     A file in the strict layout is decoded in bulk; any other file,
-    including every malformed one, is walked line by line.
+    including every malformed one, is walked line by line.  Given
+    ``qubit_cap``, a table whose oracle (arity + 1 qubits) exceeds it
+    raises ``CapacityExceeded`` at its header, before any row is read,
+    if the file is long enough to hold its 2**arity rows; a shorter one is
+    read, and reported short of entries.
     """
     text = _read_text(path)
+    if qubit_cap is not None:
+        arity = _header(_first_data_line(text), "truth table file", "n", "arity")
+        # a row is at least its pattern, a space and a value
+        if arity + 1 > qubit_cap and len(text) >> arity >= arity + 2:
+            raise CapacityExceeded(f"{arity + 1} qubits exceeds the cap of {qubit_cap}")
     table = _bulk_truth_table(text)
     return table if table is not None else _walk_truth_table(text)
 
@@ -213,7 +235,7 @@ def _walk_truth_table(text: str) -> TruthTable:
     lines and any whitespace are allowed.  Every error message and line
     number of a table file comes from here."""
     lines = _data_lines(text)
-    arity = _header(lines, "truth table file", "n", "arity")
+    arity = _header(next(lines, None), "truth table file", "n", "arity")
     entries: dict[int, int] = {}
     for line_no, tokens in lines:
         if len(tokens) != 2:
@@ -241,8 +263,9 @@ def load_matrix(path: str) -> np.ndarray:
 
     A file in the strict layout is parsed in one pass; any other file,
     including every malformed one, is walked line by line.  Either way the
-    D x D array is built once every row has passed, so its size is bounded
-    by the entries the file holds.
+    decomposition cap is checked at the header, and the D x D array is
+    built once every row has passed, so its size is bounded by the entries
+    the file holds.
     """
     text = _read_text(path)
     matrix = _bulk_matrix(text)
@@ -263,13 +286,14 @@ def _bulk_matrix(text: str) -> np.ndarray | None:
     ended by ``\\n``, with no ``#``, ``_``, ``\\r`` or other whitespace.  Its
     numbers are the walk's tokens, parsed by the same ``float``; every file
     taken here gives the walk's matrix, and the walk owns every error
-    message.
+    message but the cap's, which both check at the header.
     """
     head, _, body = text.partition("\n")
     digits = head.removeprefix("d=")
     if not (text.isascii() and digits != head and digits.isdigit() and len(digits) <= 6):
         return None
     dim = int(digits)
+    _check_matrix_cap(text, dim)
     # the rows counted, and nothing after the last, before any array is built
     if dim < 1 or body.count("\n") != dim or not body.endswith("\n"):
         return None
@@ -290,16 +314,28 @@ def _bulk_matrix(text: str) -> np.ndarray | None:
     return parts.view(np.complex128).reshape(dim, dim)
 
 
+def _check_matrix_cap(text: str, dim: int) -> None:
+    """The decomposition cap, checked at a matrix file's header, before any
+    row is read.  A file shorter than D rows of D entries of at least
+    ``a,b`` and a separator (4 * D**2 characters) is left to its reader,
+    which reports what it lacks."""
+    if len(text) >= 4 * dim * dim:
+        check_dim_cap(dim)
+
+
 def _walk_matrix(text: str) -> np.ndarray:
     """The matrix of any valid file, walked line by line: comments, blank
     lines and any whitespace are allowed.  Every error message and line
     number of a matrix file comes from here."""
-    lines = list(_data_lines(text))  # counted before any row is parsed
-    dim = _header(iter(lines), "matrix file", "d", "dimension")
-    if len(lines) != dim + 1:
-        raise ParseError(f"expected {dim} matrix rows", lines[-1][0])
+    lines = _data_lines(text)
+    head = next(lines, None)
+    dim = _header(head, "matrix file", "d", "dimension")
+    _check_matrix_cap(text, dim)
+    rows = list(lines)  # counted before any row is parsed
+    if len(rows) != dim:
+        raise ParseError(f"expected {dim} matrix rows", (rows or [head])[-1][0])
     entries: list[complex] = []
-    for line_no, tokens in lines[1:]:
+    for line_no, tokens in rows:
         if len(tokens) != dim:
             raise ParseError(f"row needs {dim} entries, got {len(tokens)}", line_no)
         for token in tokens:
@@ -429,7 +465,7 @@ def _cmd_teleport(args) -> dict:
 
 
 def _cmd_deutsch_jozsa(args) -> dict:
-    table = load_truth_table(args.table)
+    table = load_truth_table(args.table, qubit_cap=DEFAULT_QUBIT_CAP)
     verdict = deutsch_jozsa(table, args.seed)
     return {
         "verdict": verdict.verdict,

@@ -24,10 +24,6 @@ from .state import StateVector
 
 DECOMPOSE_DIM_CAP = 256
 
-# A sweep rotation whose pivot pair carries less weight than this is the
-# continuous limit of "nothing to rotate" and is skipped.
-PIVOT_EPS = 1e-14
-
 # Factors whose block deviates from the identity by less than this are
 # elided from the output (they still count against the factor bound).
 ELIDE_EPS = 1e-12
@@ -182,10 +178,14 @@ def eigenvector_factors(vector: np.ndarray, eigenvalue: complex) -> list[TwoLeve
 
     At most 2*(D-1) rotations plus one phase are constructed; blocks that
     are the identity to within ``ELIDE_EPS`` are dropped from the result.
+    Any nonzero scale works, down to a largest modulus of the smallest
+    normal float: no rotation then divides by a zero or subnormal modulus.
     """
     c, lam = np.array(vector, dtype=np.complex128), complex(eigenvalue)
     if c.ndim != 1 or not c.size or not np.isfinite(c).all():
         raise InvalidInput("eigenvector must be a nonempty finite 1-d array")
+    if not np.abs(c).max() >= np.finfo(float).tiny:
+        raise InvalidInput("eigenvector entries must not all be zero or subnormal")
     if not (np.isfinite(lam) and lam):
         raise InvalidInput("eigenvalue must be finite and nonzero")
     return _sweep(c.reshape(1, -1), [lam]).factors()
@@ -206,38 +206,28 @@ def _sweep(c: np.ndarray, eigenvalues) -> FactorTable:
     # conj(c[pivot]) / abs(c[pivot]) bit for bit: np.abs of a complex array
     # rounds differently from the scalar abs, hypot of the parts does not.
     p = c[rows, pivots]
-    p_abs = np.hypot(p.real, p.imag)
-    pin = p_abs > PIVOT_EPS
-    c[pin] *= (np.conj(p[pin]) / p_abs[pin])[:, None]
+    c *= (np.conj(p) / np.hypot(p.real, p.imag))[:, None]
     mags = np.hypot(c.real, c.imag)
 
     # The sweep rotates c[other] into c[pivot] for each other in index
-    # order.  A zero entry rotates by hypot(r, 0) == r: the first one turns
-    # a complex pivot into its modulus, and later ones change nothing and
-    # emit nothing, so they are left out.
+    # order.  A zero entry rotates by hypot(r, 0) == r: the first one makes
+    # the pinned pivot exactly real, and later ones change nothing and emit
+    # nothing, so they are left out.
     swept = mags != 0.0
     zeros = ~swept
     zeros[rows, pivots] = False
     swept[rows, np.argmax(zeros, axis=1)] |= zeros.any(axis=1)
     swept[rows, pivots] = False
     owner, others = np.nonzero(swept)
-    # The modulus recurrence runs in Python, one row at a time: the
-    # pivot entry becomes r = hypot(|c[pivot]|, |c[other]|) after each
-    # rotation that is not skipped, and a skipped one leaves it unchanged.
-    # Since hypot(r, m) >= r, a rotation is skipped only before the first
-    # one made, and the rest is one accumulate of math.hypot.
+    # The modulus recurrence runs in Python, one accumulate of math.hypot
+    # per row: the pivot entry becomes r = hypot(|c[pivot]|, |c[other]|)
+    # after each rotation.
     moduli = mags[owner, others].tolist()
-    rotated = np.ones(owner.size, dtype=bool)
     radii: list[float] = []
     ends = np.cumsum(swept.sum(axis=1)).tolist()
     for r, lo, hi in zip(mags[rows, pivots].tolist(), [0, *ends], ends):
-        first = lo
-        while first < hi and math.hypot(r, moduli[first]) < PIVOT_EPS:
-            first += 1
-        rotated[lo:first] = False
-        radii += islice(accumulate(moduli[first:hi], math.hypot, initial=r), 1, None)
-
-    owner, others, r = owner[rotated], others[rotated], np.array(radii)
+        radii += islice(accumulate(moduli[lo:hi], math.hypot, initial=r), 1, None)
+    r = np.array(radii)
     co = c[owner, others]
     cp = np.empty_like(co)  # the pivot entry before each rotation
     cp[1:] = r[:-1]
@@ -277,14 +267,19 @@ def _sweep(c: np.ndarray, eigenvalues) -> FactorTable:
     return table
 
 
+def check_dim_cap(dim: int) -> None:
+    """Raise ``InvalidInput`` for a dimension above ``DECOMPOSE_DIM_CAP``;
+    a matrix file's reader calls it at the file's header."""
+    if dim > DECOMPOSE_DIM_CAP:
+        raise InvalidInput(f"dimension {dim} exceeds the decomposition cap of {DECOMPOSE_DIM_CAP}")
+
+
 def decompose_table(u: np.ndarray) -> FactorTable:
     """:func:`two_level_decompose` as one table, with no object per factor."""
     u = np.asarray(u, dtype=np.complex128)
     # The cap comes first: the unitarity check alone is an O(D**3) product.
-    if u.ndim == 2 and u.shape[0] == u.shape[1] > DECOMPOSE_DIM_CAP:
-        raise InvalidInput(
-            f"dimension {u.shape[0]} exceeds the decomposition cap of {DECOMPOSE_DIM_CAP}"
-        )
+    if u.ndim == 2 and u.shape[0] == u.shape[1]:
+        check_dim_cap(u.shape[0])
     if not is_unitary(u, 1e-9):
         raise NotUnitary("two_level_decompose requires a unitary matrix")
     eigenvalues, vectors = _schur_eigensystem(u)

@@ -187,8 +187,9 @@ def _spread(value: int, positions: list[int]) -> int:
 
 class _IndexGather:
     """A permutation flipping target bits of each basis index: output i is
-    input i ^ delta(p), p the pattern of i's target bits (first target most
-    significant).  By its index bits of s and up, each block of 2**s outputs
+    input i with the target bits set in flip(p) flipped, p the pattern of
+    i's target bits (in both, the first target is most significant).
+    By its index bits of s and up, each block of 2**s outputs
     is one run of the input or one ``np.take`` through a table of 2**s
     indices above a base.  A call builds its tables, at most 2**14 entries
     (128 KiB), and drops them.  Copies keep every bit and signed zero."""
@@ -196,7 +197,7 @@ class _IndexGather:
     __slots__ = ("size", "low", "high", "flips", "moves")
 
     @classmethod
-    def plan(cls, targets: list[int], n: int, delta: Callable[[int], int]) -> _IndexGather | None:
+    def plan(cls, targets: list[int], n: int, flip: Callable[[int], int]) -> _IndexGather | None:
         """The gather, or None where it is slower: below 2**16 amplitudes,
         where building tables costs more than a call saves, and where a block
         holds at most 2**8 runs of the innermost target, as slice copies pay
@@ -209,7 +210,9 @@ class _IndexGather:
             s -= 1
         if min(bits) + 8 >= s:
             return None
-        self, deltas = cls.__new__(cls), [delta(p) for p in range(1 << len(bits))]
+        self = cls.__new__(cls)
+        # each pattern's flip as index bits: pattern bit i is target -1 - i
+        deltas = [_spread(flip(p), bits[::-1]) for p in range(1 << len(bits))]
         # (index bit, pattern bit) of the targets below and above bit s
         low = [(b, len(bits) - 1 - t) for t, b in enumerate(bits) if b < s]
         high = [(b, len(bits) - 1 - t) for t, b in enumerate(bits) if b >= s]
@@ -283,8 +286,7 @@ class _GatePlan:
         self.g, self.copies, self.gather, self.block_shape = g, None, None, None
         if None not in sources:
             # output index i reads i with its target bits r ^ c flipped
-            bits = [n - 1 - q for q in reversed(targets)]
-            self.gather = _IndexGather.plan(targets, n, lambda r: _spread(r ^ sources[r], bits))
+            self.gather = _IndexGather.plan(targets, n, lambda r: r ^ sources[r])
             if self.gather is None:  # (output slice, input slice) index pairs
                 self.copies = tuple(
                     (index_to_bits(r, k), index_to_bits(c, k)) for r, c in enumerate(sources)
@@ -422,9 +424,8 @@ class _OraclePlan:
         sizes = [2] * f.arity + [1] * (len(self.shape) - f.arity)
         mask = np.frombuffer(f.outputs, dtype=bool).reshape(sizes).transpose(np.argsort(order))
         self.mask, self.output_axis = mask, order[f.arity]
-        # pattern 2x + y flips the output bit when f(x) = 1
-        bit = n - 1 - targets[-1]
-        self.gather = _IndexGather.plan(targets, n, lambda p: f.outputs[p >> 1] << bit)
+        # pattern 2x + y flips the output bit, the last, when f(x) = 1
+        self.gather = _IndexGather.plan(targets, n, lambda p: f.outputs[p >> 1])
 
     def __call__(self, s: StateVector) -> StateVector:
         if self.gather is not None:

@@ -509,6 +509,51 @@ class TestInputFiles:
         assert out == ('{"error": {"kind": "ParseError", '
                        '"detail": "line 2: row needs 200000 entries, got 1"}}\n')
 
+    @staticmethod
+    def _traced(capsys, *argv):
+        """``main(argv)``'s exit code, stdout and tracemalloc peak."""
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return code, capsys.readouterr().out, peak
+
+    @pytest.mark.parametrize("prefix", ["", "# walked\n"], ids=["strict", "walked"])
+    def test_oversized_matrix_stops_at_header(self, capsys, tmp_path, prefix):
+        # a well-formed D = 600 identity (1.4 MB): parsing its rows, or
+        # holding their tokens, would take many times the file's size
+        dim = 600
+        rows = (" ".join("1,0" if c == r else "0,0" for c in range(dim)) for r in range(dim))
+        path = tmp_path / "big.mat"
+        path.write_text(f"{prefix}d={dim}\n" + "".join(row + "\n" for row in rows))
+        code, out, peak = self._traced(capsys, "decompose", "--matrix", str(path))
+        assert code == 1
+        assert out == ('{"error": {"kind": "InvalidInput", '
+                       '"detail": "dimension 600 exceeds the decomposition cap of 256"}}\n')
+        assert peak < 6 * path.stat().st_size
+
+    @pytest.mark.parametrize("prefix", ["", "# walked\n"], ids=["strict", "walked"])
+    def test_oversized_table_stops_at_header(self, capsys, tmp_path, prefix):
+        # a constant arity-20 table (23 MiB), whose oracle needs 21 qubits:
+        # only the text and the bytes it was decoded from are held
+        bits = (np.arange(1024)[:, None] >> np.arange(9, -1, -1)) & 1
+        rows = np.empty((1024, 1024, 23), dtype=np.uint8)
+        rows[:, :, :10] = bits[:, None, :] + ord("0")
+        rows[:, :, 10:20] = bits[None, :, :] + ord("0")
+        rows[:, :, 20:] = np.frombuffer(b" 0\n", dtype=np.uint8)
+        path = tmp_path / "big.tbl"
+        with open(path, "wb") as fh:
+            fh.write(f"{prefix}n=20\n".encode())
+            fh.write(rows)
+        del rows
+        code, out, peak = self._traced(capsys, "deutsch-jozsa", "--table", str(path))
+        assert code == 1
+        assert out == ('{"error": {"kind": "CapacityExceeded", '
+                       '"detail": "21 qubits exceeds the cap of 20"}}\n')
+        assert peak < 3 * path.stat().st_size
+
     @pytest.mark.parametrize("command, option", FILE_COMMANDS)
     def test_non_utf8_file_is_input_error(self, capsys, tmp_path, command, option):
         path = tmp_path / "bad.txt"

@@ -22,7 +22,7 @@ from ketsim import (
     unitary_eigensystem,
 )
 from ketsim.errors import DimensionMismatch
-from ketsim.decompose import ELIDE_EPS, PIVOT_EPS, TwoLevelFactor, decompose_table
+from ketsim.decompose import ELIDE_EPS, TwoLevelFactor, decompose_table
 
 
 def dense_product(factors, dim):
@@ -39,8 +39,7 @@ def reference_eigenvector_factors(vector, eigenvalue):
     c = np.asarray(vector, dtype=np.complex128).copy()
     dim = c.size
     pivot = int(np.argmax(np.abs(c)))
-    if abs(c[pivot]) > PIVOT_EPS:
-        c *= np.conj(c[pivot]) / abs(c[pivot])
+    c *= np.conj(c[pivot]) / abs(c[pivot])
     identity2 = np.eye(2)
     forward = []
     for other in range(dim):
@@ -48,8 +47,6 @@ def reference_eigenvector_factors(vector, eigenvalue):
             continue
         cp, co = c[pivot], c[other]
         r = math.hypot(abs(cp), abs(co))
-        if r < PIVOT_EPS:
-            continue
         if pivot < other:
             block = np.array(
                 [[np.conj(cp) / r, np.conj(co) / r], [-co / r, cp / r]],
@@ -141,8 +138,8 @@ def _parts(re, im):
 def edge_vectors():
     """Vectors, unit or not, that reach each branch of the sweep: exact
     zeros on either side of the first nonzero entry, the pivot first or
-    last, entries below PIVOT_EPS, subnormal entries, signed zero parts,
-    and pivots too small to be pinned real."""
+    last, tiny and subnormal entries, signed zero parts, tiny pivots, and
+    the zero vector, which is rejected."""
     yield "zeros-before-first-nonzero", np.array([0, 0, 0.6, 0, 0.8j, 0])
     yield "zeros-after-first-nonzero", np.array([0.6j, 0, 0.8, 0, 0])
     yield "pivot-first", np.array([0.9, 0.3j, -0.1, 0, 0.2 - 0.1j, 0.05])
@@ -153,11 +150,10 @@ def edge_vectors():
     yield "negative-zero-parts", _parts([0.6, -0.0, -0.0, 0.8], [-0.0, -0.0, 0.3, 0.0])
     yield "all-zero", np.zeros(5)
     yield "one-entry", np.array([0.6 + 0.8j])
-    # |pivot| = PIVOT_EPS is not pinned: the first zero rotates the
-    # imaginary pivot onto its modulus and emits a block
+    # tiny pivots are pinned real like any other
     yield "tiny-imaginary-pivot", np.array([0, 1e-14j, 0, 0])
     yield "tiny-pivot-then-zero", np.array([1e-14j, 1e-20, 0, 0])
-    # the zero's rotation is skipped (r < PIVOT_EPS); a later entry rotates
+    # tiny moduli rotate like any other
     yield "skipped-zero", np.array([9e-15j, 0, 0, 8e-15])
     yield "all-skipped", np.array([5e-15j, 0, 0, 3e-15])
     yield "near-axis", np.array([0, 1, 1e-13, 0, -1e-12j, 0])
@@ -286,7 +282,7 @@ class TestNumpyFacts:
     @pytest.mark.parametrize("dim", FACT_DIMS)
     def test_pivot_phases_equal_scalar(self, dim):
         p = self._rows(dim).reshape(-1)
-        p = p[np.hypot(p.real, p.imag) > PIVOT_EPS]  # the pivots pinned
+        p = p[np.hypot(p.real, p.imag) >= np.finfo(float).tiny]  # the pivots pinned
         scalar = np.array([np.conj(v) / abs(v) for v in p], dtype=np.complex128)
         assert same_bits(np.conj(p) / np.hypot(p.real, p.imag), scalar)
 
@@ -314,8 +310,8 @@ class TestNumpyFacts:
         assert same_bits(np.hypot(c.real, c.imag), np.array(rows).reshape(dim, dim))
 
     def test_hypot_is_never_below_its_first_argument(self):
-        # so a rotation is skipped (r < PIVOT_EPS) only before the first one
-        # made, and the rest of a row's recurrence is one accumulate
+        # so each rotation's r is at least its pivot's modulus, which is at
+        # least the smallest normal float: no block divides by a subnormal r
         z, r = self._values()
         moduli = [*np.hypot(z.real, z.imag).tolist(), 0.0, 5e-324, 1e-310, 1e-15, 1e-14]
         for x, y in zip(r.tolist() + moduli, moduli + r.tolist()):
@@ -393,6 +389,53 @@ class TestTwoLevelFactor:
             TwoLevelFactor(4, (1,), np.eye(2, dtype=complex))
 
 
+class TestEigenvectorScale:
+    """The factors of a vector at any scale multiply its unit vector by the
+    eigenvalue's phase and fix the vectors orthogonal to it."""
+
+    @staticmethod
+    def _check(vector, eigenvalue):
+        dim = vector.size
+        unit = vector / np.abs(vector).max()  # no norm of a tiny or huge vector
+        unit /= np.linalg.norm(unit)
+        rng = np.random.default_rng(dim)
+        other = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        other -= np.vdot(unit, other) * unit
+        other /= np.linalg.norm(other)
+        product = recompose(eigenvector_factors(vector, eigenvalue), dim)
+        lam = complex(eigenvalue) / abs(eigenvalue)
+        assert np.linalg.norm(product @ unit - lam * unit) <= 1e-12
+        assert np.linalg.norm(product @ other - other) <= 1e-12
+        assert np.linalg.norm(product.conj().T @ product - np.eye(dim)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-15, 1e-100, 1e-300, 1e300])
+    @pytest.mark.parametrize("dim", [2, 5, 17, 64])
+    def test_seeded_vectors(self, dim, scale):
+        rng = np.random.default_rng([dim, 400 + round(math.log10(scale))])
+        vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        vector *= scale / np.abs(vector).max()
+        for eigenvalue in EIGENVALUES:
+            self._check(vector, eigenvalue)
+
+    @pytest.mark.parametrize("vector", [
+        pytest.param(np.array([1e-15, 1e-15]), id="tiny-pair"),
+        pytest.param(np.array([3e-15, 4e-15j]), id="tiny-complex-pair"),
+        pytest.param(np.array([np.finfo(float).tiny, 5e-324j, 0]), id="smallest-normal-pivot"),
+    ])
+    def test_tiny_vectors(self, vector):
+        for eigenvalue in EIGENVALUES:
+            self._check(vector, eigenvalue)
+
+    @pytest.mark.parametrize("vector", [
+        pytest.param(np.zeros(4), id="zero"),
+        pytest.param(np.array([5e-324, -1e-310j, 0, 2e-308]), id="subnormal"),
+    ])
+    def test_zero_and_subnormal_vectors_rejected(self, vector):
+        message = "^eigenvector entries must not all be zero or subnormal$"
+        with pytest.raises(InvalidInput, match=message):
+            eigenvector_factors(vector, -1)
+
+
 class TestDecompose:
     def test_identity_gives_no_factors(self):
         for dim in (2, 5, 8):
@@ -439,6 +482,10 @@ class TestDecompose:
         pytest.param(v, id=name) for name, v in [*edge_vectors(), *random_edge_vectors(300)]
     ])
     def test_edge_vectors_bytes_equal_reference(self, vector):
+        if not np.abs(vector).max() >= np.finfo(float).tiny:
+            with pytest.raises(InvalidInput):
+                eigenvector_factors(vector, 1)
+            return
         for eigenvalue in EIGENVALUES:
             assert_same_factors(
                 eigenvector_factors(vector, eigenvalue),
