@@ -43,7 +43,10 @@ own writers, so they are the benchmark's file formats byte for byte.
 ``load_truth_table`` reads a balanced table file of arity 14 and 17 (0.27
 and 2.5 MB), and ``deutsch_jozsa/arity17`` runs Deutsch-Jozsa at the
 default seed on the second table.
-``load_matrix/D128`` reads a seeded D = 128 Haar unitary (0.7 MB),
+``load_matrix/D128`` reads a seeded D = 128 Haar unitary (0.7 MB).
+``load_truth_table/n14_walked`` and ``load_matrix/D128_walked`` read the
+same files behind a leading ``# comment`` line, which no strict layout
+allows, so they time the line walk rather than the bulk readers.
 ``parse_circuit`` parses a 20,000-line circuit that cycles through the
 opcodes, comments and blank lines, and ``compile`` runs ``_compile`` on the
 program it parses (64 distinct of 15,999 instructions).  ``run_program``
@@ -89,6 +92,7 @@ DECOMPOSE_DIMS = (16, 32, 64, 128)
 FACTOR_TEXT_DIMS = (64, 128)
 BLOCKS_DIM = 128
 TABLE_ARITIES = (14, 17)
+WALKED_ARITY = 14
 CIRCUIT_LINES = 20_000
 BRANCHING_SHOTS = (1_000, 10_000)
 SAMPLE_SHOTS = 1_000_000
@@ -266,6 +270,11 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
             path.write_text(gen.render_table(arity, [x & 1 for x in range(1 << arity)]))
             out[f"load_truth_table/n{arity}"] = timed(
                 lambda: load_truth_table(str(path)), repeats)
+            if arity == WALKED_ARITY:
+                walked = Path(tmp) / f"n{arity}_walked.tbl"
+                walked.write_text("# comment\n" + path.read_text())
+                out[f"load_truth_table/n{arity}_walked"] = timed(
+                    lambda: load_truth_table(str(walked)), repeats)
         balanced = load_truth_table(str(path))  # the last table: f(x) = x & 1
         out[f"deutsch_jozsa/arity{arity}"] = timed(lambda: deutsch_jozsa(balanced), repeats)
         n = RENDER_QUBITS
@@ -284,6 +293,9 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
         matrix.write_text(
             gen.render_matrix(haar_random_unitary(MATRIX_DIM, RngStream(MATRIX_DIM))))
         out[f"load_matrix/D{MATRIX_DIM}"] = timed(lambda: load_matrix(str(matrix)), repeats)
+        walked = Path(tmp) / f"haar{MATRIX_DIM}_walked.mat"
+        walked.write_text("# comment\n" + matrix.read_text())
+        out[f"load_matrix/D{MATRIX_DIM}_walked"] = timed(lambda: load_matrix(str(walked)), repeats)
         dim = RENDER_DECOMPOSE_DIM
         path = Path(tmp) / f"haar{dim}.mat"
         path.write_text(gen.render_matrix(haar_random_unitary(dim, RngStream(dim))))

@@ -19,7 +19,6 @@ and angles are finite numbers in ASCII text without ``_`` separators.
 
 from __future__ import annotations
 
-import io
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -73,17 +72,27 @@ def _exact_key(ins: Instruction) -> tuple:
     return ins, tuple(math.copysign(1.0, p) for p in ins.params)
 
 
+_PIECE_CHARS = 64 << 10  # characters at least in each piece of the line walk but the last
+
+
 def _data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """``(line number, tokens)`` of each line with tokens once ``#`` comments are cut.
 
     Lines are walked lazily and end at ``\\n`` alone: ``str.split`` takes
     ``\\r``, ``\\x0b``, ``\\x1c``, ``\\u2028`` and the other ``str.splitlines``
     breaks as whitespace, so none of them ends a comment or moves a line.
+    A piece ends just after the first ``\\n`` ``_PIECE_CHARS`` past its start,
+    so the walk holds one piece's lines at a time and no copy of the text.
     """
-    for line_no, raw in enumerate(io.StringIO(text, newline="\n"), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            yield line_no, tokens
+    start, line_no = 0, 1
+    while start < len(text):
+        end = text.find("\n", start + _PIECE_CHARS) + 1 or len(text)
+        # a piece ending at "\n" leaves an empty tail: the next piece's first line
+        for line_no, raw in enumerate(text[start:end].split("\n"), start=line_no):
+            tokens = raw.split("#", 1)[0].split()
+            if tokens:
+                yield line_no, tokens
+        start = end
 
 
 def _parse_int(token: str) -> int:

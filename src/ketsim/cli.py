@@ -160,19 +160,6 @@ def _header(line: tuple[int, list[str]] | None, kind: str, key: str, what: str) 
     return value
 
 
-def _first_data_line(text: str) -> tuple[int, list[str]] | None:
-    """The first of ``_data_lines(text)``, or None, cut line by line rather
-    than from ``_data_lines``' copy of the whole text."""
-    start = 0
-    for line_no in itertools.count(1):
-        end = text.find("\n", start) + 1 or len(text)
-        for _, tokens in _data_lines(text[start:end]):
-            return line_no, tokens
-        if end == len(text):
-            return None
-        start = end
-
-
 def load_truth_table(path: str, qubit_cap: int | None = None) -> TruthTable:
     """Table file: first line ``n=<arity>``, then 2**n lines ``x f(x)``.
 
@@ -185,7 +172,7 @@ def load_truth_table(path: str, qubit_cap: int | None = None) -> TruthTable:
     """
     text = _read_text(path)
     if qubit_cap is not None:
-        arity = _header(_first_data_line(text), "truth table file", "n", "arity")
+        arity = _header(next(_data_lines(text), None), "truth table file", "n", "arity")
         # a row is at least its pattern, a space and a value
         if arity + 1 > qubit_cap and len(text) >> arity >= arity + 2:
             raise CapacityExceeded(f"{arity + 1} qubits exceeds the cap of {qubit_cap}")
@@ -262,12 +249,17 @@ def load_matrix(path: str) -> np.ndarray:
     """Matrix file: first line ``d=<D>``, then D rows of D ``re,im`` pairs.
 
     A file in the strict layout is parsed in one pass; any other file,
-    including every malformed one, is walked line by line.  Either way the
-    decomposition cap is checked at the header, and the D x D array is
-    built once every row has passed, so its size is bounded by the entries
-    the file holds.
+    including every malformed one, is walked line by line.  The
+    decomposition cap is checked at the header, before any row is read, if
+    the file is long enough to hold D rows of D entries of at least ``a,b``
+    and a separator (4 * D**2 characters); a shorter one is read, and
+    reported short.  The D x D array is built once every row has passed,
+    so its size is bounded by the entries the file holds.
     """
     text = _read_text(path)
+    dim = _header(next(_data_lines(text), None), "matrix file", "d", "dimension")
+    if len(text) >= 4 * dim * dim:
+        check_dim_cap(dim)
     matrix = _bulk_matrix(text)
     return matrix if matrix is not None else _walk_matrix(text)
 
@@ -286,14 +278,13 @@ def _bulk_matrix(text: str) -> np.ndarray | None:
     ended by ``\\n``, with no ``#``, ``_``, ``\\r`` or other whitespace.  Its
     numbers are the walk's tokens, parsed by the same ``float``; every file
     taken here gives the walk's matrix, and the walk owns every error
-    message but the cap's, which both check at the header.
+    message but the cap's, which ``load_matrix`` checks first.
     """
     head, _, body = text.partition("\n")
     digits = head.removeprefix("d=")
     if not (text.isascii() and digits != head and digits.isdigit() and len(digits) <= 6):
         return None
     dim = int(digits)
-    _check_matrix_cap(text, dim)
     # the rows counted, and nothing after the last, before any array is built
     if dim < 1 or body.count("\n") != dim or not body.endswith("\n"):
         return None
@@ -314,28 +305,21 @@ def _bulk_matrix(text: str) -> np.ndarray | None:
     return parts.view(np.complex128).reshape(dim, dim)
 
 
-def _check_matrix_cap(text: str, dim: int) -> None:
-    """The decomposition cap, checked at a matrix file's header, before any
-    row is read.  A file shorter than D rows of D entries of at least
-    ``a,b`` and a separator (4 * D**2 characters) is left to its reader,
-    which reports what it lacks."""
-    if len(text) >= 4 * dim * dim:
-        check_dim_cap(dim)
-
-
 def _walk_matrix(text: str) -> np.ndarray:
     """The matrix of any valid file, walked line by line: comments, blank
     lines and any whitespace are allowed.  Every error message and line
-    number of a matrix file comes from here."""
+    number of a matrix file but the cap's comes from here."""
     lines = _data_lines(text)
     head = next(lines, None)
     dim = _header(head, "matrix file", "d", "dimension")
-    _check_matrix_cap(text, dim)
-    rows = list(lines)  # counted before any row is parsed
-    if len(rows) != dim:
-        raise ParseError(f"expected {dim} matrix rows", (rows or [head])[-1][0])
+    # the rows counted by a walk that keeps none, before a second walk parses them
+    count, last = 0, head
+    for count, last in enumerate(lines, start=1):
+        pass
+    if count != dim:
+        raise ParseError(f"expected {dim} matrix rows", last[0])
     entries: list[complex] = []
-    for line_no, tokens in rows:
+    for line_no, tokens in itertools.islice(_data_lines(text), 1, None):
         if len(tokens) != dim:
             raise ParseError(f"row needs {dim} entries, got {len(tokens)}", line_no)
         for token in tokens:

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -102,7 +103,12 @@ def index_to_bits(index: int, num_qubits: int) -> tuple[int, ...]:
 
 
 def _check_qubits(qubits: Sequence[int], n: int) -> None:
-    """Reject an empty, repeating or out-of-range list of qubit indices."""
+    """Reject an empty, repeating, non-integer or out-of-range list of qubit indices."""
+    for q in qubits:
+        try:
+            operator.index(q)
+        except TypeError:
+            raise InvalidInput(f"qubit index {q!r} is not an integer") from None
     if not qubits or len(set(qubits)) != len(qubits):
         raise InvalidInput("targets must be distinct and nonempty")
     for q in qubits:

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import tracemalloc
@@ -32,6 +33,7 @@ from ketsim import (
     toffoli_unitary,
     u2_from_params,
 )
+import ketsim.circuit as circuit
 import ketsim.measure as measure
 from ketsim.circuit import _compile, _data_lines, _parse_int
 from ketsim.gates import _GatePlan
@@ -143,7 +145,41 @@ class TestParse:
         assert not hasattr(program.instructions[0], "__dict__")
 
 
+def _stringio_lines(text):
+    """The line walk before it cut the text into pieces: ``io.StringIO`` with
+    ``newline="\\n"`` ends lines at ``\\n`` alone, but copies the text."""
+    for line_no, raw in enumerate(io.StringIO(text, newline="\n"), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield line_no, tokens
+
+
 class TestLineGrammar:
+    @pytest.mark.parametrize("piece", range(8))
+    def test_data_lines_equal_the_stringio_walk(self, monkeypatch, piece):
+        # pieces of 0 to 7 characters put cuts next to every kind of character
+        monkeypatch.setattr(circuit, "_PIECE_CHARS", piece)
+        rng = random.Random(piece)
+        for _ in range(400):
+            body = "".join(rng.choice("ab \t#\n\r\x0b\x1c\u2028")
+                           for _ in range(rng.randrange(40))).rstrip("\n")
+            for text in (body, body + "\n"):
+                assert list(_data_lines(text)) == list(_stringio_lines(text))
+
+    def test_parse_holds_no_copy_of_the_text(self):
+        # 1 MB of two repeated lines: the instruction list and its tuple take
+        # 1.8 bytes per text byte; a copy of the text at 4 bytes per character
+        # took 4.9
+        text = "cnot 0 1\ncnot 1 0\n" * 62_500
+        tracemalloc.start()
+        try:
+            program = parse_circuit(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(program.instructions) == 125_000
+        assert peak < 2.5 * len(text)
+
     def test_data_lines(self):
         # lines end at \n alone (\r, \v and \f are whitespace), comments
         # cut, numbering from 1

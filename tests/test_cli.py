@@ -532,7 +532,18 @@ class TestInputFiles:
         assert code == 1
         assert out == ('{"error": {"kind": "InvalidInput", '
                        '"detail": "dimension 600 exceeds the decomposition cap of 256"}}\n')
-        assert peak < 6 * path.stat().st_size
+        assert peak < 3 * path.stat().st_size
+
+    def test_short_matrix_rows_counted_without_holding_them(self, capsys, tmp_path):
+        # too short for the cap check at the header: the walk counts its
+        # 200,000 rows, which once took 79 times the file's size
+        path = tmp_path / "short.mat"
+        path.write_text("# c\nd=5000\n" + "1,0\n" * 200_000)
+        code, out, peak = self._traced(capsys, "decompose", "--matrix", str(path))
+        assert code == 1
+        assert out == ('{"error": {"kind": "ParseError", '
+                       '"detail": "line 200002: expected 5000 matrix rows"}}\n')
+        assert peak < 3 * path.stat().st_size
 
     @pytest.mark.parametrize("prefix", ["", "# walked\n"], ids=["strict", "walked"])
     def test_oversized_table_stops_at_header(self, capsys, tmp_path, prefix):

@@ -574,11 +574,14 @@ class TestSmallSites:
             pytest.param([0, 0], "targets must be distinct and nonempty", id="repeated"),
             pytest.param([5], "qubit index 5 out of range for 3 qubits", id="out-of-range"),
             pytest.param([], "targets must be distinct and nonempty", id="empty"),
+            pytest.param([0.5], "qubit index 0.5 is not an integer", id="fraction"),
+            pytest.param([0, 1.0], "qubit index 1.0 is not an integer", id="float"),
+            pytest.param(["1"], "qubit index '1' is not an integer", id="string"),
         ],
     )
     def test_split_axes_checks_the_list(self, qubits, message):
         # a repeated qubit gave a non-permutation order, an out-of-range one
-        # a bare ValueError
+        # a bare ValueError, a non-integer one a bare TypeError
         with pytest.raises(InvalidInput) as err:
             _split_axes(3, qubits)
         assert type(err.value) is InvalidInput and str(err.value) == message
