@@ -308,29 +308,49 @@ def _bulk_matrix(text: str) -> np.ndarray | None:
 def _walk_matrix(text: str) -> np.ndarray:
     """The matrix of any valid file, walked line by line: comments, blank
     lines and any whitespace are allowed.  Every error message and line
-    number of a matrix file but the cap's comes from here."""
+    number of a matrix file but the cap's comes from here.
+
+    One walk parses rows until the first bad one or row D + 1 and only
+    counts the rest; a wrong row count wins over a bad row.  A file too
+    short to hold D rows of D entries (4 * D**2 characters) cannot be
+    valid, so its rows are checked and none is kept.
+    """
     lines = _data_lines(text)
     head = next(lines, None)
     dim = _header(head, "matrix file", "d", "dimension")
-    # the rows counted by a walk that keeps none, before a second walk parses them
-    count, last = 0, head
+    keep = len(text) >= 4 * dim * dim
+    entries: list[complex] = []
+    fault, count, last = None, 0, head
     for count, last in enumerate(lines, start=1):
-        pass
+        if fault is None and count <= dim:
+            try:
+                row = _matrix_row(*last, dim)
+            except ParseError as exc:
+                fault = exc
+                continue
+            if keep:
+                entries += row
     if count != dim:
         raise ParseError(f"expected {dim} matrix rows", last[0])
-    entries: list[complex] = []
-    for line_no, tokens in itertools.islice(_data_lines(text), 1, None):
-        if len(tokens) != dim:
-            raise ParseError(f"row needs {dim} entries, got {len(tokens)}", line_no)
-        for token in tokens:
-            re_text, sep, im_text = token.partition(",")
-            if not sep:
-                raise ParseError(f"entries are 're,im', got {token!r}", line_no)
-            try:
-                entries.append(complex(_parse_float(re_text), _parse_float(im_text)))
-            except ValueError:
-                raise ParseError(f"bad complex entry {token!r}", line_no) from None
+    if fault is not None:
+        raise fault
     return np.array(entries, dtype=np.complex128).reshape(dim, dim)
+
+
+def _matrix_row(line_no: int, tokens: list[str], dim: int) -> list[complex]:
+    """The D entries of one walked matrix row, each token ``re,im``."""
+    if len(tokens) != dim:
+        raise ParseError(f"row needs {dim} entries, got {len(tokens)}", line_no)
+    row = []
+    for token in tokens:
+        re_text, sep, im_text = token.partition(",")
+        if not sep:
+            raise ParseError(f"entries are 're,im', got {token!r}", line_no)
+        try:
+            row.append(complex(_parse_float(re_text), _parse_float(im_text)))
+        except ValueError:
+            raise ParseError(f"bad complex entry {token!r}", line_no) from None
+    return row
 
 
 #: Caps on a distribution file's rationals: characters per token and size

@@ -257,13 +257,13 @@ class _GatePlan:
     target bits spell r) is the sum over the gate's columns c of g[r, c]
     times input slice c.  When every row of g is a unit vector (X, CNOT,
     Toffoli) that sum is one slice copy, or an ``_IndexGather`` where its
-    plan finds that faster.  Any other gate is matrix products: per
-    amplitude the same products, summed in the same order, as one
-    contraction of the whole state.  A 1-qubit gate whose runs hold at
-    least 256 amplitudes multiplies strided views of the state (zgemm's
-    bits depend on neither stride nor column count); any other gate
-    gathers the 2**k input slices of one cache-sized block at a time into
-    a buffer and multiplies that.
+    plan finds that faster, and the output state skips the norm pass.  Any
+    other gate is matrix products: per amplitude the same products, summed
+    in the same order, as one contraction of the whole state.  A 1-qubit
+    gate whose runs hold at least 256 amplitudes multiplies strided views
+    of the state (zgemm's bits depend on neither stride nor column count);
+    any other gate gathers the 2**k input slices of one cache-sized block
+    at a time into a buffer and multiplies that.
     """
 
     __slots__ = ("k", "shape", "order", "g", "copies", "gather", "axis", "step", "block_shape")
@@ -341,7 +341,10 @@ class _GatePlan:
         return out.reshape(amps.shape)
 
     def __call__(self, s: StateVector) -> StateVector:
-        return StateVector._trusted(self.apply(s.amplitudes))
+        out = self.apply(s.amplitudes)
+        if self.gather is None and self.copies is None:
+            return StateVector._trusted(out)
+        return StateVector._moved(out)
 
 
 def _embed(g: np.ndarray, targets: list[int], n: int) -> np.ndarray:
@@ -407,8 +410,8 @@ class _OraclePlan:
     """The oracle of ``f`` on ``targets`` of an n-qubit state, planned once:
     amplitudes whose inputs have f = 1 swap with their output-flipped twin,
     by an ``_IndexGather`` where its plan finds it faster, else by one
-    ``np.where``; both only copy.  It checks the target count (arity + 1),
-    then the targets."""
+    ``np.where``; both only copy, so the output state skips the norm pass.
+    It checks the target count (arity + 1), then the targets."""
 
     __slots__ = ("shape", "mask", "output_axis", "gather")
 
@@ -429,10 +432,10 @@ class _OraclePlan:
 
     def __call__(self, s: StateVector) -> StateVector:
         if self.gather is not None:
-            return StateVector._trusted(self.gather(s.amplitudes))
+            return StateVector._moved(self.gather(s.amplitudes))
         view = s.amplitudes.reshape(self.shape)
         flipped = np.flip(view, self.output_axis)
-        return StateVector._trusted(np.where(self.mask, flipped, view).reshape(-1))
+        return StateVector._moved(np.where(self.mask, flipped, view).reshape(-1))
 
 
 def apply_oracle_at(f: TruthTable, targets: Sequence[int], s: StateVector) -> StateVector:

@@ -5,8 +5,11 @@ Conventions used throughout the package:
 - An n-qubit state holds 2**n complex amplitudes indexed by basis label.
 - Qubit 0 is the *most significant* bit of the basis index, so the basis
   label |x1,...,xn> reads left to right: index = x1*2**(n-1) + ... + xn.
-- Every constructor renormalizes small rounding drift (squared norm
-  within 1e-6 of 1) and rejects anything further off as a logic error.
+- Every constructor that computes new amplitudes renormalizes small
+  rounding drift (squared norm within 1e-6 of 1) and rejects anything
+  further off as a logic error.  A state whose amplitudes are only moved
+  from a checked state (permutation gates, oracles) or that is a basis
+  state keeps them as they are: its norm is its parent's, or exactly 1.
 """
 
 from __future__ import annotations
@@ -53,13 +56,30 @@ class StateVector:
     def _trusted(cls, amps: np.ndarray) -> "StateVector":
         """Adopt a fresh 1-d array of 2**n amplitudes without copying it.
 
-        For arrays built in the package that no one else holds (kernel
-        outputs, collapsed states, kets, tensor products): the copy, the
-        shape checks and the finiteness pass are skipped, and the norm
-        check alone rejects NaN and inf.
+        For arrays of new values built in the package that no one else
+        holds (dense gate outputs, collapsed states, tensor products): the
+        copy, the shape checks and the finiteness pass are skipped; the
+        norm pass rejects NaN and inf and repairs rounding drift.
         """
         state = cls.__new__(cls)
         state._adopt(amps)
+        return state
+
+    @classmethod
+    def _moved(cls, amps: np.ndarray) -> "StateVector":
+        """Adopt a fresh 1-d array of 2**n amplitudes with no pass over it.
+
+        For the outputs of permutation gates and oracles, which rearrange
+        a checked state's amplitudes and compute none, and for kets, whose
+        one nonzero amplitude is 1.  A rearrangement's exact norm is its
+        parent's and it holds no NaN or inf, so it has nothing to repair,
+        and no number of copies can build up drift; a sum in the new order
+        may round differently, and renormalising by it would only chase
+        that order.
+        """
+        state = cls.__new__(cls)
+        state.num_qubits = amps.size.bit_length() - 1
+        state.amplitudes = amps
         return state
 
     def _adopt(self, amps: np.ndarray) -> None:
@@ -152,7 +172,7 @@ def ket(bits: Sequence[int], cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
         raise CapacityExceeded(f"{len(bits)} qubits exceeds the cap of {cap}")
     amps = np.zeros(1 << len(bits), dtype=np.complex128)
     amps[bits_to_index(bits)] = 1.0
-    return StateVector._trusted(amps)
+    return StateVector._moved(amps)
 
 
 def qubit_from_angles(theta: float, eta: float) -> StateVector:
