@@ -258,10 +258,16 @@ def load_matrix(path: str) -> np.ndarray:
     """
     text = _read_text(path)
     dim = _header(next(_data_lines(text), None), "matrix file", "d", "dimension")
-    if len(text) >= 4 * dim * dim:
+    if _may_hold_rows(text, dim):
         check_dim_cap(dim)
     matrix = _bulk_matrix(text)
     return matrix if matrix is not None else _walk_matrix(text)
+
+
+def _may_hold_rows(text: str, dim: int) -> bool:
+    """Whether a matrix file is long enough to hold D rows of D entries:
+    each entry is at least ``a,b`` and a separator, 4 * D**2 characters."""
+    return len(text) >= 4 * dim * dim
 
 
 # The bytes a number of a strict-layout matrix file is made of: printable
@@ -312,13 +318,13 @@ def _walk_matrix(text: str) -> np.ndarray:
 
     One walk parses rows until the first bad one or row D + 1 and only
     counts the rest; a wrong row count wins over a bad row.  A file too
-    short to hold D rows of D entries (4 * D**2 characters) cannot be
-    valid, so its rows are checked and none is kept.
+    short to hold D rows of D entries cannot be valid, so its rows are
+    checked and none is kept.
     """
     lines = _data_lines(text)
     head = next(lines, None)
     dim = _header(head, "matrix file", "d", "dimension")
-    keep = len(text) >= 4 * dim * dim
+    keep = _may_hold_rows(text, dim)
     entries: list[complex] = []
     fault, count, last = None, 0, head
     for count, last in enumerate(lines, start=1):

@@ -255,7 +255,7 @@ class _GatePlan:
     The first target is the gate's high-order qubit.  On a reshape of the
     amplitudes that copies nothing, output slice r (the amplitudes whose
     target bits spell r) is the sum over the gate's columns c of g[r, c]
-    times input slice c.  When every row of g is a unit vector (X, CNOT,
+    times input slice c.  When g is a permutation matrix (X, CNOT,
     Toffoli) that sum is one slice copy, or an ``_IndexGather`` where its
     plan finds that faster, and the output state skips the norm pass.  Any
     other gate is matrix products: per amplitude the same products, summed
@@ -284,7 +284,10 @@ class _GatePlan:
             for row in g.tolist()
         ]
         self.g, self.copies, self.gather, self.block_shape = g, None, None, None
-        if None not in sources:
+        # Only a permutation copies: its output needs no norm pass.  Unit
+        # rows that repeat a source (not unitary) take the products below,
+        # whose norm pass rejects the output.
+        if None not in sources and sorted(sources) == list(range(1 << k)):
             # output index i reads i with its target bits r ^ c flipped
             self.gather = _IndexGather.plan(targets, n, lambda r: r ^ sources[r])
             if self.gather is None:  # (output slice, input slice) index pairs

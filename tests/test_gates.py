@@ -827,6 +827,8 @@ class TestKernelInputs:
             np.array([[0, complex(0, -math.inf)], [1, 0]]),
             2 * identity(2),
             np.array([[1, 1], [0, 1]]),
+            np.array([[1, 0], [1, 0]]),
+            np.array([[0, 1], [0, 1]]),
         ],
     )
     def test_bad_gate_rejected(self, gate):
