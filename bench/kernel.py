@@ -41,8 +41,9 @@ factor table of the Haar unitary's decomposition alone into a sink.  The
 table, matrix and distribution files are written by ``perfbench/gen.py``'s
 own writers, so they are the benchmark's file formats byte for byte.
 ``load_truth_table`` reads a balanced table file of arity 14 and 17 (0.27
-and 2.5 MB), and ``deutsch_jozsa/arity17`` runs Deutsch-Jozsa at the
-default seed on the second table.
+and 2.5 MB), ``load_truth_table/n17_capped`` reads the second with
+``qubit_cap=20``, as ``ketsim deutsch-jozsa`` does, and
+``deutsch_jozsa/arity17`` runs Deutsch-Jozsa at the default seed on it.
 ``load_matrix/D128`` reads a seeded D = 128 Haar unitary (0.7 MB).
 ``load_truth_table/n14_walked`` and ``load_matrix/D128_walked`` read the
 same files behind a leading ``# comment`` line, which no strict layout
@@ -275,6 +276,8 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
                 walked.write_text("# comment\n" + path.read_text())
                 out[f"load_truth_table/n{arity}_walked"] = timed(
                     lambda: load_truth_table(str(walked)), repeats)
+        out[f"load_truth_table/n{arity}_capped"] = timed(
+            lambda: load_truth_table(str(path), qubit_cap=20), repeats)
         balanced = load_truth_table(str(path))  # the last table: f(x) = x & 1
         out[f"deutsch_jozsa/arity{arity}"] = timed(lambda: deutsch_jozsa(balanced), repeats)
         n = RENDER_QUBITS

@@ -72,7 +72,7 @@ def _exact_key(ins: Instruction) -> tuple:
     return ins, tuple(math.copysign(1.0, p) for p in ins.params)
 
 
-_PIECE_CHARS = 64 << 10  # characters at least in each piece of the line walk but the last
+_PIECE_CHARS = 64 << 10  # characters at least in each later piece of the line walk but the last
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -83,16 +83,18 @@ def _data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     breaks as whitespace, so none of them ends a comment or moves a line.
     A piece ends just after the first ``\\n`` ``_PIECE_CHARS`` past its start,
     so the walk holds one piece's lines at a time and no copy of the text.
+    The first piece is the first line alone, so a reader that stops at its
+    header splits nothing more.
     """
-    start, line_no = 0, 1
+    start, line_no, reach = 0, 1, 0
     while start < len(text):
-        end = text.find("\n", start + _PIECE_CHARS) + 1 or len(text)
+        end = text.find("\n", start + reach) + 1 or len(text)
         # a piece ending at "\n" leaves an empty tail: the next piece's first line
         for line_no, raw in enumerate(text[start:end].split("\n"), start=line_no):
             tokens = raw.split("#", 1)[0].split()
             if tokens:
                 yield line_no, tokens
-        start = end
+        start, reach = end, _PIECE_CHARS
 
 
 def _parse_int(token: str) -> int:

@@ -163,43 +163,44 @@ def _header(line: tuple[int, list[str]] | None, kind: str, key: str, what: str) 
 def load_truth_table(path: str, qubit_cap: int | None = None) -> TruthTable:
     """Table file: first line ``n=<arity>``, then 2**n lines ``x f(x)``.
 
-    A file in the strict layout is decoded in bulk; any other file,
-    including every malformed one, is walked line by line.  Given
-    ``qubit_cap``, a table whose oracle (arity + 1 qubits) exceeds it
-    raises ``CapacityExceeded`` at its header, before any row is read,
-    if the file is long enough to hold its 2**arity rows; a shorter one is
-    read, and reported short of entries.
+    One line walk reads the header, and goes on from there unless the
+    strict layout takes the file.  Only a file long enough to hold its
+    2**arity rows is checked against ``qubit_cap``, if given (an oracle of
+    arity + 1 qubits over it raises ``CapacityExceeded`` before any row is
+    read), and tried in the strict layout, which is decoded in bulk.  Any
+    other file, including every malformed one, is walked, and a shorter
+    one is reported short of entries.
     """
     text = _read_text(path)
-    if qubit_cap is not None:
-        arity = _header(next(_data_lines(text), None), "truth table file", "n", "arity")
-        # a row is at least its pattern, a space and a value
-        if arity + 1 > qubit_cap and len(text) >> arity >= arity + 2:
+    lines = _data_lines(text)
+    arity = _header(next(lines, None), "truth table file", "n", "arity")
+    # a row is at least its pattern, a space and a value
+    if len(text) >> arity >= arity + 2:
+        if qubit_cap is not None and arity + 1 > qubit_cap:
             raise CapacityExceeded(f"{arity + 1} qubits exceeds the cap of {qubit_cap}")
-    table = _bulk_truth_table(text)
-    return table if table is not None else _walk_truth_table(text)
+        if (table := _bulk_truth_table(text, arity)) is not None:
+            return table
+    return _walk_truth_table(lines, arity)
 
 
-def _bulk_truth_table(text: str) -> TruthTable | None:
+def _bulk_truth_table(text: str, arity: int) -> TruthTable | None:
     """The table of a file in the strict layout, or None for any other file.
 
-    The strict layout is ASCII: a line ``n=<arity>`` of at most two digits,
-    then exactly 2**arity rows ``<arity bits> <0|1>\\n`` in index order.  No
-    file holds 2**100 rows, and with two digits ``1 << arity`` stays small
-    whatever the header says.  The rows are checked and decoded as one
+    The strict layout is ASCII: the line ``n=<arity>`` with no leading
+    zero, then exactly 2**arity rows ``<arity bits> <0|1>\\n`` in index
+    order.  The caller passes only an arity whose rows the text could hold,
+    so ``1 << arity`` stays small.  The rows are checked and decoded as one
     ``uint8`` array; every file taken here gives the walk's table, and the
     walk owns every error message.
     """
-    head, _, body = text.partition("\n")
-    digits = head.removeprefix("n=")
-    if not (text.isascii() and digits != head and digits.isdigit() and len(digits) <= 2):
+    head = f"n={arity}\n"
+    if not (text.isascii() and text.startswith(head)):
         return None
-    arity = int(digits)
     width = arity + 3
-    rows, extra = divmod(len(body), width)
-    if arity < 1 or extra or rows != 1 << arity:
+    rows, extra = divmod(len(text) - len(head), width)
+    if extra or rows != 1 << arity:
         return None
-    data = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(rows, width)
+    data = np.frombuffer(text.encode("ascii"), np.uint8, offset=len(head)).reshape(rows, width)
     # every byte, OR-ed with its column's mask, equals its column's target:
     # ``b | 1 == ord("1")`` holds for ``b`` in "01" alone
     mask = np.ones(width, dtype=np.uint8)
@@ -217,12 +218,11 @@ def _bulk_truth_table(text: str) -> TruthTable | None:
     return TruthTable(arity, (data[:, arity + 1] & 1).tobytes())
 
 
-def _walk_truth_table(text: str) -> TruthTable:
-    """The table of any valid file, walked line by line: comments, blank
-    lines and any whitespace are allowed.  Every error message and line
-    number of a table file comes from here."""
-    lines = _data_lines(text)
-    arity = _header(next(lines, None), "truth table file", "n", "arity")
+def _walk_truth_table(lines: Iterator, arity: int) -> TruthTable:
+    """The table of any valid file, its line walk gone on from just past
+    the header: comments, blank lines and any whitespace are allowed.
+    Every error message and line number of a table file comes from here
+    or from ``_header``."""
     entries: dict[int, int] = {}
     for line_no, tokens in lines:
         if len(tokens) != 2:
@@ -248,26 +248,25 @@ def _walk_truth_table(text: str) -> TruthTable:
 def load_matrix(path: str) -> np.ndarray:
     """Matrix file: first line ``d=<D>``, then D rows of D ``re,im`` pairs.
 
-    A file in the strict layout is parsed in one pass; any other file,
-    including every malformed one, is walked line by line.  The
-    decomposition cap is checked at the header, before any row is read, if
-    the file is long enough to hold D rows of D entries of at least ``a,b``
-    and a separator (4 * D**2 characters); a shorter one is read, and
-    reported short.  The D x D array is built once every row has passed,
-    so its size is bounded by the entries the file holds.
+    One line walk reads the header, and goes on from there unless the
+    strict layout takes the file.  Only a file long enough to hold D rows
+    of D entries, each at least ``a,b`` and a separator (4 * D**2
+    characters), is checked against the decomposition cap before any row
+    is read, tried in the strict layout, which is parsed in one pass, and
+    has its walked rows kept.  Any other file, including every malformed
+    one, is walked, and a shorter one is reported short.  The D x D array
+    is built once every row has passed, so its size is bounded by the
+    entries the file holds.
     """
     text = _read_text(path)
-    dim = _header(next(_data_lines(text), None), "matrix file", "d", "dimension")
-    if _may_hold_rows(text, dim):
+    lines = _data_lines(text)
+    head = next(lines, None)
+    dim = _header(head, "matrix file", "d", "dimension")
+    if whole := len(text) >= 4 * dim * dim:
         check_dim_cap(dim)
-    matrix = _bulk_matrix(text)
-    return matrix if matrix is not None else _walk_matrix(text)
-
-
-def _may_hold_rows(text: str, dim: int) -> bool:
-    """Whether a matrix file is long enough to hold D rows of D entries:
-    each entry is at least ``a,b`` and a separator, 4 * D**2 characters."""
-    return len(text) >= 4 * dim * dim
+        if (matrix := _bulk_matrix(text, dim)) is not None:
+            return matrix
+    return _walk_matrix(lines, head, dim, keep=whole)
 
 
 # The bytes a number of a strict-layout matrix file is made of: printable
@@ -276,55 +275,50 @@ def _may_hold_rows(text: str, dim: int) -> bool:
 _NUMBER_BYTES = bytes(b for b in range(0x21, 0x7F) if b not in b",#_")
 
 
-def _bulk_matrix(text: str) -> np.ndarray | None:
+def _bulk_matrix(text: str, dim: int) -> np.ndarray | None:
     """The matrix of a file in the strict layout, or None for any other file.
 
-    The strict layout is ASCII: a line ``d=<D>`` of at most six digits,
+    The strict layout is ASCII: the line ``d=<D>`` with no leading zero,
     then exactly D rows of D ``re,im`` entries, separated by one space and
     ended by ``\\n``, with no ``#``, ``_``, ``\\r`` or other whitespace.  Its
     numbers are the walk's tokens, parsed by the same ``float``; every file
     taken here gives the walk's matrix, and the walk owns every error
     message but the cap's, which ``load_matrix`` checks first.
     """
-    head, _, body = text.partition("\n")
-    digits = head.removeprefix("d=")
-    if not (text.isascii() and digits != head and digits.isdigit() and len(digits) <= 6):
-        return None
-    dim = int(digits)
+    head = f"d={dim}\n"
     # the rows counted, and nothing after the last, before any array is built
-    if dim < 1 or body.count("\n") != dim or not body.endswith("\n"):
+    if not (text.isascii() and text.startswith(head) and text.endswith("\n")
+            and text.count("\n", len(head)) == dim):
         return None
-    # each row's separators: "," and " " after each entry but the last,
-    # then "," and "\n"; any other byte is left in and fails the match
-    seps = body.encode("ascii").translate(None, _NUMBER_BYTES)
-    if len(seps) != 2 * dim * dim or seps != (b", " * (dim - 1) + b",\n") * dim:
+    # the header's "\n", then each row's separators: "," and " " after each
+    # entry but the last, then "," and "\n"; any other byte is left in and
+    # fails the match
+    seps = text.encode("ascii").translate(None, _NUMBER_BYTES)
+    if len(seps) != 2 * dim * dim + 1 or seps != b"\n" + (b", " * (dim - 1) + b",\n") * dim:
         return None
     # row by row, so that no more than one row's number texts are held
     values = itertools.chain.from_iterable(
-        map(float, row.split()) for row in body.replace(",", " ").split("\n")
+        map(float, row.replace(",", " ").split()) for row in text.split("\n")[1:]
     )
     try:
         # an empty number leaves fewer than 2*D*D parts, which fromiter rejects
-        parts = np.fromiter(values, np.float64, len(seps))
+        parts = np.fromiter(values, np.float64, 2 * dim * dim)
     except ValueError:
         return None
     return parts.view(np.complex128).reshape(dim, dim)
 
 
-def _walk_matrix(text: str) -> np.ndarray:
-    """The matrix of any valid file, walked line by line: comments, blank
-    lines and any whitespace are allowed.  Every error message and line
-    number of a matrix file but the cap's comes from here.
+def _walk_matrix(lines: Iterator, head: tuple, dim: int, keep: bool) -> np.ndarray:
+    """The matrix of any valid file, its line walk gone on from just past
+    the ``head`` line: comments, blank lines and any whitespace are
+    allowed.  Every error message and line number of a matrix file but the
+    cap's and the header's comes from here.
 
     One walk parses rows until the first bad one or row D + 1 and only
     counts the rest; a wrong row count wins over a bad row.  A file too
-    short to hold D rows of D entries cannot be valid, so its rows are
-    checked and none is kept.
+    short to hold D rows of D entries cannot be valid: its rows are checked
+    and, without ``keep``, none is kept.
     """
-    lines = _data_lines(text)
-    head = next(lines, None)
-    dim = _header(head, "matrix file", "d", "dimension")
-    keep = _may_hold_rows(text, dim)
     entries: list[complex] = []
     fault, count, last = None, 0, head
     for count, last in enumerate(lines, start=1):

@@ -19,9 +19,11 @@ import pytest
 import ketsim
 import ketsim.cli as cli
 from ketsim import RngStream, TruthTable, haar_random_unitary, two_level_decompose
+from ketsim.circuit import _data_lines
 from ketsim.cli import (
     _bulk_matrix,
     _bulk_truth_table,
+    _header,
     _json,
     _read_text,
     _walk_matrix,
@@ -817,10 +819,51 @@ class TestLazyReader:
         assert table.is_balanced()
         assert peak < 15 * path.stat().st_size
 
+    @staticmethod
+    def _peak_ratio(load, path, **kwargs) -> float:
+        """The tracemalloc peak of ``load(path, **kwargs)`` per file byte."""
+        tracemalloc.start()
+        try:
+            load(str(path), **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / path.stat().st_size
+
+    def test_strict_matrix_peak(self, tmp_path):
+        # twice the file's size is the bytes read and the text decoded from them
+        path = tmp_path / "haar128.mat"
+        u = haar_random_unitary(128, RngStream(128))
+        path.write_text(perfbench_module("gen").render_matrix(u), encoding="utf-8")
+        assert self._peak_ratio(load_matrix, path) < 3.5
+
+    def test_strict_capped_table_peak(self, tmp_path):
+        gen = perfbench_module("gen")
+        path = tmp_path / "balanced17.tbl"
+        outputs = gen._random_table(random.Random(17), 17, balanced=True)
+        path.write_text(gen.render_table(17, outputs), encoding="utf-8")
+        assert self._peak_ratio(load_truth_table, path, qubit_cap=20) < 4.5
+
 
 def _strict_table(arity: int, outputs, order) -> str:
     """A table file in the strict layout, its rows in the given order."""
     return f"n={arity}\n" + "".join(f"{x:0{arity}b} {outputs[x]}\n" for x in order)
+
+
+def _walked_table(text: str) -> TruthTable:
+    """The line walk alone: the header, then the walk gone on from past it."""
+    lines = _data_lines(text)
+    return _walk_truth_table(lines, _header(next(lines, None), "truth table file", "n", "arity"))
+
+
+def _table_in_bulk(text: str) -> TruthTable | None:
+    """``_bulk_truth_table`` of ``text`` given its header's arity; None if
+    the header is one the walk rejects."""
+    try:
+        arity = _header(next(_data_lines(text), None), "truth table file", "n", "arity")
+    except ParseError:
+        return None
+    return _bulk_truth_table(text, arity)
 
 
 def _table_outcome(load, arg):
@@ -901,7 +944,7 @@ class TestBulkTable:
         path = tmp_path / "t.tbl"
         path.write_text(text, encoding="utf-8")
         loaded = _table_outcome(load_truth_table, str(path))
-        walked = _table_outcome(_walk_truth_table, _read_text(str(path)))
+        walked = _table_outcome(_walked_table, _read_text(str(path)))
         assert loaded == walked
         if isinstance(loaded, TruthTable):
             assert type(loaded.outputs) is type(walked.outputs) is bytes
@@ -925,22 +968,23 @@ class TestBulkTable:
             text = _strict_table(arity, outputs, order)
             assert self._differential(tmp_path, text) == TruthTable(arity, tuple(outputs))
         # rows out of index order are walked
-        assert _bulk_truth_table(_strict_table(arity, outputs, range(size))) is not None
+        assert _table_in_bulk(_strict_table(arity, outputs, range(size))) is not None
 
     @pytest.mark.parametrize("text", _irregular_tables())
     def test_irregular_but_valid(self, tmp_path, text):
         assert isinstance(self._differential(tmp_path, text), TruthTable)
+        assert _table_in_bulk(text) is None
 
     @pytest.mark.parametrize("text", _broken_tables())
     def test_broken(self, tmp_path, text):
         assert not isinstance(self._differential(tmp_path, text), TruthTable)
-        assert _bulk_truth_table(text) is None
+        assert _table_in_bulk(text) is None
 
     @pytest.mark.parametrize("text", _replaced_characters())
     def test_replaced_character(self, tmp_path, text):
         # some of these are valid: str.split() takes "\xa0" for a space
         self._differential(tmp_path, text)
-        assert _bulk_truth_table(text) is None
+        assert _table_in_bulk(text) is None
 
     def test_generated_layout_is_decoded_in_bulk(self, tmp_path, monkeypatch):
         gen = perfbench_module("gen")
@@ -949,7 +993,7 @@ class TestBulkTable:
         path.write_text(gen.render_table(10, outputs), encoding="utf-8")
         walks = []
         monkeypatch.setattr(
-            cli, "_walk_truth_table", lambda text: walks.append(1) or _walk_truth_table(text)
+            cli, "_walk_truth_table", lambda *args: walks.append(1) or _walk_truth_table(*args)
         )
         assert load_truth_table(str(path)) == TruthTable(10, tuple(outputs))
         assert walks == []
@@ -960,6 +1004,24 @@ class TestBulkTable:
         path.write_bytes(gen.render_table(10, outputs).replace("\n", "\r\n").encode())
         assert load_truth_table(str(path)) == TruthTable(10, tuple(outputs))
         assert walks == [1, 1]
+
+
+def _walked_matrix(text: str) -> np.ndarray:
+    """The line walk alone: the header, then the walk gone on from past it,
+    every row kept."""
+    lines = _data_lines(text)
+    head = next(lines, None)
+    return _walk_matrix(lines, head, _header(head, "matrix file", "d", "dimension"), keep=True)
+
+
+def _matrix_in_bulk(text: str) -> np.ndarray | None:
+    """``_bulk_matrix`` of ``text`` given its header's D; None if the
+    header is one the walk rejects."""
+    try:
+        dim = _header(next(_data_lines(text), None), "matrix file", "d", "dimension")
+    except ParseError:
+        return None
+    return _bulk_matrix(text, dim)
 
 
 def _matrix_outcome(load, arg):
@@ -1010,6 +1072,7 @@ def _irregular_matrices() -> list[str]:
         "d=2\n" + "\n".join(rows),
         "d=2\n" + "".join("  " + r + " \n" for r in rows),
         "d=0000002\n" + "".join(r + "\n" for r in rows),
+        "d=007" + _strict_matrix(np.eye(7)).removeprefix("d=7"),
         "\nd=2\n" + "".join(r + "\n" for r in rows),
         "d=2\n1,0 0,0\x0b\n0,0 1,0\n",
         "d=2\n1,0 0,0\n0,0\xa01,0\n",
@@ -1057,7 +1120,7 @@ class TestBulkMatrix:
         path = tmp_path / "m.mat"
         path.write_text(text, encoding="utf-8")
         loaded = _matrix_outcome(load_matrix, str(path))
-        walked = _matrix_outcome(_walk_matrix, _read_text(str(path)))
+        walked = _matrix_outcome(_walked_matrix, _read_text(str(path)))
         assert loaded == walked
         return loaded
 
@@ -1065,23 +1128,23 @@ class TestBulkMatrix:
     def test_haar_bits(self, tmp_path, dim):
         u = haar_random_unitary(dim, RngStream(dim))
         text = _strict_matrix(u)
-        assert _bulk_matrix(text) is not None
+        assert _matrix_in_bulk(text) is not None
         assert self._differential(tmp_path, text) == u.tobytes()
 
     @pytest.mark.parametrize("text", _special_matrices())
     def test_special_parts(self, tmp_path, text):
         self._differential(tmp_path, text)
-        assert (_bulk_matrix(text) is None) == ("0x1" in text)
+        assert (_matrix_in_bulk(text) is None) == ("0x1" in text)
 
     @pytest.mark.parametrize("text", _irregular_matrices())
     def test_irregular_but_valid(self, tmp_path, text):
         assert isinstance(self._differential(tmp_path, text), bytes)
-        assert _bulk_matrix(text) is None
+        assert _matrix_in_bulk(text) is None
 
     @pytest.mark.parametrize("text", _broken_matrices())
     def test_broken(self, tmp_path, text):
         assert not isinstance(self._differential(tmp_path, text), bytes)
-        assert _bulk_matrix(text) is None
+        assert _matrix_in_bulk(text) is None
 
     @pytest.mark.parametrize("dim", [999_999, 1000])
     def test_false_header_builds_nothing(self, dim):
@@ -1090,7 +1153,7 @@ class TestBulkMatrix:
         text = f"d={dim}\n" + "1,0\n" * 1000
         tracemalloc.start()
         try:
-            assert _bulk_matrix(text) is None
+            assert _matrix_in_bulk(text) is None
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1102,12 +1165,46 @@ class TestBulkMatrix:
         path = tmp_path / "gen.mat"
         path.write_text(gen.render_matrix(u), encoding="utf-8")
         walks = []
-        monkeypatch.setattr(cli, "_walk_matrix", lambda text: walks.append(1) or _walk_matrix(text))
+        monkeypatch.setattr(
+            cli, "_walk_matrix", lambda *args, **kw: walks.append(1) or _walk_matrix(*args, **kw)
+        )
         assert load_matrix(str(path)).tobytes() == u.tobytes()
         assert walks == []
         path.write_text("# generated\n" + gen.render_matrix(u), encoding="utf-8")
         assert load_matrix(str(path)).tobytes() == u.tobytes()
         assert walks == [1]
+
+
+class TestOneWalkPerFile:
+    """Each loader reads its header from the first line of one line walk
+    and, when the strict layout does not take the file, goes on with it."""
+
+    @staticmethod
+    def _walks(monkeypatch, load, path, **kwargs):
+        """``load(path, **kwargs)`` and the number of line walks it began."""
+        walks = []
+        monkeypatch.setattr(cli, "_data_lines", lambda text: walks.append(1) or _data_lines(text))
+        return load(str(path), **kwargs), len(walks)
+
+    @pytest.mark.parametrize("prefix", ["", "# comment\n"], ids=["strict", "walked"])
+    def test_matrix(self, tmp_path, monkeypatch, prefix):
+        u = haar_random_unitary(8, RngStream(8))
+        path = tmp_path / "m.mat"
+        path.write_text(prefix + perfbench_module("gen").render_matrix(u), encoding="utf-8")
+        matrix, walks = self._walks(monkeypatch, load_matrix, path)
+        assert matrix.tobytes() == u.tobytes()
+        assert walks == 1
+
+    @pytest.mark.parametrize("cap", [None, 20], ids=["uncapped", "capped"])
+    @pytest.mark.parametrize("prefix", ["", "# comment\n"], ids=["strict", "walked"])
+    def test_table(self, tmp_path, monkeypatch, prefix, cap):
+        gen = perfbench_module("gen")
+        outputs = gen._random_table(random.Random(6), 6, balanced=True)
+        path = tmp_path / "t.tbl"
+        path.write_text(prefix + gen.render_table(6, outputs), encoding="utf-8")
+        table, walks = self._walks(monkeypatch, load_truth_table, path, qubit_cap=cap)
+        assert table == TruthTable(6, tuple(outputs))
+        assert walks == 1
 
 
 def _text(value) -> str:

@@ -109,7 +109,7 @@ def test_table_flip_prints_what_the_line_walk_prints(capsys, tmp_path, monkeypat
     argv = ["deutsch-jozsa", "--table", str(path)]
     code = main(argv)
     out = capsys.readouterr().out
-    monkeypatch.setattr(cli, "_bulk_truth_table", lambda text: None)
+    monkeypatch.setattr(cli, "_bulk_truth_table", lambda text, arity: None)
     assert main(argv) == code
     assert capsys.readouterr().out == out
 
