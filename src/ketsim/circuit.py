@@ -290,7 +290,7 @@ def run_program(
         raise InvalidInput("program declares no qubits")
     if n > cap:
         raise CapacityExceeded(f"{n} qubits exceeds the cap of {cap}")
-    _check_shots(shots)
+    shots = _check_shots(shots)
     steps = _compile(program, tables)
     # |0...0> is built in the call so that no local keeps it alive
     return walk_shots(ket([0] * n, cap=n), steps, shots, seed)

@@ -183,15 +183,19 @@ def load_truth_table(path: str, qubit_cap: int | None = None) -> TruthTable:
     return _walk_truth_table(lines, arity)
 
 
+# A strict table's pattern column, in runs of 2**k rows: "0", then "1".
+_BIT_RUNS = np.array([[ord("0")], [ord("1")]], dtype=np.uint8)
+
+
 def _bulk_truth_table(text: str, arity: int) -> TruthTable | None:
     """The table of a file in the strict layout, or None for any other file.
 
     The strict layout is ASCII: the line ``n=<arity>`` with no leading
     zero, then exactly 2**arity rows ``<arity bits> <0|1>\\n`` in index
     order.  The caller passes only an arity whose rows the text could hold,
-    so ``1 << arity`` stays small.  The rows are checked and decoded as one
-    ``uint8`` array; every file taken here gives the walk's table, and the
-    walk owns every error message.
+    so ``1 << arity`` stays small.  The rows are a ``uint8`` view of the
+    ASCII bytes, checked one column at a time; every file taken here gives
+    the walk's table, and the walk owns every error message.
     """
     head = f"n={arity}\n"
     if not (text.isascii() and text.startswith(head)):
@@ -201,21 +205,16 @@ def _bulk_truth_table(text: str, arity: int) -> TruthTable | None:
     if extra or rows != 1 << arity:
         return None
     data = np.frombuffer(text.encode("ascii"), np.uint8, offset=len(head)).reshape(rows, width)
-    # every byte, OR-ed with its column's mask, equals its column's target:
+    values = data[:, arity + 1]
     # ``b | 1 == ord("1")`` holds for ``b`` in "01" alone
-    mask = np.ones(width, dtype=np.uint8)
-    mask[arity] = mask[-1] = 0
-    target = np.full(width, ord("1"), dtype=np.uint8)
-    target[arity], target[-1] = ord(" "), ord("\n")
-    if not ((data | mask) == target).all():
+    if not ((data[:, arity] == ord(" ")).all() and (data[:, -1] == ord("\n")).all()
+            and ((values | 1) == ord("1")).all()):
         return None
-    index = np.zeros(rows, dtype=np.int64)
+    # in index order column c is bit arity - 1 - c: its runs read "0" then "1"
     for column in range(arity):
-        index <<= 1
-        index |= data[:, column] & 1
-    if not np.array_equal(index, np.arange(rows)):
-        return None
-    return TruthTable(arity, (data[:, arity + 1] & 1).tobytes())
+        if not (data[:, column].reshape(-1, 2, 1 << (arity - 1 - column)) == _BIT_RUNS).all():
+            return None
+    return TruthTable(arity, (values & 1).tobytes())
 
 
 def _walk_truth_table(lines: Iterator, arity: int) -> TruthTable:
@@ -280,25 +279,25 @@ def _bulk_matrix(text: str, dim: int) -> np.ndarray | None:
 
     The strict layout is ASCII: the line ``d=<D>`` with no leading zero,
     then exactly D rows of D ``re,im`` entries, separated by one space and
-    ended by ``\\n``, with no ``#``, ``_``, ``\\r`` or other whitespace.  Its
-    numbers are the walk's tokens, parsed by the same ``float``; every file
-    taken here gives the walk's matrix, and the walk owns every error
-    message but the cap's, which ``load_matrix`` checks first.
+    ended by ``\\n``, with no ``#``, ``_``, ``\\r`` or other whitespace.  Each
+    row is checked, then parsed, on its own.  Its numbers are the walk's
+    tokens, parsed by the same ``float``; every file taken here gives the
+    walk's matrix, and the walk owns every error message but the cap's,
+    which ``load_matrix`` checks first.
     """
     head = f"d={dim}\n"
     # the rows counted, and nothing after the last, before any array is built
     if not (text.isascii() and text.startswith(head) and text.endswith("\n")
             and text.count("\n", len(head)) == dim):
         return None
-    # the header's "\n", then each row's separators: "," and " " after each
-    # entry but the last, then "," and "\n"; any other byte is left in and
-    # fails the match
-    seps = text.encode("ascii").translate(None, _NUMBER_BYTES)
-    if len(seps) != 2 * dim * dim + 1 or seps != b"\n" + (b", " * (dim - 1) + b",\n") * dim:
+    rows = text.split("\n")[1:-1]
+    # any byte left but the ", " after each entry but the last and a "," fails
+    seps = b", " * (dim - 1) + b","
+    if any(row.encode("ascii").translate(None, _NUMBER_BYTES) != seps for row in rows):
         return None
     # row by row, so that no more than one row's number texts are held
     values = itertools.chain.from_iterable(
-        map(float, row.replace(",", " ").split()) for row in text.split("\n")[1:]
+        map(float, row.replace(",", " ").split()) for row in rows
     )
     try:
         # an empty number leaves fewer than 2*D*D parts, which fromiter rejects

@@ -132,7 +132,10 @@ def marginal(d: EventDistribution, subset: Iterable[int]) -> Fraction:
 
 
 def _check_unit_interval(values: Sequence[Rational]) -> list[Fraction]:
-    probs = [Fraction(v) for v in values]
+    try:
+        probs = [Fraction(v) for v in values]
+    except (ValueError, OverflowError):  # NaN or an infinity
+        raise InvalidInput("probabilities must lie in [0, 1]") from None
     if not probs:
         raise InvalidInput("at least one probability is required")
     if any(not 0 <= p <= 1 for p in probs):

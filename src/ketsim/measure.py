@@ -8,13 +8,14 @@ produces an impossible outcome or a near-null collapsed vector.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityExceeded, InvalidInput
-from .rng import RngStream, uniforms
+from .rng import RngStream, _check_seed, uniforms
 from .state import StateVector, _renormalise, _split_axes, index_to_bits, probabilities
 
 ZERO_BRANCH_EPS = 1e-15
@@ -129,11 +130,18 @@ def measure_subset(s: StateVector, qubits: Sequence[int], rng: RngStream) -> Mea
     )
 
 
-def _check_shots(shots: int) -> None:
+def _check_shots(shots: int) -> int:
+    """``shots`` as an int, within 1 to ``MAX_SHOTS``: ints, bools and
+    numpy integers pass."""
+    try:
+        shots = operator.index(shots)
+    except TypeError:
+        raise InvalidInput(f"shots {shots!r} is not an integer") from None
     if shots < 1:
         raise InvalidInput("shots must be at least 1")
     if shots > MAX_SHOTS:
         raise CapacityExceeded(f"shots exceed the cap of {MAX_SHOTS}")
+    return shots
 
 
 class _Node:
@@ -187,6 +195,7 @@ def walk_shots(
     ``TREE_BYTES``, each further node walks its shots one at a time, whose
     nodes then hold no state while their subtree is walked.
     """
+    seed = _check_seed(seed)
     marks = [pos for pos, step in enumerate(steps) if isinstance(step, _Projection)]
     measured = {pos: j for j, pos in enumerate(marks)}  # position -> j
     m = len(marks)
@@ -254,5 +263,5 @@ def sample(s: StateVector, shots: int, seed: int) -> Histogram:
     at a time and so bounds memory for any shot count up to ``MAX_SHOTS``.
     Keys are bit patterns with qubit 0 leftmost, sorted ascending.
     """
-    _check_shots(shots)
+    shots = _check_shots(shots)
     return walk_shots(s, [_Projection(range(s.num_qubits), s.num_qubits)], shots, seed)

@@ -20,8 +20,11 @@ the README):
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
+
+from .errors import InvalidInput
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -37,7 +40,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
+        self.seed = _check_seed(seed) & _MASK64
         self._state = self.seed
 
     def next_u64(self) -> int:
@@ -62,6 +65,15 @@ class RngStream:
         u2 = self.uniform()
         r = math.sqrt(-2.0 * math.log(1.0 - u1))
         return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int: ints, bools and numpy integers pass, anything
+    else is an input error."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise InvalidInput(f"seed {seed!r} is not an integer") from None
 
 
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:

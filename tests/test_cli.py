@@ -835,14 +835,16 @@ class TestLazyReader:
         path = tmp_path / "haar128.mat"
         u = haar_random_unitary(128, RngStream(128))
         path.write_text(perfbench_module("gen").render_matrix(u), encoding="utf-8")
-        assert self._peak_ratio(load_matrix, path) < 3.5
+        assert self._peak_ratio(load_matrix, path) < 2.75
 
-    def test_strict_capped_table_peak(self, tmp_path):
+    @pytest.mark.parametrize("qubit_cap", [20, None])
+    def test_strict_capped_table_peak(self, tmp_path, qubit_cap):
+        # the deutsch-jozsa load, with the cap, and the run --table one
         gen = perfbench_module("gen")
         path = tmp_path / "balanced17.tbl"
         outputs = gen._random_table(random.Random(17), 17, balanced=True)
         path.write_text(gen.render_table(17, outputs), encoding="utf-8")
-        assert self._peak_ratio(load_truth_table, path, qubit_cap=20) < 4.5
+        assert self._peak_ratio(load_truth_table, path, qubit_cap=qubit_cap) < 2.5
 
 
 def _strict_table(arity: int, outputs, order) -> str:

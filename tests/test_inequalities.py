@@ -443,6 +443,13 @@ class TestBellViolation:
                      "atom probabilities must be rational numbers", id="atom-text"),
         pytest.param(lambda: boole_union_bounds([]), "at least one probability is required",
                      id="no-probabilities"),
+        # probabilities that Fraction cannot take
+        pytest.param(lambda: boole_union_bounds([math.nan]), "probabilities must lie in [0, 1]",
+                     id="union-nan"),
+        pytest.param(lambda: boole_intersection_bounds([F(1, 2), math.inf]),
+                     "probabilities must lie in [0, 1]", id="intersection-inf"),
+        pytest.param(lambda: bell_effect_solve(-math.inf, 0, 0),
+                     "probabilities must lie in [0, 1]", id="bell-effect-minus-inf"),
         pytest.param(lambda: StrategyMix((F(1),) * 4), "strategy weights must sum to 1",
                      id="strategy-weights"),
         pytest.param(lambda: quantum_pair_probs(math.inf, 0), "angles must be finite",

@@ -11,13 +11,18 @@ from ketsim import (
     InvalidInput,
     RngStream,
     StateVector,
+    TruthTable,
     apply,
     bell_pair,
+    deutsch_jozsa,
     hadamard,
     ket,
     measure_subset,
+    parse_circuit,
     probabilities,
+    run_program,
     sample,
+    teleport,
     walsh_hadamard,
 )
 from ketsim.measure import MAX_SHOTS, Histogram, SAMPLE_CHUNK, _branch_cdf, _draw
@@ -327,6 +332,43 @@ class TestSample:
         monkeypatch.setattr(measure, "uniforms", None)
         with pytest.raises(CapacityExceeded):
             sample(ket([0]), MAX_SHOTS + 1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: sample(ket([0]), 2.5, 0), "shots 2.5 is not an integer",
+                     id="sample-shots"),
+        pytest.param(lambda: run_program(parse_circuit("h 0\nmeasure 0"), shots="3"),
+                     "shots '3' is not an integer", id="run-shots"),
+        pytest.param(lambda: sample(ket([0]), 3, 0.5), "seed 0.5 is not an integer",
+                     id="sample-seed"),
+        pytest.param(lambda: teleport(ket([0]), 0.5), "seed 0.5 is not an integer",
+                     id="teleport-seed"),
+        pytest.param(lambda: deutsch_jozsa(TruthTable(1, (0, 1)), None),
+                     "seed None is not an integer", id="deutsch-jozsa-seed"),
+        pytest.param(lambda: RngStream(1.5), "seed 1.5 is not an integer", id="stream-seed"),
+    ],
+)
+def test_non_integer_shots_and_seeds(call, message):
+    # each ended in a bare TypeError
+    with pytest.raises(InvalidInput) as err:
+        call()
+    assert type(err.value) is InvalidInput and str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "shots, seed",
+    [(True, True), (np.int64(3), np.int64(5)), (np.uint8(3), np.uint64(2**64 - 1))],
+    ids=["bool", "int64", "unsigned"],
+)
+def test_integer_like_shots_and_seeds(shots, seed):
+    # bools and numpy integers draw what the equal int draws
+    s = apply(hadamard(), ket([0]))
+    hist = sample(s, shots, seed)
+    assert hist.counts == sample(s, int(shots), int(seed)).counts
+    assert type(hist.shots) is int and type(hist.seed) is int
+    assert RngStream(seed).next_u64() == RngStream(int(seed)).next_u64()
 
 
 def test_histogram_counts_must_sum_to_shots():
