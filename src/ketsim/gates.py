@@ -101,23 +101,18 @@ def u2_from_params(a: float, b: float, c: float, d: float) -> np.ndarray:
 
     The factors are, in order: an XX-axis rotation by ``b``, a plane
     rotation by ``c``, and a relative phase by ``d``.  Every 2x2 unitary
-    arises from some choice of the four angles.
+    arises from some choice of the four angles.  The entries are formed in
+    Python scalars, so their bits do not depend on the CPU's BLAS kernels.
     """
     for value in (a, b, c, d):
         if not math.isfinite(value):
             raise InvalidInput("u2 parameters must be finite")
-    first = np.array(
-        [[math.cos(b), -1j * math.sin(b)], [-1j * math.sin(b), math.cos(b)]],
-        dtype=np.complex128,
-    )
-    second = np.array(
-        [[math.cos(c), -math.sin(c)], [math.sin(c), math.cos(c)]], dtype=np.complex128
-    )
-    third = np.array(
-        [[complex(math.cos(d), -math.sin(d)), 0], [0, complex(math.cos(d), math.sin(d))]],
-        dtype=np.complex128,
-    )
-    return complex(math.cos(a), math.sin(a)) * (first @ second @ third)
+    # e^{ia} [[cb, -i sb], [-i sb, cb]] [[cc, -sc], [sc, cc]] diag(e^{-id}, e^{id})
+    cb, sb, cc, sc = math.cos(b), math.sin(b), math.cos(c), math.sin(c)
+    phase, turn = complex(math.cos(a), math.sin(a)), complex(math.cos(d), math.sin(d))
+    p0, p1 = phase * turn.conjugate(), phase * turn  # unit phases: a ± d may overflow
+    return np.array([[complex(cb * cc, -sb * sc) * p0, complex(-cb * sc, -sb * cc) * p1],
+                     [complex(cb * sc, -sb * cc) * p0, complex(cb * cc, sb * sc) * p1]])
 
 
 def cnot() -> np.ndarray:
@@ -164,9 +159,10 @@ def bell_pair(i: int, j: int) -> StateVector:
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether ||M* M - I||_F <= tol for a square matrix of finite entries."""
+    """Whether ||M* M - I||_F <= tol for a square matrix.  An entry of modulus
+    above 1 (or NaN) fails first, so the Gram product cannot overflow."""
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not (np.abs(m) <= 1 + tol).all():
         return False
     gram = m.conj().T @ m
     return bool(np.linalg.norm(gram - np.eye(m.shape[0])) <= tol)

@@ -70,6 +70,16 @@ class TestRunCommand:
         assert set(payload["counts"]) == {"00", "11"}
         assert sum(payload["counts"].values()) == 10000
 
+    def test_u2_with_huge_angles(self, capsys, tmp_path):
+        # a - d overflows for these angles
+        circuit = tmp_path / "u2.qc"
+        circuit.write_text("qubits 2\nh 1\nu2 0 a=1e308 b=-1e308 c=1e308 d=-1e308\n")
+        code = main(["run", str(circuit)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        amplitudes = json.loads(captured.out)["final_state"]["amplitudes"]
+        assert sum(re * re + im * im for re, im in amplitudes) == pytest.approx(1, abs=1e-15)
+
     def test_oracle_circuit_with_table(self, capsys):
         code, payload = run_json(
             capsys,
@@ -363,6 +373,17 @@ class TestDecomposeCommand:
         assert code == 1
         assert payload["error"]["kind"] == "NotUnitary"
 
+    def test_huge_entry_not_unitary_without_warning(self, capsys, tmp_path):
+        # the entry's square overflowed the Gram product, whose warnings
+        # went to stderr (a traceback under -W error)
+        matrix = tmp_path / "huge.mat"
+        matrix.write_text("d=2\n0.297716686579e174,0 0,0\n0,0 1,0\n")
+        code = main(["decompose", "--matrix", str(matrix)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"]["kind"] == "NotUnitary"
+        assert captured.err == "ketsim: two_level_decompose requires a unitary matrix\n"
+
     @pytest.mark.parametrize("name, u", [pytest.param(*case, id=case[0])
                                          for case in table_unitaries()])
     def test_document_equals_reference_of_list(self, capsys, tmp_path, name, u):
@@ -636,7 +657,7 @@ FIXTURE_DIGESTS = [
     # header), and a signed zero, which the gate kernels never produce, in
     # the teleported input
     (["run", "{f}/render16.qc"],
-     "a4a6b0f73a1e9f42edfe227869bc54cc8a3bcd06af9f04808261bb36ab7b8344"),
+     "b684b22f9bc75500d38908771541f2bd9598347f81556a5287283fa8c28a80d2"),
     (["teleport", "--state", "0,3.141592653589793"],
      "0a7c6f5e8cb313c630a21ad2c8b587f6f276775fa90bef077342318947c2353b"),
 ]
@@ -1442,9 +1463,9 @@ class TestGoldenDumps:
     byte for byte: the fixture digests cover only small states."""
 
     @pytest.mark.parametrize("circuit, digest", [
-        (_dump_circuit(12), "fd0dee671512d8ee16a4d78d9db7ccd9f3c384a11a8243753c4f6ee6a11dcf61"),
+        (_dump_circuit(12), "02fda848db8359dd9f173cfff151280578eb06f242956e3279321be6f1e03eac"),
         (_u2_layer_dump(17, 17),
-         "01d256f8e6b42c6c82353a580a498821d464aebb667eec0bdc05e8a17b7e0383"),
+         "e066215622281113078a96030d6d10ab1bb7a046a1d684e10610d9b6e534a036"),
     ], ids=["dump12", "u2_layer17"])
     def test_dump_digest(self, capsys, tmp_path, circuit, digest):
         path = tmp_path / "dump.qc"

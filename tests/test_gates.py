@@ -1,9 +1,15 @@
 import itertools
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ketsim
 from ketsim import (
     DimensionMismatch,
     states_equivalent,
@@ -99,6 +105,42 @@ class TestU2:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInput):
             u2_from_params(math.inf, 0, 0, 0)
+
+    def test_entries_match_three_factor_product(self):
+        rng = random.Random(36)
+        for _ in range(2000):
+            a, b, c, d = (rng.uniform(-7, 7) for _ in range(4))
+            first = np.array([[math.cos(b), -1j * math.sin(b)], [-1j * math.sin(b), math.cos(b)]])
+            second = np.array([[math.cos(c), -math.sin(c)], [math.sin(c), math.cos(c)]])
+            third = np.diag([complex(math.cos(d), -math.sin(d)), complex(math.cos(d), math.sin(d))])
+            expected = complex(math.cos(a), math.sin(a)) * (first @ second @ third)
+            m = u2_from_params(a, b, c, d)
+            assert m.dtype == np.complex128 and m.shape == (2, 2)
+            assert np.abs(m - expected).max() <= 1e-15
+            assert is_unitary(m, 2e-15)
+
+    def test_bits_same_under_every_kernel(self):
+        # built from Python scalars: the BLAS and SIMD kernels picked for
+        # the CPU play no part in the entries' bits
+        script = (
+            "import random\n"
+            "from ketsim import u2_from_params\n"
+            "rng = random.Random(7)\n"
+            "for _ in range(200):\n"
+            "    print(u2_from_params(*(rng.uniform(-7, 7) for _ in range(4))).tobytes().hex())\n"
+        )
+        outputs = []
+        for setting in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"},
+                        {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4"}):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+            env.update(setting, PYTHONPATH=str(Path(ketsim.__file__).parents[1]))
+            result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                    text=True, env=env, timeout=120)
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0].count("\n") == 200
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestCnot:
@@ -945,6 +987,13 @@ class TestIsUnitary:
         # an inf entry made the Gram product warn (an error under -W error)
         m = hadamard()
         m[0, 1] = bad
+        assert not is_unitary(m, 1e-9)
+
+    @pytest.mark.parametrize("bad", [1e174, 1e300])
+    def test_huge_finite_rejected_without_warning(self, bad):
+        # its square overflowed the Gram product, which warned
+        m = hadamard()
+        m[0, 0] = bad
         assert not is_unitary(m, 1e-9)
 
 
