@@ -24,7 +24,12 @@ Toffoli and a dense 8x8 unitary; ``apply_oracle_at`` with a 4-input
 table; each on n = 16 and n = 20 qubits with the targets at the first,
 middle and last qubits.  Permutation gates with a target on the
 innermost qubit, X on n-1, CNOT on [0, n-1] and Toffoli on [1, 3, n-1],
-run as ``x/n<N>/innermost``, ``cnot/...`` and ``toffoli/...``.
+run as ``x/n<N>/innermost``, ``cnot/...`` and ``toffoli/...``.  ``y`` and
+``z`` run at the same first, middle and last targets.  ``repeat/n12/...``
+times ``REPEAT_CALLS`` calls of one plan on a 12-qubit state, as a shot
+tree calls each plan after a measurement once per branch, from the plan's
+fourth call on, once any table it keeps exists: CNOT on [0, 11], the
+4-input oracle on [5, 2, 8, 3, 11], Y on qubit 10 and Z on qubit 6.
 ``measure_subset`` of 2 qubits at the same three positions and of every
 qubit (``measure_subset/n<N>/all``) run on the same states, each with a
 fresh ``RngStream``.
@@ -88,6 +93,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 20)
+REPEAT_QUBITS = 12
+REPEAT_CALLS = 100
 ORACLE_ARITY = 4
 DECOMPOSE_DIMS = (16, 32, 64, 128)
 FACTOR_TEXT_DIMS = (64, 128)
@@ -194,10 +201,11 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
     :func:`_median_time` gives them."""
     import numpy as np
     from ketsim import StateVector, TruthTable, apply_gate_at, apply_oracle_at, cnot, hadamard
-    from ketsim import RngStream, measure_subset, pauli_x, toffoli_unitary
+    from ketsim import RngStream, measure_subset, pauli_x, pauli_y, pauli_z, toffoli_unitary
     from ketsim import haar_random_unitary, parse_circuit, recompose, two_level_decompose
     from ketsim import bell_pair, deutsch_jozsa, format_ket, run_program, sample
     from ketsim.circuit import _compile
+    from ketsim.gates import _GatePlan, _OraclePlan
     from ketsim.decompose import decompose_table
     from ketsim.cli import _json, load_distribution, load_matrix, load_truth_table
 
@@ -214,7 +222,7 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
         return q
 
     gates = {"h": hadamard(), "cnot": cnot(), "dense2": dense(4),
-             "toffoli": toffoli_unitary(), "dense3": dense(8)}
+             "toffoli": toffoli_unitary(), "dense3": dense(8), "y": pauli_y(), "z": pauli_z()}
     table = TruthTable(ORACLE_ARITY, tuple(int(b) for b in rng.integers(0, 2, 1 << ORACLE_ARITY)))
     states = {}
     for n in SIZES:
@@ -252,6 +260,18 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
                 lambda: measure_subset(state, targets, RngStream(0)), reps[n])
         out[f"measure_subset/n{n}/all"] = timed(
             lambda: measure_subset(state, range(n), RngStream(0)), reps[n])
+    n = REPEAT_QUBITS
+    own = np.random.default_rng(n)  # leaves the cases after this unchanged
+    amps = own.normal(size=1 << n) + 1j * own.normal(size=1 << n)
+    state = StateVector(amps / np.linalg.norm(amps))
+    for name, plan in (("cnot", _GatePlan(cnot(), [0, n - 1], n)),
+                       ("oracle", _OraclePlan(table, [5, 2, 8, 3, n - 1], n)),
+                       ("y", _GatePlan(pauli_y(), [n - 2], n)),
+                       ("z", _GatePlan(pauli_z(), [n // 2], n))):
+        for _ in range(3):
+            plan(state)
+        out[f"repeat/n{n}/{name}"] = timed(
+            lambda: [plan(state) for _ in range(REPEAT_CALLS)], 4 * repeats)
     for dim in DECOMPOSE_DIMS:
         u = haar_random_unitary(dim, RngStream(dim))
         factors, held = two_level_decompose(u), decompose_table(u)

@@ -246,9 +246,11 @@ def render_circuit(program: CircuitProgram) -> str:
 
 def _compile(program: CircuitProgram, tables: Mapping[str, TruthTable]) -> list:
     """The program's steps for ``walk_shots``, one built per distinct
-    instruction (a plan holds no per-call state): a gate or oracle as a
-    function of states, or the measurement of its targets, where a bare
-    ``measure`` measures every qubit in order."""
+    instruction: a gate or oracle as a function of states, or the
+    measurement of its targets, where a bare ``measure`` measures every
+    qubit in order.  A plan's only per-call state is its call count and the
+    index table it keeps from its third call (``gates._KeptTable``), which
+    give the same bits as its first call, so repeated lines share a step."""
     n = program.num_qubits
     built: dict[tuple, object] = {}
     steps: list = []

@@ -31,6 +31,16 @@ _BLOCK_BYTES = 16 << _BLOCK_BITS
 
 _SQRT_HALF = math.sqrt(0.5)
 
+# The entries a gate that only moves amplitudes may hold, one per row.
+_UNIT_PHASES = (1, -1, 1j, -1j)
+
+# A plan that moves the amplitudes of fewer than 2**_TABLE_QUBITS may keep a
+# table of each output's source index, uint16, from its _TABLE_CALL-th call:
+# a shot tree calls its later plans once per branch, while a circuit that is
+# only run once repeats few of its lines more than twice.
+_TABLE_QUBITS = 16
+_TABLE_CALL = 3
+
 
 def _table_size_text(arity: int) -> int | str:
     """2**arity, as a number while Python can print it (4300 digits), else
@@ -187,8 +197,10 @@ class _IndexGather:
     i's target bits (in both, the first target is most significant).
     By its index bits of s and up, each block of 2**s outputs
     is one run of the input or one ``np.take`` through a table of 2**s
-    indices above a base.  A call builds its tables, at most 2**14 entries
-    (128 KiB), and drops them.  Copies keep every bit and signed zero."""
+    indices above a base.  It runs on states of 2**16 amplitudes and up,
+    where no plan keeps a table: a call builds its tables, at most 2**14
+    entries (128 KiB), and drops them.  Copies keep every bit and signed
+    zero."""
 
     __slots__ = ("size", "low", "high", "flips", "moves")
 
@@ -242,7 +254,24 @@ class _IndexGather:
         return out.reshape(amps.shape)
 
 
-class _GatePlan:
+class _KeptTable:
+    """A plan that only moves amplitudes, which from its ``_TABLE_CALL``-th
+    call keeps each output's source index in one flat uint16 table, 2 bytes
+    per amplitude, and moves the amplitudes with one ``np.take``.  ``calls``
+    counts the calls so far, or is None for a plan that keeps no table."""
+
+    __slots__ = ("table", "calls")
+
+    def _kept(self, size: int) -> np.ndarray | None:
+        """The table, built by this call if it is the ``_TABLE_CALL``-th."""
+        if self.table is None and self.calls is not None:
+            self.calls += 1
+            if self.calls == _TABLE_CALL:
+                self.table = self._move(np.arange(size, dtype=np.uint16))
+        return self.table
+
+
+class _GatePlan(_KeptTable):
     """Gate ``g`` on the ``targets`` of 2**n amplitudes (qubit 0 most
     significant), planned once.  ``apply(amps)`` returns a fresh array with
     ``g`` applied; calling the plan applies it to a state's amplitudes.
@@ -251,15 +280,25 @@ class _GatePlan:
     The first target is the gate's high-order qubit.  On a reshape of the
     amplitudes that copies nothing, output slice r (the amplitudes whose
     target bits spell r) is the sum over the gate's columns c of g[r, c]
-    times input slice c.  When g is a permutation matrix (X, CNOT,
-    Toffoli) that sum is one slice copy, or an ``_IndexGather`` where its
-    plan finds that faster, and the output state skips the norm pass.  Any
-    other gate is matrix products: per amplitude the same products, summed
-    in the same order, as one contraction of the whole state.  A 1-qubit
-    gate whose runs hold at least 256 amplitudes multiplies strided views
-    of the state (zgemm's bits depend on neither stride nor column count);
-    any other gate gathers the 2**k input slices of one cache-sized block
-    at a time into a buffer and multiplies that.
+    times input slice c.  When each row of g holds one nonzero entry, 1,
+    -1, i or -i, and their columns form a permutation, that sum is one
+    input slice times a unit phase, and the output state skips the norm
+    pass.  Where every entry is 1 (X, CNOT, Toffoli) the gate is an
+    ``_IndexGather`` where its plan finds that faster, else one copy per
+    slice; below 2**16 amplitudes, with 8 or more slices or an innermost
+    target whose runs hold at most 2**(k+1) amplitudes, the copies give way
+    to one ``np.take`` through a kept table from the plan's third call
+    (``_KeptTable``).  Any other such gate (Y, Z) is one pass per output
+    slice, a take and a phase pass being dearer: ``0.0 - x`` for -1, so that
+    a negated zero part is +0.0 as the dense product's sums make it, and
+    numpy's complex product for i and -i.
+
+    Any other gate is matrix products: per amplitude the same products,
+    summed in the same order, as one contraction of the whole state.  A
+    1-qubit gate whose runs hold at least 256 amplitudes multiplies strided
+    views of the state (zgemm's bits depend on neither stride nor column
+    count); any other gate gathers the 2**k input slices of one cache-sized
+    block at a time into a buffer and multiplies that.
     """
 
     __slots__ = ("k", "shape", "order", "g", "copies", "gather", "axis", "step", "block_shape")
@@ -273,23 +312,29 @@ class _GatePlan:
             raise DimensionMismatch(f"gate shape {g.shape} does not act on {k} qubits")
         if not np.isfinite(g).all():
             raise InvalidInput("gate entries must be finite")
-        # the one input slice each output slice copies, if every row of g
-        # is a unit vector
-        sources = [
-            row.index(1) if row.count(0) == len(row) - 1 and 1 in row else None
-            for row in g.tolist()
-        ]
+        # the input slice and unit phase of each output slice, while rows
+        # hold one nonzero entry, their sum, and it is a unit phase
+        columns, phases = [], []
+        for row in g.tolist():
+            if row.count(0) != len(row) - 1 or (entry := sum(row)) not in _UNIT_PHASES:
+                break
+            columns.append(c := row.index(entry))
+            phases.append(row[c])
         self.g, self.copies, self.gather, self.block_shape = g, None, None, None
-        # Only a permutation copies: its output needs no norm pass.  Unit
-        # rows that repeat a source (not unitary) take the products below,
-        # whose norm pass rejects the output.
-        if None not in sources and sorted(sources) == list(range(1 << k)):
-            # output index i reads i with its target bits r ^ c flipped
-            self.gather = _IndexGather.plan(targets, n, lambda r: r ^ sources[r])
-            if self.gather is None:  # (output slice, input slice) index pairs
-                self.copies = tuple(
-                    (index_to_bits(r, k), index_to_bits(c, k)) for r, c in enumerate(sources)
-                )
+        self.table, self.calls = None, None
+        # Only a gate whose columns form a permutation moves: its output needs
+        # no norm pass.  Rows that repeat a column (not unitary) take the
+        # products below, whose norm pass rejects the output.
+        if sorted(columns) == list(range(1 << k)):
+            permutes = phases.count(1) == len(phases)
+            if permutes:
+                # output index i reads i with its target bits r ^ c flipped
+                self.gather = _IndexGather.plan(targets, n, lambda r: r ^ columns[r])
+            if self.gather is None:  # (output slice, input slice, phase)
+                self.copies = tuple((index_to_bits(r, k), index_to_bits(c, k), phase)
+                                    for r, (c, phase) in enumerate(zip(columns, phases)))
+                if permutes and n < _TABLE_QUBITS and (k >= 3 or n - 1 - max(targets) <= k + 1):
+                    self.calls = 0
             return
         if k == 1 and n - 1 - targets[0] >= 8:  # runs of 256: the state's own rows
             return
@@ -309,25 +354,38 @@ class _GatePlan:
         viewed[axis], self.axis, self.step = step, axis, step
         self.block_shape = tuple(viewed)
 
+    def _move(self, values: np.ndarray) -> np.ndarray:
+        # Views with the target axes first: indexing their first k axes
+        # with the bits of r picks slice r.
+        out = np.empty(self.shape, dtype=values.dtype)
+        src, dst = values.reshape(self.shape).transpose(self.order), out.transpose(self.order)
+        for r, c, phase in self.copies:
+            if phase == 1:
+                dst[r] = src[c]
+            elif phase == -1:  # 0.0 - x: a negated zero part is +0.0, as in the dense product
+                np.subtract(0.0, src[c], out=dst[(*r, ...)])  # ``...``: an array at k = n
+            else:  # each nonzero part is a part of the input, moved or negated
+                np.multiply(src[c], phase, out=dst[(*r, ...)])
+        return out.reshape(values.shape)
+
     def apply(self, amps: np.ndarray) -> np.ndarray:
         if self.gather is not None:
             return self.gather(amps)
+        if self.copies is not None:
+            table = self._kept(amps.size)
+            if table is None:
+                return self._move(amps)
+            return np.take(amps, table, mode="clip").reshape(amps.shape)  # all in range
         out = np.empty(self.shape, dtype=np.complex128)
-        if self.copies is None and self.block_shape is None:
+        if self.block_shape is None:
             # (row, column block, 2, columns), 4096 columns per product
             run = self.shape[-1]
             cols = min(run, _BLOCK_BYTES // 32)
             view = lambda a: a.reshape(-1, 2, run // cols, cols).transpose(0, 2, 1, 3)
             np.matmul(self.g, view(amps), out=view(out))
             return out.reshape(amps.shape)
-        # Views with the target axes first: indexing their first k axes
-        # with the bits of r picks slice r.
         src = amps.reshape(self.shape).transpose(self.order)
         dst = out.transpose(self.order)
-        if self.copies is not None:
-            for r, c in self.copies:
-                dst[r] = src[c]
-            return out.reshape(amps.shape)
         gathered = np.empty(self.block_shape, dtype=np.complex128)
         product = np.empty_like(gathered)
         rows_in, rows_out = gathered.reshape(1 << self.k, -1), product.reshape(1 << self.k, -1)
@@ -405,12 +463,14 @@ def oracle_from_truth_table(f: TruthTable) -> np.ndarray:
     return identity(dim)[rows ^ np.frombuffer(f.outputs, dtype=np.uint8)[rows >> 1]]
 
 
-class _OraclePlan:
+class _OraclePlan(_KeptTable):
     """The oracle of ``f`` on ``targets`` of an n-qubit state, planned once:
     amplitudes whose inputs have f = 1 swap with their output-flipped twin,
     by an ``_IndexGather`` where its plan finds it faster, else by one
-    ``np.where``; both only copy, so the output state skips the norm pass.
-    It checks the target count (arity + 1), then the targets."""
+    ``np.where``, and below 2**16 amplitudes, from the plan's third call, by
+    one ``np.take`` through its kept table (``_KeptTable``); all only copy,
+    so the output state skips the norm pass.  It checks the target count
+    (arity + 1), then the targets."""
 
     __slots__ = ("shape", "mask", "output_axis", "gather")
 
@@ -428,13 +488,20 @@ class _OraclePlan:
         self.mask, self.output_axis = mask, order[f.arity]
         # pattern 2x + y flips the output bit, the last, when f(x) = 1
         self.gather = _IndexGather.plan(targets, n, lambda p: f.outputs[p >> 1])
+        self.table, self.calls = None, 0 if n < _TABLE_QUBITS else None
+
+    def _move(self, values: np.ndarray) -> np.ndarray:
+        view = values.reshape(self.shape)
+        return np.where(self.mask, np.flip(view, self.output_axis), view).reshape(-1)
 
     def __call__(self, s: StateVector) -> StateVector:
+        amps = s.amplitudes
         if self.gather is not None:
-            return StateVector._moved(self.gather(s.amplitudes))
-        view = s.amplitudes.reshape(self.shape)
-        flipped = np.flip(view, self.output_axis)
-        return StateVector._moved(np.where(self.mask, flipped, view).reshape(-1))
+            return StateVector._moved(self.gather(amps))
+        table = self._kept(amps.size)
+        if table is None:
+            return StateVector._moved(self._move(amps))
+        return StateVector._moved(np.take(amps, table, mode="clip"))
 
 
 def apply_oracle_at(f: TruthTable, targets: Sequence[int], s: StateVector) -> StateVector:

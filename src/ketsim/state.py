@@ -8,8 +8,10 @@ Conventions used throughout the package:
 - Every constructor that computes new amplitudes renormalizes small
   rounding drift (squared norm within 1e-6 of 1) and rejects anything
   further off as a logic error.  A state whose amplitudes are only moved
-  from a checked state (permutation gates, oracles) or that is a basis
-  state keeps them as they are: its norm is its parent's, or exactly 1.
+  from a checked state, and possibly negated or multiplied by i or -i
+  (permutation gates, Y, Z and other gates with one unit entry per row,
+  oracles), or that is a basis state keeps them as they are: its norm is
+  its parent's, or exactly 1.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ class StateVector:
     def _moved(cls, amps: np.ndarray) -> "StateVector":
         """Adopt a fresh 1-d array of 2**n amplitudes with no pass over it.
 
-        For the outputs of permutation gates and oracles, which rearrange
-        a checked state's amplitudes and compute none, and for kets, whose
+        For the outputs of permutation gates, oracles and gates such as Y
+        and Z, which rearrange a checked state's amplitudes, negate or turn
+        some by i exactly and compute none, and for kets, whose
         one nonzero amplitude is 1.  A rearrangement's exact norm is its
         parent's and it holds no NaN or inf, so it has nothing to repair,
         and no number of copies can build up drift; a sum in the new order

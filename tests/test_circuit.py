@@ -304,6 +304,24 @@ class TestCompile:
         first, again = _compile(program, {})
         assert first is again
 
+    def test_steps_run_once_keep_no_table(self):
+        # measured only at its end, a program runs each step once, or twice
+        # for a line it repeats, and no plan keeps an index table; after a
+        # mid-circuit measurement the later steps run once per branch
+        rng = random.Random(12)
+        ops = ["x {0}", "y {0}", "z {0}", "cnot {0} {1}", "toffoli {0} {1} {2}",
+               "oracle f {0} {1} {2} {3} {4}"]
+        lines = [f"h {q}" for q in range(12)]
+        lines += [rng.choice(ops).format(*rng.sample(range(12), 5)) for _ in range(58)]
+        lines += lines[20:24]
+        tables = {"f": TruthTable(4, tuple(rng.randrange(2) for _ in range(16)))}
+        for at, tabled in ((len(lines), False), (12, True)):
+            text = "\n".join(["qubits 12", *lines[:at], "measure 0 1", *lines[at:], "measure"])
+            steps = _compile(parse_circuit(text, tables), tables)
+            walk_shots(ket([0] * 12), steps, 200, 1)
+            kept = [step for step in steps if getattr(step, "table", None) is not None]
+            assert bool(kept) == tabled
+
     def test_parse_and_compile_cost_per_line(self):
         lines = 100_000
         rng = random.Random(3)

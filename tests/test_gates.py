@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +428,25 @@ def _staged_products(g, targets, amps, n):
     return _staged(targets, amps, n, lambda i, o: np.matmul(g, i, out=o))
 
 
+def _unit_phase_reference(g, targets, amps, n):
+    """The rule of a gate whose rows each hold one entry of 1, -1, i or -i,
+    on the staged block loop: output row r is its input row copied, negated
+    as ``0.0 - row`` (a negated zero part is +0.0) or times i or -i as numpy
+    multiplies complex numbers."""
+    moves = [(c, row[c]) for row in g.tolist() for c in [next(i for i, v in enumerate(row) if v)]]
+
+    def kernel(rows_in, rows_out):
+        for r, (c, phase) in enumerate(moves):
+            if phase == 1:
+                rows_out[r] = rows_in[c]
+            elif phase == -1:
+                np.subtract(0.0, rows_in[c], out=rows_out[r])
+            else:
+                np.multiply(rows_in[c], phase, out=rows_out[r])
+
+    return _staged(targets, amps, n, kernel)
+
+
 def _where_oracle(f, targets, amps):
     """The path every oracle took before the index gather: one ``np.where``
     pass over the state and its flip along the output axis."""
@@ -500,13 +520,15 @@ def _same_bits(got, expected):
 
 
 def _path(plan):
-    """Which kernel a plan runs."""
+    """Which kernel a plan runs now: its kept table once it has built one."""
     if plan.gather is not None:
         return "gather"
+    if plan.table is not None:
+        return "table"
     if isinstance(plan, _OraclePlan):
         return "where"
     if plan.copies is not None:
-        return "copies"
+        return "copies" if all(phase == 1 for _, _, phase in plan.copies) else "signed"
     return "direct" if plan.block_shape is None else "staged"
 
 
@@ -514,7 +536,7 @@ def _path(plan):
 # below which permutations stay slice copies (2**16), the innermost target's
 # runs (fewer than 2**8 per block of 2**s, s = 13 less the targets above
 # it), and the run from which a 1-qubit gate multiplies the state's own
-# rows (256)
+# rows (256); Y and Z take one pass per slice on either side of each
 _THRESHOLD_CASES = [
     (15, pauli_x(), [14], "copies"), (16, pauli_x(), [15], "gather"),
     (16, pauli_x(), [11], "gather"), (16, pauli_x(), [10], "copies"),
@@ -528,7 +550,9 @@ _THRESHOLD_CASES = [
     (20, u2_from_params(0.3, 1.1, 2.2, -0.7), [11], "direct"),
     (20, u2_from_params(0.3, 1.1, 2.2, -0.7), [12], "staged"),
     (20, u2_from_params(0.3, 1.1, 2.2, -0.7), [0], "direct"),
-    (20, pauli_y(), [19], "staged"), (16, pauli_z(), [0], "direct"),
+    (20, hadamard(), [19], "staged"), (16, u2_from_params(0.3, 1.1, 2.2, -0.7), [0], "direct"),
+    (20, pauli_y(), [19], "signed"), (16, pauli_z(), [0], "signed"),
+    (16, pauli_y(), [15], "signed"), (15, pauli_y(), [14], "signed"),
 ]
 
 # (state size, arity, targets, path): oracles take the gather where
@@ -586,7 +610,8 @@ class TestKernelPaths:
         amps = _signed_zero_state(n).amplitudes
         plan = _GatePlan(g, targets, n)
         assert _path(plan) == path
-        reference = _staged_products if path in ("direct", "staged") else _gather_take_scatter
+        reference = {"direct": _staged_products, "staged": _staged_products,
+                     "signed": _unit_phase_reference}.get(path, _gather_take_scatter)
         assert _same_bits(plan.apply(amps), reference(g, targets, amps, n))
 
     @pytest.mark.parametrize("n, arity, targets, path", _ORACLE_THRESHOLD_CASES,
@@ -636,6 +661,164 @@ class TestKernelPaths:
             tables = [m for m in gather.moves.values() if not isinstance(m, int)]
             assert len(tables) * gather.size * 8 <= 1 << 17
             assert all(m.shape == (1 << len(gather.low),) for m in tables)
+
+
+_S = np.diag([1, 1j])
+_I_X = np.array([[0, 1j], [1j, 0]])
+_CZ = np.diag([1, 1, 1, -1]).astype(complex)
+_SIGNED_1Q = {"Y": pauli_y(), "Z": pauli_z(), "S": _S, "iX": _I_X}
+_SIGNED_2Q = {"CZ": _CZ, "YZ": np.kron(pauli_y(), pauli_z())}
+
+
+def _generic_state(n):
+    """A seeded state with no zero part."""
+    gen = np.random.default_rng(100 + n)
+    amps = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+    s = StateVector(amps / np.linalg.norm(amps))
+    assert s.amplitudes.view(np.float64).all()
+    return s
+
+
+class TestSignedCopies:
+    """A gate whose rows each hold one entry of 1, -1, i or -i, on columns
+    that form a permutation (Y, Z, S, CZ...), is one pass per output slice.
+    Where no part is zero it writes the dense product's bits.  Zero parts
+    follow the plan's rule: a copied part keeps its sign, a negated one is
+    ``0.0 - x`` (+0.0, as the dense product makes every zero), and i and -i
+    are numpy's complex product, which can leave -0.0 where the dense
+    product writes +0.0."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_target_position_is_the_dense_product(self, n):
+        amps = _generic_state(n).amplitudes
+        for q in range(n):
+            for g in _SIGNED_1Q.values():
+                plan = _GatePlan(g, [q], n)
+                assert _path(plan) == "signed"
+                assert _same_bits(plan.apply(amps), _staged_products(g, [q], amps, n))
+        for targets in list(itertools.permutations(range(n), 2))[:: max(1, n - 1)]:
+            for g in _SIGNED_2Q.values():
+                got = _GatePlan(g, list(targets), n).apply(amps)
+                assert _same_bits(got, _staged_products(g, list(targets), amps, n))
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_sampled_positions_on_large_states(self, n):
+        amps = _generic_state(n).amplitudes
+        for q in (0, 5, n // 2 + 1, n - 3, n - 1):
+            for g in (pauli_y(), pauli_z()):
+                plan = _GatePlan(g, [q], n)
+                assert _path(plan) == "signed"
+                assert _same_bits(plan.apply(amps), _staged_products(g, [q], amps, n))
+        got = _GatePlan(_CZ, [n - 1, 2], n).apply(amps)
+        assert _same_bits(got, _staged_products(_CZ, [n - 1, 2], amps, n))
+
+    @pytest.mark.parametrize("n", [4, 12, 16])
+    def test_signed_zero_rule(self, n):
+        amps = _signed_zero_state(n).amplitudes
+        moved = 0
+        for q in range(n):
+            for name, g in _SIGNED_1Q.items():
+                got = _GatePlan(g, [q], n).apply(amps)
+                assert _same_bits(got, _unit_phase_reference(g, [q], amps, n))
+                dense = _staged_products(g, [q], amps, n).view(np.float64)
+                # the dense product writes every zero part as +0.0 ...
+                assert not np.signbit(dense[dense == 0]).any()
+                # ... and the signed path differs from it only at -0.0 parts
+                parts = got.view(np.float64)
+                differ = parts.view(np.int64) != dense.view(np.int64)
+                assert (parts[differ] == 0).all() and np.signbit(parts[differ]).all()
+                if name == "Z":  # a negated zero part is +0.0: -0.0 moves only where copied
+                    view = parts.reshape(1 << q, 2, -1)
+                    assert not np.signbit(view[:, 1][view[:, 1] == 0]).any()
+                moved += int(differ.sum())
+        assert moved > 0
+
+    def test_output_skips_the_norm_pass(self):
+        # the raw moved parts: no rescale by a sum of |a|^2 in a new order
+        s = _uneven_state(12, 3)
+        for g in _SIGNED_1Q.values():
+            for q in range(12):
+                out = _GatePlan(g, [q], 12)(s).amplitudes
+                assert _same_bits(out, _unit_phase_reference(g, [q], s.amplitudes, 12))
+
+
+def _moving_plans(n):
+    """(plan, its path before it keeps a table, whether it keeps one) of
+    permutation, signed and oracle plans on n qubits at several positions.
+    Oracles, Toffoli and permutations whose innermost target leaves runs of
+    at most 2**(k+1) amplitudes keep a table; Y, Z and other signed gates,
+    whose every slice takes a pass anyway, keep none."""
+    plans = []
+    for q in sorted({0, n // 2, n - 1}):
+        plans.append((_GatePlan(pauli_x(), [q], n), "copies", n - 1 - q <= 2))
+        plans += [(_GatePlan(g, [q], n), "signed", False) for g in (pauli_y(), pauli_z(), _I_X)]
+    for i, j in [(0, n - 1), (n - 1, 0), (n // 2, n // 2 - 1)]:
+        plans += [(_GatePlan(cnot(), [i, j], n), "copies", n - 1 - max(i, j) <= 3),
+                  (_GatePlan(_SIGNED_2Q["YZ"], [i, j], n), "signed", False),
+                  (_OraclePlan(_seeded_table(1, i), [i, j], n), "where", True)]
+    if n >= 5:
+        plans += [(_GatePlan(toffoli_unitary(), [n - 1, 0, 2], n), "copies", True),
+                  (_GatePlan(toffoli_unitary(), [0, 1, 2], n), "copies", True),
+                  (_OraclePlan(_seeded_table(4, n), [3, n - 1, 0, 1, 2], n), "where", True)]
+    return plans
+
+
+class TestKeptTables:
+    """Below 2**16 amplitudes a plan that moves amplitudes with a take
+    faster than its own path keeps a uint16 table of each output's source
+    index from its third call, and its calls through that table give the
+    bits of its first call."""
+
+    @pytest.mark.parametrize("n", [2, 5, 12, 15])
+    def test_table_calls_match_the_first_call(self, n):
+        for s in (_signed_zero_state(n), _generic_state(n)):
+            for plan, path, keeps in _moving_plans(n):
+                first = plan(s).amplitudes
+                for call in range(2, 6):
+                    assert _path(plan) == ("table" if keeps and call > 3 else path)
+                    out = plan(s).amplitudes
+                    assert _same_bits(out, first) and not np.shares_memory(out, s.amplitudes)
+                assert (plan.table is not None) == keeps
+                if keeps:
+                    assert plan.table.dtype == np.uint16 and plan.table.shape == (1 << n,)
+
+    def test_table_is_built_on_the_third_call(self):
+        s = _generic_state(8)
+        for plan in (_GatePlan(cnot(), [7, 1], 8), _OraclePlan(_seeded_table(2, 1), [0, 4, 7], 8)):
+            for _ in range(2):
+                plan(s)
+                assert plan.table is None
+            plan(s)
+            assert plan.table is not None
+
+    @pytest.mark.parametrize("g, targets", [(pauli_x(), [3]), (pauli_x(), [15]),
+                                            (cnot(), [0, 15]), (toffoli_unitary(), [15, 3, 0])])
+    def test_no_table_from_2_16_amplitudes(self, g, targets):
+        s = _generic_state(16)
+        plan = _GatePlan(g, targets, 16)
+        for _ in range(4):
+            plan(s)
+        assert plan.table is None
+
+    @pytest.mark.parametrize("n", [6, 12, 15])
+    def test_kept_bytes_per_plan(self, n):
+        # every byte numpy holds after the calls, beyond what it held before
+        # them, is the table: at most 2 bytes per amplitude
+        s = _generic_state(n)
+        in_numpy = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        for plan, _, keeps in _moving_plans(n):
+            tracemalloc.start()
+            try:
+                held = lambda: sum(t.size for t in tracemalloc.take_snapshot()
+                                   .filter_traces([in_numpy]).traces)
+                before = held()
+                for _ in range(4):
+                    plan(s)
+                kept = held() - before
+            finally:
+                tracemalloc.stop()
+            assert kept <= 2 << n
+            assert kept == (2 << n if keeps else 0)
 
 
 def _copy_plans(n, seed):
@@ -871,6 +1054,8 @@ class TestKernelInputs:
             np.array([[1, 1], [0, 1]]),
             np.array([[1, 0], [1, 0]]),
             np.array([[0, 1], [0, 1]]),
+            np.array([[1, 0], [-1, 0]]),
+            np.array([[0, 1j], [0, -1]]),
         ],
     )
     def test_bad_gate_rejected(self, gate):
