@@ -21,11 +21,12 @@ raw time and calibration.
 
 Cases: ``apply_gate_at`` with a Hadamard, CNOT, a dense 4x4 unitary,
 Toffoli and a dense 8x8 unitary; ``apply_oracle_at`` with a 4-input
-table; each on n = 16 and n = 20 qubits with the targets at the first,
-middle and last qubits.  Permutation gates with a target on the
-innermost qubit, X on n-1, CNOT on [0, n-1] and Toffoli on [1, 3, n-1],
-run as ``x/n<N>/innermost``, ``cnot/...`` and ``toffoli/...``.  ``y`` and
-``z`` run at the same first, middle and last targets.  ``repeat/n12/...``
+table, and as ``oracle2/...`` with the 2-input XOR table; each on n = 16
+and n = 20 qubits with the targets at the first, middle and last qubits.
+Permutation gates with a target on the innermost qubit, X on n-1, CNOT
+on [0, n-1] and Toffoli on [1, 3, n-1], run as ``x/n<N>/innermost``,
+``cnot/...`` and ``toffoli/...``.  ``y`` and ``z`` run at the same first,
+middle and last targets.  ``repeat/n12/...``
 times ``REPEAT_CALLS`` calls of one plan on a 12-qubit state, as a shot
 tree calls each plan after a measurement once per branch, from the plan's
 fourth call on, once any table it keeps exists: CNOT on [0, 11], the
@@ -205,7 +206,7 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
     from ketsim import haar_random_unitary, parse_circuit, recompose, two_level_decompose
     from ketsim import bell_pair, deutsch_jozsa, format_ket, run_program, sample
     from ketsim.circuit import _compile
-    from ketsim.gates import _GatePlan, _OraclePlan
+    from ketsim.gates import _GatePlan
     from ketsim.decompose import decompose_table
     from ketsim.cli import _json, load_distribution, load_matrix, load_truth_table
 
@@ -224,6 +225,9 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
     gates = {"h": hadamard(), "cnot": cnot(), "dense2": dense(4),
              "toffoli": toffoli_unitary(), "dense3": dense(8), "y": pauli_y(), "z": pauli_z()}
     table = TruthTable(ORACLE_ARITY, tuple(int(b) for b in rng.integers(0, 2, 1 << ORACLE_ARITY)))
+    small_table = TruthTable(2, (0, 1, 1, 0))  # no draw: the cases after it are unchanged
+    # a tree from before ``_GatePlan.oracle`` planned oracles in a class of their own
+    oracle_plan = getattr(_GatePlan, "oracle", None) or sys.modules["ketsim.gates"]._OraclePlan
     states = {}
     for n in SIZES:
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -249,11 +253,12 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
                                  ("toffoli", toffoli_unitary(), [1, 3, n - 1])):
             out[f"{name}/n{n}/innermost"] = timed(
                 lambda: apply_gate_at(g, targets, state), reps[n])
-        width = ORACLE_ARITY + 1
-        for pos, start in (("first", 0), ("middle", (n - width) // 2), ("last", n - width)):
-            targets = list(range(start, start + width))
-            out[f"oracle/n{n}/{pos}"] = timed(
-                lambda: apply_oracle_at(table, targets, state), reps[n])
+        for name, f in (("oracle", table), ("oracle2", small_table)):
+            width = f.arity + 1
+            for pos, start in (("first", 0), ("middle", (n - width) // 2), ("last", n - width)):
+                targets = list(range(start, start + width))
+                out[f"{name}/n{n}/{pos}"] = timed(
+                    lambda: apply_oracle_at(f, targets, state), reps[n])
         for pos, start in (("first", 0), ("middle", (n - 2) // 2), ("last", n - 2)):
             targets = [start, start + 1]
             out[f"measure_subset/n{n}/{pos}"] = timed(
@@ -265,7 +270,7 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
     amps = own.normal(size=1 << n) + 1j * own.normal(size=1 << n)
     state = StateVector(amps / np.linalg.norm(amps))
     for name, plan in (("cnot", _GatePlan(cnot(), [0, n - 1], n)),
-                       ("oracle", _OraclePlan(table, [5, 2, 8, 3, n - 1], n)),
+                       ("oracle", oracle_plan(table, [5, 2, 8, 3, n - 1], n)),
                        ("y", _GatePlan(pauli_y(), [n - 2], n)),
                        ("z", _GatePlan(pauli_z(), [n // 2], n))):
         for _ in range(3):

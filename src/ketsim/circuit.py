@@ -27,7 +27,6 @@ from .errors import CapacityExceeded, InvalidInput, ParseError
 from .gates import (
     TruthTable,
     _GatePlan,
-    _OraclePlan,
     cnot,
     hadamard,
     pauli_x,
@@ -248,9 +247,10 @@ def _compile(program: CircuitProgram, tables: Mapping[str, TruthTable]) -> list:
     """The program's steps for ``walk_shots``, one built per distinct
     instruction: a gate or oracle as a function of states, or the
     measurement of its targets, where a bare ``measure`` measures every
-    qubit in order.  A plan's only per-call state is its call count and the
-    index table it keeps from its third call (``gates._KeptTable``), which
-    give the same bits as its first call, so repeated lines share a step."""
+    qubit in order.  A gate or oracle is a ``gates._GatePlan``, whose only
+    per-call state is its call count and the index table it may keep from
+    its third call, which give the same bits as its first call, so repeated
+    lines share a step."""
     n = program.num_qubits
     built: dict[tuple, object] = {}
     steps: list = []
@@ -259,7 +259,7 @@ def _compile(program: CircuitProgram, tables: Mapping[str, TruthTable]) -> list:
             if ins.opcode == "MEASURE":
                 built[key] = _Projection(ins.targets or range(n), n)
             elif ins.opcode == "ORACLE":
-                built[key] = _OraclePlan(tables[ins.table], ins.targets, n)
+                built[key] = _GatePlan.oracle(tables[ins.table], ins.targets, n)
             else:
                 built[key] = _GatePlan(_GATES[ins.opcode][1](*ins.params), ins.targets, n)
         steps.append(built[key])

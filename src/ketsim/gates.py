@@ -12,7 +12,7 @@ must be applied through the O(2**n) kernels ``apply_gate_at`` and
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -193,7 +193,7 @@ def _spread(value: int, positions: list[int]) -> int:
 
 class _IndexGather:
     """A permutation flipping target bits of each basis index: output i is
-    input i with the target bits set in flip(p) flipped, p the pattern of
+    input i with the target bits set in flips[p] flipped, p the pattern of
     i's target bits (in both, the first target is most significant).
     By its index bits of s and up, each block of 2**s outputs
     is one run of the input or one ``np.take`` through a table of 2**s
@@ -205,11 +205,12 @@ class _IndexGather:
     __slots__ = ("size", "low", "high", "flips", "moves")
 
     @classmethod
-    def plan(cls, targets: list[int], n: int, flip: Callable[[int], int]) -> _IndexGather | None:
+    def plan(cls, targets: list[int], n: int, flips: np.ndarray) -> _IndexGather | None:
         """The gather, or None where it is slower: below 2**16 amplitudes,
         where building tables costs more than a call saves, and where a block
         holds at most 2**8 runs of the innermost target, as slice copies pay
-        per run.  The block is the largest up to 2**13 whose tables fit."""
+        per run.  The block is the largest up to 2**13 whose tables fit.
+        ``flips`` broadcasts to one axis per target, indexed by p's bits."""
         if n < 16:
             return None
         bits = [n - 1 - q for q in targets]
@@ -220,7 +221,8 @@ class _IndexGather:
             return None
         self = cls.__new__(cls)
         # each pattern's flip as index bits: pattern bit i is target -1 - i
-        deltas = [_spread(flip(p), bits[::-1]) for p in range(1 << len(bits))]
+        flips = np.broadcast_to(flips, (2,) * len(bits)).ravel().tolist()
+        deltas = [_spread(f, bits[::-1]) for f in flips]
         # (index bit, pattern bit) of the targets below and above bit s
         low = [(b, len(bits) - 1 - t) for t, b in enumerate(bits) if b < s]
         high = [(b, len(bits) - 1 - t) for t, b in enumerate(bits) if b >= s]
@@ -254,44 +256,22 @@ class _IndexGather:
         return out.reshape(amps.shape)
 
 
-class _KeptTable:
-    """A plan that only moves amplitudes, which from its ``_TABLE_CALL``-th
-    call keeps each output's source index in one flat uint16 table, 2 bytes
-    per amplitude, and moves the amplitudes with one ``np.take``.  ``calls``
-    counts the calls so far, or is None for a plan that keeps no table."""
-
-    __slots__ = ("table", "calls")
-
-    def _kept(self, size: int) -> np.ndarray | None:
-        """The table, built by this call if it is the ``_TABLE_CALL``-th."""
-        if self.table is None and self.calls is not None:
-            self.calls += 1
-            if self.calls == _TABLE_CALL:
-                self.table = self._move(np.arange(size, dtype=np.uint16))
-        return self.table
-
-
-class _GatePlan(_KeptTable):
-    """Gate ``g`` on the ``targets`` of 2**n amplitudes (qubit 0 most
-    significant), planned once.  ``apply(amps)`` returns a fresh array with
-    ``g`` applied; calling the plan applies it to a state's amplitudes.
-    It checks the targets, then the gate's shape, then its entries.
+class _GatePlan:
+    """One step on the ``targets`` of 2**n amplitudes (qubit 0 most
+    significant), planned once: gate ``g``, or the oracle of a truth table
+    through ``_GatePlan.oracle``.  ``apply(amps)`` returns a fresh array
+    with the step applied; calling the plan applies it to a state's
+    amplitudes.  A gate plan checks the targets, then the gate's shape,
+    then its entries.
 
     The first target is the gate's high-order qubit.  On a reshape of the
     amplitudes that copies nothing, output slice r (the amplitudes whose
     target bits spell r) is the sum over the gate's columns c of g[r, c]
     times input slice c.  When each row of g holds one nonzero entry, 1,
-    -1, i or -i, and their columns form a permutation, that sum is one
-    input slice times a unit phase, and the output state skips the norm
-    pass.  Where every entry is 1 (X, CNOT, Toffoli) the gate is an
-    ``_IndexGather`` where its plan finds that faster, else one copy per
-    slice; below 2**16 amplitudes, with 8 or more slices or an innermost
-    target whose runs hold at most 2**(k+1) amplitudes, the copies give way
-    to one ``np.take`` through a kept table from the plan's third call
-    (``_KeptTable``).  Any other such gate (Y, Z) is one pass per output
-    slice, a take and a phase pass being dearer: ``0.0 - x`` for -1, so that
-    a negated zero part is +0.0 as the dense product's sums make it, and
-    numpy's complex product for i and -i.
+    -1, i or -i, and their columns form a permutation, that sum is input
+    slice r ^ flips[r] times a unit phase: the step only moves amplitudes,
+    as an oracle does, and ``_plan_moves`` picks its kernel from those
+    moves alone.  Its output state skips the norm pass.
 
     Any other gate is matrix products: per amplitude the same products,
     summed in the same order, as one contraction of the whole state.  A
@@ -301,17 +281,16 @@ class _GatePlan(_KeptTable):
     block at a time into a buffer and multiplies that.
     """
 
-    __slots__ = ("k", "shape", "order", "g", "copies", "gather", "axis", "step", "block_shape")
+    __slots__ = ("k", "shape", "order", "g", "gather", "mask", "flipped", "copies",
+                 "table", "calls", "axis", "step", "block_shape")
 
     def __init__(self, g: np.ndarray, targets: Sequence[int], n: int):
         targets = list(targets)
-        self.k = k = len(targets)
-        self.shape, self.order = _split_axes(n, targets)
+        self._start(targets, n)
+        k = self.k
         g = np.asarray(g, dtype=np.complex128)
         if g.shape != (1 << k, 1 << k):
             raise DimensionMismatch(f"gate shape {g.shape} does not act on {k} qubits")
-        if not np.isfinite(g).all():
-            raise InvalidInput("gate entries must be finite")
         # the input slice and unit phase of each output slice, while rows
         # hold one nonzero entry, their sum, and it is a unit phase
         columns, phases = [], []
@@ -320,22 +299,17 @@ class _GatePlan(_KeptTable):
                 break
             columns.append(c := row.index(entry))
             phases.append(row[c])
-        self.g, self.copies, self.gather, self.block_shape = g, None, None, None
-        self.table, self.calls = None, None
         # Only a gate whose columns form a permutation moves: its output needs
         # no norm pass.  Rows that repeat a column (not unitary) take the
-        # products below, whose norm pass rejects the output.
+        # products below, whose norm pass rejects the output.  Every entry
+        # of a moving gate is 0 or a unit phase, so only products check that
+        # the entries are finite.
         if sorted(columns) == list(range(1 << k)):
-            permutes = phases.count(1) == len(phases)
-            if permutes:
-                # output index i reads i with its target bits r ^ c flipped
-                self.gather = _IndexGather.plan(targets, n, lambda r: r ^ columns[r])
-            if self.gather is None:  # (output slice, input slice, phase)
-                self.copies = tuple((index_to_bits(r, k), index_to_bits(c, k), phase)
-                                    for r, (c, phase) in enumerate(zip(columns, phases)))
-                if permutes and n < _TABLE_QUBITS and (k >= 3 or n - 1 - max(targets) <= k + 1):
-                    self.calls = 0
-            return
+            flips = np.array([r ^ c for r, c in enumerate(columns)]).reshape((2,) * k)
+            return self._plan_moves(targets, n, flips, phases if set(phases) != {1} else None)
+        if not np.isfinite(g).all():
+            raise InvalidInput("gate entries must be finite")
+        self.g, self.block_shape = g, None
         if k == 1 and n - 1 - targets[0] >= 8:  # runs of 256: the state's own rows
             return
         # Otherwise gather one block at a time.  Blocks cut the outermost
@@ -354,7 +328,80 @@ class _GatePlan(_KeptTable):
         viewed[axis], self.axis, self.step = step, axis, step
         self.block_shape = tuple(viewed)
 
+    @classmethod
+    def oracle(cls, f: TruthTable, targets: Sequence[int], n: int) -> _GatePlan:
+        """The oracle of ``f`` on ``targets``, the arity input qubits and
+        then the output qubit: pattern 2x + y flips its output bit where
+        f(x) = 1.  It checks the target count (arity + 1), then the targets."""
+        targets = list(targets)
+        if len(targets) != f.arity + 1:
+            raise InvalidInput(f"oracle of arity {f.arity} needs {f.arity + 1} targets, "
+                               f"got {len(targets)}")
+        self = cls.__new__(cls)
+        self._start(targets, n)
+        # f(x) as a bool is 1, the output bit's flip, so a mask cut from
+        # these flips is a view of f.outputs
+        flips = np.frombuffer(f.outputs, dtype=bool).reshape((2,) * f.arity + (1,))
+        self._plan_moves(targets, n, flips, None)
+        return self
+
+    def _start(self, targets: list[int], n: int) -> None:
+        self.k = len(targets)
+        self.shape, self.order = _split_axes(n, targets)
+        self.g = self.gather = self.mask = self.copies = self.table = self.calls = None
+
+    def _plan_moves(self, targets: list[int], n: int, flips: np.ndarray,
+                    phases: list[complex] | None) -> None:
+        """The kernel of a step whose output slice r is input slice
+        r ^ flips[r] times phases[r], from those moves, n and the targets
+        alone.  ``flips`` broadcasts to one axis per target, in listed
+        order, indexed by r's bits; ``phases`` lists the unit phases in
+        pattern order, or is None where every one is 1.  The kernel is:
+
+        - where every phase is 1, an ``_IndexGather`` where its plan finds
+          that faster;
+        - else, with more than 8 slices, every phase 1 and one set of bits
+          flipped by every output that moves (an oracle of arity 3 and up),
+          one ``np.where`` pass: the input flipped along those target axes
+          where the flips are nonzero, else the input;
+        - else one pass per output slice: a copy, ``0.0 - x`` for -1, so
+          that a negated zero part is +0.0 as the dense product's sums make
+          it, or numpy's complex product for i and -i.
+
+        Below 2**16 amplitudes a step whose phases are all 1, with 8 or
+        more slices or an innermost target whose runs hold at most
+        2**(k+1) amplitudes, keeps from its ``_TABLE_CALL``-th call each
+        output's source index in one flat uint16 table, 2 bytes per
+        amplitude, and from then on is one ``np.take`` through it.  A take
+        and a phase pass cost more than a pass per slice, so signed steps
+        keep none.  ``calls`` counts the calls so far, or is None for a
+        plan that keeps no table."""
+        k, permutes = self.k, phases is None
+        if permutes and (gather := _IndexGather.plan(targets, n, flips)) is not None:
+            self.gather = gather
+            return
+        flipped = np.bitwise_or.reduce(flips, axis=None) if permutes and k > 3 else None
+        if flipped is not None and ((flips == 0) | (flips == flipped)).all():
+            axes = [t for t in range(k) if int(flipped) >> (k - 1 - t) & 1]
+            # no flip depends on the flipped bits: one entry per pattern of the
+            # other targets, size 1 along the flipped targets and the other
+            # axes, in listed-first order, then moved to the view's order
+            mask = flips[tuple(slice(1) if t in axes else slice(None) for t in range(k))]
+            mask = mask.reshape(mask.shape + (1,) * (len(self.shape) - k))
+            self.mask = mask.astype(bool, copy=False).transpose(np.argsort(self.order))
+            self.flipped = tuple(self.order[t] for t in axes)
+        else:  # (output slice, input slice, phase)
+            bits = [index_to_bits(r, k) for r in range(1 << k)]
+            flips = (np.zeros((2,) * k, flips.dtype) | flips).ravel().tolist()  # broadcast
+            self.copies = tuple((bits[r], bits[r ^ f], 1 if permutes else phases[r])
+                                for r, f in enumerate(flips))
+        if permutes and n < _TABLE_QUBITS and (k >= 3 or n - 1 - max(targets) <= k + 1):
+            self.calls = 0
+
     def _move(self, values: np.ndarray) -> np.ndarray:
+        if self.mask is not None:
+            view = values.reshape(self.shape)
+            return np.where(self.mask, np.flip(view, self.flipped), view).reshape(values.shape)
         # Views with the target axes first: indexing their first k axes
         # with the bits of r picks slice r.
         out = np.empty(self.shape, dtype=values.dtype)
@@ -371,11 +418,14 @@ class _GatePlan(_KeptTable):
     def apply(self, amps: np.ndarray) -> np.ndarray:
         if self.gather is not None:
             return self.gather(amps)
-        if self.copies is not None:
-            table = self._kept(amps.size)
-            if table is None:
+        if self.g is None:
+            if self.table is None and self.calls is not None:
+                self.calls += 1
+                if self.calls == _TABLE_CALL:
+                    self.table = self._move(np.arange(amps.size, dtype=np.uint16))
+            if self.table is None:
                 return self._move(amps)
-            return np.take(amps, table, mode="clip").reshape(amps.shape)  # all in range
+            return np.take(amps, self.table, mode="clip").reshape(amps.shape)  # all in range
         out = np.empty(self.shape, dtype=np.complex128)
         if self.block_shape is None:
             # (row, column block, 2, columns), 4096 columns per product
@@ -399,9 +449,7 @@ class _GatePlan(_KeptTable):
 
     def __call__(self, s: StateVector) -> StateVector:
         out = self.apply(s.amplitudes)
-        if self.gather is None and self.copies is None:
-            return StateVector._trusted(out)
-        return StateVector._moved(out)
+        return StateVector._moved(out) if self.g is None else StateVector._trusted(out)
 
 
 def _embed(g: np.ndarray, targets: list[int], n: int) -> np.ndarray:
@@ -463,54 +511,15 @@ def oracle_from_truth_table(f: TruthTable) -> np.ndarray:
     return identity(dim)[rows ^ np.frombuffer(f.outputs, dtype=np.uint8)[rows >> 1]]
 
 
-class _OraclePlan(_KeptTable):
-    """The oracle of ``f`` on ``targets`` of an n-qubit state, planned once:
-    amplitudes whose inputs have f = 1 swap with their output-flipped twin,
-    by an ``_IndexGather`` where its plan finds it faster, else by one
-    ``np.where``, and below 2**16 amplitudes, from the plan's third call, by
-    one ``np.take`` through its kept table (``_KeptTable``); all only copy,
-    so the output state skips the norm pass.  It checks the target count
-    (arity + 1), then the targets."""
-
-    __slots__ = ("shape", "mask", "output_axis", "gather")
-
-    def __init__(self, f: TruthTable, targets: Sequence[int], n: int):
-        targets = list(targets)
-        if len(targets) != f.arity + 1:
-            raise InvalidInput(
-                f"oracle of arity {f.arity} needs {f.arity + 1} targets, got {len(targets)}"
-            )
-        self.shape, order = _split_axes(n, targets)
-        # f along the input axes and size 1 along the others, in listed-first
-        # order, then moved to the view's order
-        sizes = [2] * f.arity + [1] * (len(self.shape) - f.arity)
-        mask = np.frombuffer(f.outputs, dtype=bool).reshape(sizes).transpose(np.argsort(order))
-        self.mask, self.output_axis = mask, order[f.arity]
-        # pattern 2x + y flips the output bit, the last, when f(x) = 1
-        self.gather = _IndexGather.plan(targets, n, lambda p: f.outputs[p >> 1])
-        self.table, self.calls = None, 0 if n < _TABLE_QUBITS else None
-
-    def _move(self, values: np.ndarray) -> np.ndarray:
-        view = values.reshape(self.shape)
-        return np.where(self.mask, np.flip(view, self.output_axis), view).reshape(-1)
-
-    def __call__(self, s: StateVector) -> StateVector:
-        amps = s.amplitudes
-        if self.gather is not None:
-            return StateVector._moved(self.gather(amps))
-        table = self._kept(amps.size)
-        if table is None:
-            return StateVector._moved(self._move(amps))
-        return StateVector._moved(np.take(amps, table, mode="clip"))
-
-
 def apply_oracle_at(f: TruthTable, targets: Sequence[int], s: StateVector) -> StateVector:
-    """O(2**n) kernel for the oracle of ``f``.
+    """O(2**n) kernel for the oracle of ``f``: the reversible lift of f,
+    planned by ``_GatePlan.oracle`` and moved by the kernels of a
+    permutation gate with the same moves.
 
     ``targets`` lists the arity input qubits (first = x1) followed by the
     output qubit that receives y xor f(x).
     """
-    return _OraclePlan(f, targets, s.num_qubits)(s)
+    return _GatePlan.oracle(f, targets, s.num_qubits)(s)
 
 
 def walsh_hadamard(n: int) -> np.ndarray:

@@ -44,7 +44,7 @@ from ketsim import (
 )
 from ketsim.decompose import haar_random_unitary
 from ketsim.errors import CapacityExceeded
-from ketsim.gates import _GatePlan, _IndexGather, _OraclePlan
+from ketsim.gates import _GatePlan, _IndexGather
 from conftest import kron_chain, rand_state
 
 SQ2 = math.sqrt(0.5)
@@ -525,7 +525,7 @@ def _path(plan):
         return "gather"
     if plan.table is not None:
         return "table"
-    if isinstance(plan, _OraclePlan):
+    if plan.mask is not None:
         return "where"
     if plan.copies is not None:
         return "copies" if all(phase == 1 for _, _, phase in plan.copies) else "signed"
@@ -556,9 +556,18 @@ _THRESHOLD_CASES = [
 ]
 
 # (state size, arity, targets, path): oracles take the gather where
-# permutations do, and keep ``np.where`` where the tables do not fit
+# permutations do; elsewhere an oracle of arity 1 or 2 (4 or 8 slices) is
+# slice copies, and one of arity 3 and up (16 slices and more) ``np.where``
 _ORACLE_THRESHOLD_CASES = [
-    (15, 2, [0, 5, 14], "where"), (16, 2, [0, 5, 15], "gather"),
+    (12, 1, [3, 11], "copies"), (12, 1, [11, 0], "copies"), (12, 2, [11, 0, 6], "copies"),
+    (12, 3, [2, 11, 7, 0], "where"), (12, 4, [5, 2, 8, 3, 11], "where"),
+    (15, 2, [0, 5, 14], "copies"), (15, 3, [14, 0, 5, 9], "where"),
+    (16, 1, [3, 15], "gather"), (16, 1, [10, 3], "copies"),
+    (16, 2, [0, 5, 15], "gather"), (16, 2, [10, 0, 5], "copies"),
+    (16, 3, [0, 2, 4, 12], "gather"), (16, 3, [0, 2, 4, 11], "where"),
+    (20, 1, [0, 15], "gather"), (20, 1, [0, 14], "copies"),
+    (20, 2, [0, 5, 16], "gather"), (20, 2, [0, 5, 15], "copies"), (20, 2, [19, 2, 8], "gather"),
+    (20, 3, [0, 1, 2, 17], "gather"), (20, 3, [0, 1, 2, 15], "where"),
     (20, 4, [0, 1, 2, 3, 19], "gather"), (20, 4, [0, 1, 2, 19, 3], "gather"),
     (20, 4, [0, 1, 2, 3, 18], "gather"), (20, 4, [0, 1, 2, 17, 3], "where"),
     (20, 4, [19, 2, 17, 5, 18], "gather"),
@@ -619,10 +628,38 @@ class TestKernelPaths:
     def test_oracle_on_either_side_of_each_threshold(self, n, arity, targets, path):
         s = _signed_zero_state(n)
         f = _seeded_table(arity, n)
-        plan = _OraclePlan(f, targets, n)
+        plan = _GatePlan.oracle(f, targets, n)
         assert _path(plan) == path
         expected = _where_oracle(f, targets, s.amplitudes)
         assert _same_bits(plan(s).amplitudes, expected)
+
+    @pytest.mark.parametrize("n, arity", [(12, 3), (18, 17)])
+    def test_constant_oracles_take_np_where(self, n, arity):
+        # no output moves, or every one flips the output bit: one bit set
+        s = _signed_zero_state(n)
+        targets = list(range(arity + 1))
+        for value in (0, 1):
+            f = TruthTable(arity, bytes([value]) * (1 << arity))
+            plan = _GatePlan.oracle(f, targets, n)
+            assert _path(plan) == "where"
+            assert _same_bits(plan(s).amplitudes, _where_oracle(f, targets, s.amplitudes))
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_kernel_follows_the_moves_not_the_caller(self, n):
+        # a 4-qubit multi-controlled X given as a matrix flips one bit set, as
+        # the oracle of 3-input AND does, and takes its ``np.where``; a cycle
+        # that flips two different bit sets stays slice copies
+        amps = _signed_zero_state(n).amplitudes
+        targets = [9, 2, 6, 4]  # runs of 2**(n - 10) or more: no gather at n = 16
+        lifted_and = np.eye(16, dtype=complex)[[*range(14), 15, 14]]
+        cycle = np.eye(16, dtype=complex)[[*range(12), 13, 15, 12, 14]]
+        for g, path in ((lifted_and, "where"), (cycle, "copies")):
+            plan = _GatePlan(g, targets, n)
+            assert _path(plan) == path
+            assert _same_bits(plan.apply(amps), _gather_take_scatter(g, targets, amps, n))
+        oracle = _GatePlan.oracle(TruthTable(3, (0,) * 7 + (1,)), targets, n)
+        assert _path(oracle) == "where"
+        assert _same_bits(oracle.apply(amps), _GatePlan(lifted_and, targets, n).apply(amps))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_identity_inputs(self, n):
@@ -648,7 +685,7 @@ class TestKernelPaths:
             for _ in range(40):
                 targets = [int(q) for q in rng.permutation(n)[:k]]
                 f = _seeded_table(k - 1, k) if k > 1 else None
-                plan = _OraclePlan(f, targets, n) if f else _GatePlan(pauli_x(), targets, n)
+                plan = _GatePlan.oracle(f, targets, n) if f else _GatePlan(pauli_x(), targets, n)
                 gather = plan.gather
                 if gather is not None:
                     gathers.append(gather)
@@ -745,8 +782,9 @@ class TestSignedCopies:
 def _moving_plans(n):
     """(plan, its path before it keeps a table, whether it keeps one) of
     permutation, signed and oracle plans on n qubits at several positions.
-    Oracles, Toffoli and permutations whose innermost target leaves runs of
-    at most 2**(k+1) amplitudes keep a table; Y, Z and other signed gates,
+    Permutations and oracles with 8 or more slices, or whose innermost
+    target leaves runs of at most 2**(k+1) amplitudes, keep a table (an
+    arity-1 oracle by CNOT's rule); Y, Z and other signed gates,
     whose every slice takes a pass anyway, keep none."""
     plans = []
     for q in sorted({0, n // 2, n - 1}):
@@ -755,11 +793,12 @@ def _moving_plans(n):
     for i, j in [(0, n - 1), (n - 1, 0), (n // 2, n // 2 - 1)]:
         plans += [(_GatePlan(cnot(), [i, j], n), "copies", n - 1 - max(i, j) <= 3),
                   (_GatePlan(_SIGNED_2Q["YZ"], [i, j], n), "signed", False),
-                  (_OraclePlan(_seeded_table(1, i), [i, j], n), "where", True)]
+                  (_GatePlan.oracle(_seeded_table(1, i), [i, j], n), "copies",
+                   n - 1 - max(i, j) <= 3)]
     if n >= 5:
         plans += [(_GatePlan(toffoli_unitary(), [n - 1, 0, 2], n), "copies", True),
                   (_GatePlan(toffoli_unitary(), [0, 1, 2], n), "copies", True),
-                  (_OraclePlan(_seeded_table(4, n), [3, n - 1, 0, 1, 2], n), "where", True)]
+                  (_GatePlan.oracle(_seeded_table(4, n), [3, n - 1, 0, 1, 2], n), "where", True)]
     return plans
 
 
@@ -784,7 +823,8 @@ class TestKeptTables:
 
     def test_table_is_built_on_the_third_call(self):
         s = _generic_state(8)
-        for plan in (_GatePlan(cnot(), [7, 1], 8), _OraclePlan(_seeded_table(2, 1), [0, 4, 7], 8)):
+        oracle = _GatePlan.oracle(_seeded_table(2, 1), [0, 4, 7], 8)
+        for plan in (_GatePlan(cnot(), [7, 1], 8), oracle):
             for _ in range(2):
                 plan(s)
                 assert plan.table is None
@@ -835,7 +875,7 @@ def _copy_plans(n, seed):
                           lambda a, g=g, t=targets: _gather_take_scatter(g, t, a, n)))
         else:
             f = _seeded_table(k, i)
-            plans.append((_OraclePlan(f, targets, n),
+            plans.append((_GatePlan.oracle(f, targets, n),
                           lambda a, f=f, t=targets: _where_oracle(f, t, a)))
     return plans
 
@@ -983,8 +1023,9 @@ class TestOracle:
             TruthTable(1, outputs)
 
     def test_plan_mask_is_the_table(self):
-        f = TruthTable(2, (0, 1, 1, 1))
-        mask = _OraclePlan(f, [2, 0, 1], 3).mask
+        # an oracle of arity 3 and up is one ``np.where`` through its table's bytes
+        f = TruthTable(3, (0, 1, 1, 1, 0, 0, 1, 0))
+        mask = _GatePlan.oracle(f, [2, 0, 3, 1], 4).mask
         assert np.shares_memory(mask, np.frombuffer(f.outputs, dtype=np.uint8))
 
     def test_dense_oracle_matches_plan(self):
@@ -992,7 +1033,7 @@ class TestOracle:
         basis = [ket([(b >> (2 - q)) & 1 for q in range(3)]) for b in range(8)]
         for outputs in itertools.product((0, 1), repeat=4):
             f = TruthTable(2, outputs)
-            plan = _OraclePlan(f, [0, 1, 2], 3)
+            plan = _GatePlan.oracle(f, [0, 1, 2], 3)
             columns = np.array([plan(s).amplitudes for s in basis]).T
             assert np.array_equal(columns, oracle_from_truth_table(f))
 
