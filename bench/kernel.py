@@ -226,8 +226,6 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
              "toffoli": toffoli_unitary(), "dense3": dense(8), "y": pauli_y(), "z": pauli_z()}
     table = TruthTable(ORACLE_ARITY, tuple(int(b) for b in rng.integers(0, 2, 1 << ORACLE_ARITY)))
     small_table = TruthTable(2, (0, 1, 1, 0))  # no draw: the cases after it are unchanged
-    # a tree from before ``_GatePlan.oracle`` planned oracles in a class of their own
-    oracle_plan = getattr(_GatePlan, "oracle", None) or sys.modules["ketsim.gates"]._OraclePlan
     states = {}
     for n in SIZES:
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -270,7 +268,7 @@ def measure(repeats: int) -> dict[str, dict[str, float]]:
     amps = own.normal(size=1 << n) + 1j * own.normal(size=1 << n)
     state = StateVector(amps / np.linalg.norm(amps))
     for name, plan in (("cnot", _GatePlan(cnot(), [0, n - 1], n)),
-                       ("oracle", oracle_plan(table, [5, 2, 8, 3, n - 1], n)),
+                       ("oracle", _GatePlan.oracle(table, [5, 2, 8, 3, n - 1], n)),
                        ("y", _GatePlan(pauli_y(), [n - 2], n)),
                        ("z", _GatePlan(pauli_z(), [n // 2], n))):
         for _ in range(3):

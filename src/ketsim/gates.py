@@ -305,8 +305,9 @@ class _GatePlan:
         # of a moving gate is 0 or a unit phase, so only products check that
         # the entries are finite.
         if sorted(columns) == list(range(1 << k)):
-            flips = np.array([r ^ c for r, c in enumerate(columns)]).reshape((2,) * k)
-            return self._plan_moves(targets, n, flips, phases if set(phases) != {1} else None)
+            flips = [r ^ c for r, c in enumerate(columns)]
+            return self._plan_moves(targets, n, np.array(flips).reshape((2,) * k),
+                                    reduce(or_, flips), phases if set(phases) != {1} else None)
         if not np.isfinite(g).all():
             raise InvalidInput("gate entries must be finite")
         self.g, self.block_shape = g, None
@@ -342,7 +343,7 @@ class _GatePlan:
         # f(x) as a bool is 1, the output bit's flip, so a mask cut from
         # these flips is a view of f.outputs
         flips = np.frombuffer(f.outputs, dtype=bool).reshape((2,) * f.arity + (1,))
-        self._plan_moves(targets, n, flips, None)
+        self._plan_moves(targets, n, flips, 1 if f.ones else 0, None)
         return self
 
     def _start(self, targets: list[int], n: int) -> None:
@@ -350,20 +351,21 @@ class _GatePlan:
         self.shape, self.order = _split_axes(n, targets)
         self.g = self.gather = self.mask = self.copies = self.table = self.calls = None
 
-    def _plan_moves(self, targets: list[int], n: int, flips: np.ndarray,
+    def _plan_moves(self, targets: list[int], n: int, flips: np.ndarray, flipped: int,
                     phases: list[complex] | None) -> None:
         """The kernel of a step whose output slice r is input slice
         r ^ flips[r] times phases[r], from those moves, n and the targets
         alone.  ``flips`` broadcasts to one axis per target, in listed
-        order, indexed by r's bits; ``phases`` lists the unit phases in
-        pattern order, or is None where every one is 1.  The kernel is:
+        order, indexed by r's bits; ``flipped`` is the bits some flip
+        sets; ``phases`` lists the unit phases in pattern order, or is
+        None where every one is 1.  The kernel is:
 
         - where every phase is 1, an ``_IndexGather`` where its plan finds
           that faster;
-        - else, with more than 8 slices, every phase 1 and one set of bits
-          flipped by every output that moves (an oracle of arity 3 and up),
-          one ``np.where`` pass: the input flipped along those target axes
-          where the flips are nonzero, else the input;
+        - else, with more than 8 slices, every phase 1 and at most one
+          target bit flipped (an oracle of arity 3 and up), one ``np.where``
+          pass: the input flipped along that target's axis where the flips
+          are nonzero, else the input;
         - else one pass per output slice: a copy, ``0.0 - x`` for -1, so
           that a negated zero part is +0.0 as the dense product's sums make
           it, or numpy's complex product for i and -i.
@@ -380,16 +382,17 @@ class _GatePlan:
         if permutes and (gather := _IndexGather.plan(targets, n, flips)) is not None:
             self.gather = gather
             return
-        flipped = np.bitwise_or.reduce(flips, axis=None) if permutes and k > 3 else None
-        if flipped is not None and ((flips == 0) | (flips == flipped)).all():
-            axes = [t for t in range(k) if int(flipped) >> (k - 1 - t) & 1]
-            # no flip depends on the flipped bits: one entry per pattern of the
-            # other targets, size 1 along the flipped targets and the other
-            # axes, in listed-first order, then moved to the view's order
-            mask = flips[tuple(slice(1) if t in axes else slice(None) for t in range(k))]
+        if permutes and k > 3 and not flipped & (flipped - 1):
+            # A permutation that flips one bit flips it on both patterns of a
+            # pair, so no flip depends on that bit: one entry per pattern of
+            # the other targets, size 1 along the flipped target (any target
+            # where no bit flips) and the other axes, in listed-first order,
+            # then moved to the view's order.
+            t = k - max(1, flipped.bit_length())
+            mask = flips[(slice(None),) * t + (slice(1),)]
             mask = mask.reshape(mask.shape + (1,) * (len(self.shape) - k))
             self.mask = mask.astype(bool, copy=False).transpose(np.argsort(self.order))
-            self.flipped = tuple(self.order[t] for t in axes)
+            self.flipped = self.order[t]
         else:  # (output slice, input slice, phase)
             bits = [index_to_bits(r, k) for r in range(1 << k)]
             flips = (np.zeros((2,) * k, flips.dtype) | flips).ravel().tolist()  # broadcast

@@ -646,14 +646,20 @@ class TestKernelPaths:
 
     @pytest.mark.parametrize("n", [12, 16])
     def test_kernel_follows_the_moves_not_the_caller(self, n):
-        # a 4-qubit multi-controlled X given as a matrix flips one bit set, as
+        # a 4-qubit multi-controlled X given as a matrix flips one bit, as
         # the oracle of 3-input AND does, and takes its ``np.where``; a cycle
-        # that flips two different bit sets stays slice copies
+        # that flips two different bit sets stays slice copies, and so do
+        # gates that flip two bits together: a SWAP of the last two targets,
+        # controlled or not, and a swap of |0000> and |0011>
         amps = _signed_zero_state(n).amplitudes
         targets = [9, 2, 6, 4]  # runs of 2**(n - 10) or more: no gather at n = 16
         lifted_and = np.eye(16, dtype=complex)[[*range(14), 15, 14]]
         cycle = np.eye(16, dtype=complex)[[*range(12), 13, 15, 12, 14]]
-        for g, path in ((lifted_and, "where"), (cycle, "copies")):
+        swap_last = np.eye(16, dtype=complex)[[r ^ 3 if r & 3 in (1, 2) else r for r in range(16)]]
+        controlled_swap = np.eye(16, dtype=complex)[[*range(12), 12, 14, 13, 15]]
+        swap_ends = np.eye(16, dtype=complex)[[3, 1, 2, 0, *range(4, 16)]]
+        for g, path in ((lifted_and, "where"), (cycle, "copies"), (swap_last, "copies"),
+                        (controlled_swap, "copies"), (swap_ends, "copies")):
             plan = _GatePlan(g, targets, n)
             assert _path(plan) == path
             assert _same_bits(plan.apply(amps), _gather_take_scatter(g, targets, amps, n))
